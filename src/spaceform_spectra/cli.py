@@ -52,21 +52,40 @@ def _write_json(path: str, payload: dict) -> None:
         fh.write("\n")
 
 
-def _merge_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> None:
-    """Fill flags left at None from --config file values, then parser defaults."""
-    file_values = _load_json(args.config) if getattr(args, "config", None) else {}
-    for key, value in vars(args).items():
-        if value is None and key in file_values:
-            setattr(args, key, file_values[key])
+# Flag values a subcommand uses when neither the command line nor --config
+# sets them. Their argparse defaults are None, so a given flag is told apart
+# from an absent one.
+_DEFAULTS = {
+    "sl": {"bc": "neumann", "grid_points": 2048, "no_richardson": False},
+    "spectrum": {"kmax": 8, "jmax": 8, "count": 12, "certify": False,
+                 "grid_points": 2048},
+    "verify": {"form": "all", "seed": 0, "levels": 3, "m": 8},
+    "moments": {"form": "all", "seed": 0, "check": "both"},
+}
 
 
-def _resolve_threads(args) -> int:
-    # recorded for the interface contract; the computation itself is
-    # sequential and deterministic regardless
-    if getattr(args, "threads", None):
-        return int(args.threads)
-    env = os.environ.get("SFS_THREADS")
-    return int(env) if env else (os.cpu_count() or 1)
+def _merge_config(args: argparse.Namespace) -> None:
+    """Fill flags left at None: flag > --config file > ``_DEFAULTS``.
+
+    A config key that names no flag of the subcommand is invalid input.
+    """
+    file_values = _load_json(args.config) if args.config else {}
+    if not isinstance(file_values, dict):
+        raise ValueError("--config must hold a JSON object of flag values")
+    flags = set(vars(args)) - {"command", "func", "config"}
+    unknown = sorted(set(file_values) - flags)
+    if unknown:
+        raise ValueError(f"unknown config keys for {args.command}: {', '.join(unknown)}")
+    defaults = _DEFAULTS[args.command]
+    for key in flags:
+        if getattr(args, key) is None:
+            setattr(args, key, file_values.get(key, defaults.get(key)))
+
+
+def _require(args, parser, names) -> None:
+    missing = [name for name in names if getattr(args, name) is None]
+    if missing:
+        parser.error(f"missing required flags: {', '.join('--' + m for m in missing)}")
 
 
 def _place(args, path: str | None) -> str | None:
@@ -82,7 +101,6 @@ def _place(args, path: str | None) -> str | None:
 # ---------------------------------------------------------------------------
 
 def cmd_sl(args, parser) -> int:
-    _merge_config(args, parser)
     try:
         if args.problem:
             problem, config = slsolver.problem_from_dict(_load_json(args.problem))
@@ -90,14 +108,11 @@ def cmd_sl(args, parser) -> int:
                 config = SolverConfig(config.grid_points, config.richardson,
                                       config.eig_tol, int(args.max_j))
         else:
-            missing = [f for f in ("form", "n", "k", "r1", "r2") if getattr(args, f) is None]
-            if missing:
-                parser.error(f"missing required flags: {', '.join('--' + m for m in missing)}")
+            _require(args, parser, ("form", "n", "k", "r1", "r2"))
             problem = SLProblem(args.form, int(args.n), int(args.k),
-                                float(args.r1), float(args.r2),
-                                args.bc or "neumann")
+                                float(args.r1), float(args.r2), args.bc)
             config = SolverConfig(
-                grid_points=int(args.grid_points or 2048),
+                grid_points=int(args.grid_points),
                 richardson=not args.no_richardson,
                 max_j=int(args.max_j or 1))
     except _INVALID_ERRORS as exc:
@@ -140,14 +155,14 @@ def cmd_sl(args, parser) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_spectrum(args, parser) -> int:
-    _merge_config(args, parser)
+    _require(args, parser, ("form", "n", "r1", "r2"))
     try:
         form = SpaceForm(args.form)
         n = int(args.n)
         r1, r2 = float(args.r1), float(args.r2)
         k_max, j_max = int(args.kmax), int(args.jmax)
         count = int(args.count)
-        config = SolverConfig(grid_points=int(args.grid_points or 2048))
+        config = SolverConfig(grid_points=int(args.grid_points))
     except _INVALID_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
@@ -231,9 +246,9 @@ def _collect_specs(args) -> list[dm.DomainSpec]:
     if args.spec:
         return [dm.spec_from_dict(_load_json(args.spec))]
     family = _parse_family(args.random_family)
-    forms = ([SpaceForm(args.form)] if args.form and args.form != "all"
+    forms = ([SpaceForm(args.form)] if args.form != "all"
              else [SpaceForm.EUCLIDEAN, SpaceForm.SPHERICAL, SpaceForm.HYPERBOLIC])
-    seed = int(args.seed if args.seed is not None else 0)
+    seed = int(args.seed)
     specs: list[dm.DomainSpec] = []
     for offset, form in enumerate(forms):
         specs.extend(dm.random_family(
@@ -247,7 +262,6 @@ def _collect_specs(args) -> list[dm.DomainSpec]:
 # ---------------------------------------------------------------------------
 
 def cmd_verify(args, parser) -> int:
-    _merge_config(args, parser)
     if not args.spec and not args.random_family:
         parser.error("need --spec FILE or --random-family 's=4 count=5 amplitude=0.1'")
     try:
@@ -291,7 +305,7 @@ def cmd_verify(args, parser) -> int:
         payload = {
             "schema_version": 1,
             "command": "verify",
-            "seed": int(args.seed) if args.seed is not None else None,
+            "seed": int(args.seed),
             "params": {"levels": int(args.levels), "m": int(args.m),
                        "family": args.random_family, "form": args.form},
             "domains": results,
@@ -393,7 +407,6 @@ def _rayleigh_checks(spec: dm.DomainSpec, grid: dm.QuadratureGrid) -> list[dict]
 
 
 def cmd_moments(args, parser) -> int:
-    _merge_config(args, parser)
     if not args.spec and not args.random_family:
         parser.error("need --spec FILE or --random-family 's=4 count=5 amplitude=0.1'")
     try:
@@ -430,7 +443,7 @@ def cmd_moments(args, parser) -> int:
     if args.json:
         _write_json(_place(args, args.json), {
             "schema_version": 1, "command": "moments",
-            "seed": int(args.seed) if args.seed is not None else None,
+            "seed": int(args.seed),
             "domains": results,
             "summary": {"failures": failures},
         })
@@ -446,8 +459,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="sfs",
         description="Spectra of balls, shells and symmetric perturbed shells "
                     "in the three constant-curvature space forms.")
-    parser.add_argument("--threads", "-T", type=int, default=None,
-                        help="parallelism cap (recorded; falls back to SFS_THREADS)")
     parser.add_argument("--out", default=None,
                         help="directory for report artifacts (relative paths land here)")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -462,22 +473,21 @@ def build_parser() -> argparse.ArgumentParser:
     p_sl.add_argument("--bc", choices=["neumann", "dirichlet"])
     p_sl.add_argument("--max-j", dest="max_j", type=int)
     p_sl.add_argument("--grid-points", dest="grid_points", type=int)
-    p_sl.add_argument("--no-richardson", action="store_true")
+    p_sl.add_argument("--no-richardson", action="store_true", default=None)
     p_sl.add_argument("--config", help="JSON file with default flag values")
     p_sl.add_argument("--json", help="write the eigenpairs to this JSON file")
     p_sl.add_argument("--csv", help="write (r, u_j) samples to this CSV file")
     p_sl.set_defaults(func=cmd_sl)
 
     p_sp = sub.add_parser("spectrum", help="assemble a shell spectrum")
-    p_sp.add_argument("--form", required=True, choices=[f.value for f in SpaceForm])
-    p_sp.add_argument("--n", type=int, required=True)
-    p_sp.add_argument("--r1", type=float, required=True)
-    p_sp.add_argument("--r2", type=float, required=True)
-    p_sp.add_argument("--kmax", type=int, default=8)
-    p_sp.add_argument("--jmax", type=int, default=8)
-    p_sp.add_argument("--count", type=int, default=12,
-                      help="certified eigenvalues to report")
-    p_sp.add_argument("--certify", action="store_true",
+    p_sp.add_argument("--form", choices=[f.value for f in SpaceForm])
+    p_sp.add_argument("--n", type=int)
+    p_sp.add_argument("--r1", type=float)
+    p_sp.add_argument("--r2", type=float)
+    p_sp.add_argument("--kmax", type=int)
+    p_sp.add_argument("--jmax", type=int)
+    p_sp.add_argument("--count", type=int, help="certified eigenvalues to report")
+    p_sp.add_argument("--certify", action="store_true", default=None,
                       help="append the structural certification report")
     p_sp.add_argument("--grid-points", dest="grid_points", type=int)
     p_sp.add_argument("--config")
@@ -489,11 +499,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_vf.add_argument("--spec", help="domain JSON file")
     p_vf.add_argument("--random-family", dest="random_family",
                       help="e.g. 's=4 count=5 amplitude=0.1'")
-    p_vf.add_argument("--form", default="all",
-                      choices=["all"] + [f.value for f in SpaceForm])
-    p_vf.add_argument("--seed", type=int, default=0)
-    p_vf.add_argument("--levels", type=int, default=3)
-    p_vf.add_argument("--m", type=int, default=8)
+    p_vf.add_argument("--form", choices=["all"] + [f.value for f in SpaceForm])
+    p_vf.add_argument("--seed", type=int)
+    p_vf.add_argument("--levels", type=int)
+    p_vf.add_argument("--m", type=int)
     p_vf.add_argument("--config")
     p_vf.add_argument("--json", help="write the full report here")
     p_vf.add_argument("--plot-data", dest="plot_data",
@@ -503,11 +512,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_mo = sub.add_parser("moments", help="symmetry orthogonality / Rayleigh checks")
     p_mo.add_argument("--spec")
     p_mo.add_argument("--random-family", dest="random_family")
-    p_mo.add_argument("--form", default="all",
-                      choices=["all"] + [f.value for f in SpaceForm])
-    p_mo.add_argument("--seed", type=int, default=0)
-    p_mo.add_argument("--check", choices=["orthogonality", "rayleigh", "both"],
-                      default="both")
+    p_mo.add_argument("--form", choices=["all"] + [f.value for f in SpaceForm])
+    p_mo.add_argument("--seed", type=int)
+    p_mo.add_argument("--check", choices=["orthogonality", "rayleigh", "both"])
     p_mo.add_argument("--config")
     p_mo.add_argument("--json")
     p_mo.set_defaults(func=cmd_moments)
@@ -520,7 +527,11 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    _resolve_threads(args)
+    try:
+        _merge_config(args)
+    except _INVALID_ERRORS as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INVALID
     try:
         return args.func(args, parser)
     except SystemExit as exc:  # parser.error inside a command

@@ -174,3 +174,30 @@ def annulus_volume_closed_form(form: str, n: int, r1: float, r2: float) -> float
             return 2 * math.pi * ((math.sinh(r2) * math.cosh(r2) - r2) - (math.sinh(r1) * math.cosh(r1) - r1))
         return 4 * math.pi / 3 * (r2**3 - r1**3)
     raise ValueError("closed forms provided for n = 2, 3 only")
+
+
+# ---------------------------------------------------------------------------
+# Structured polar mesh connectivity, one quad at a time.
+# ---------------------------------------------------------------------------
+
+def polar_mesh_connectivity(n_radial: int, n_angular: int):
+    """(triangles, boundary_edges) of the structured polar mesh, by loops.
+
+    Vertex (i, j) of radial ring i and angular ray j is row
+    ``i * n_angular + j`` with j periodic. Each quad in (i, j) order gives
+    two counterclockwise triangles in (r, theta), radial edge first; the
+    boundary is the inner ring followed by the outer ring.
+    """
+    def vid(i, j):
+        return i * n_angular + (j % n_angular)
+
+    tris = []
+    for i in range(n_radial):
+        for j in range(n_angular):
+            a, b = vid(i, j), vid(i, j + 1)
+            c, d = vid(i + 1, j), vid(i + 1, j + 1)
+            tris.append((a, c, d))
+            tris.append((a, d, b))
+    edges = [(vid(0, j), vid(0, j + 1)) for j in range(n_angular)]
+    edges += [(vid(n_radial, j), vid(n_radial, j + 1)) for j in range(n_angular)]
+    return np.array(tris, dtype=np.int64), np.array(edges, dtype=np.int64)

@@ -177,6 +177,33 @@ class TestVerifyCommand:
         assert history.startswith("# domain ")
         assert "mu_1" in history
 
+    def test_config_file_sets_params_and_flags_win(self, tmp_path, capsys):
+        path = write_spec(tmp_path, DomainSpec.exact_annulus("euclidean", 2, 1.0, 2.0))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"levels": 2, "m": 4, "seed": 3}))
+        report = tmp_path / "report.json"
+        base = ["verify", "--spec", str(path), "--config", str(cfg), "--json", str(report)]
+        code, _, _ = run(base, capsys)
+        assert code == 0
+        blob = json.loads(report.read_text())
+        assert blob["params"]["levels"] == 2 and blob["params"]["m"] == 4
+        assert blob["seed"] == 3
+        assert len(blob["domains"][0]["fem"]["levels"]) == 2
+        assert len(blob["domains"][0]["fem"]["eigenvalues"]) == 4
+        # an explicit flag beats the file value
+        code, _, _ = run(base + ["--m", "6"], capsys)
+        assert code == 0
+        blob = json.loads(report.read_text())
+        assert blob["params"]["levels"] == 2 and blob["params"]["m"] == 6
+
+    def test_unknown_config_key_exit_2(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"levles": 2}))
+        code, _, err = run(["verify", "--random-family", "s=4 count=1",
+                            "--config", str(cfg)], capsys)
+        assert code == 2
+        assert "levles" in err
+
     def test_determinism_byte_identical(self, tmp_path, capsys):
         args = ["verify", "--random-family", "s=4 count=1 amplitude=0.06",
                 "--form", "euclidean", "--seed", "9", "--levels", "2"]
@@ -224,16 +251,3 @@ class TestMomentsCommand:
                             "--check", "orthogonality"], capsys)
         assert code == 4
         assert "FAIL" in out
-
-
-class TestThreadsFlag:
-    def test_env_fallback(self, monkeypatch, capsys):
-        monkeypatch.setenv("SFS_THREADS", "2")
-        code, _, _ = run(["sl", "--form", "euclidean", "--n", "2", "--k", "0",
-                          "--r1", "1", "--r2", "2"], capsys)
-        assert code == 0
-
-    def test_flag(self, capsys):
-        code, _, _ = run(["--threads", "1", "sl", "--form", "euclidean", "--n", "2",
-                          "--k", "0", "--r1", "1", "--r2", "2"], capsys)
-        assert code == 0

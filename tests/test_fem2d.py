@@ -85,6 +85,19 @@ class TestMeshGeneration:
         with pytest.raises(ValueError):
             generate_mesh(spec3, 1)
 
+    @pytest.mark.parametrize("rho_in", [FourierProfile(0.55, ((4, 0.02, 0.02),)), None])
+    def test_connectivity_matches_loop_reference(self, rho_in):
+        spec = DomainSpec("euclidean", 2, SymmetryOrder.ORDER4,
+                          FourierProfile(1.25, ((4, 0.06, -0.04),)), rho_in)
+        for level in (0, 1, 2):
+            mesh = generate_mesh(spec, level)
+            triangles, edges = oracles.polar_mesh_connectivity(mesh.n_radial,
+                                                               mesh.n_angular)
+            assert mesh.triangles.dtype == np.int64
+            assert mesh.boundary_edges.dtype == np.int64
+            assert np.array_equal(mesh.triangles, triangles)
+            assert np.array_equal(mesh.boundary_edges, edges)
+
 
 @pytest.fixture(scope="module")
 def system():
@@ -211,6 +224,29 @@ class TestEigensolve:
                               SolverConfig(max_j=1))[0].eigenvalue
         assert res.eigenvalues[1] == pytest.approx(mu11, rel=2e-2)
 
+    @pytest.mark.parametrize("spec", [
+        DomainSpec("hyperbolic", 2, SymmetryOrder.ORDER4,
+                   FourierProfile(1.2, ((4, 0.05, 0.0),)),
+                   FourierProfile(0.5, ((4, 0.0, 0.02),))),
+        # The dense generalized solver is accurate only to about
+        # eps * lambda_max(K, M) in absolute terms. The r = 1e-3 inner ring of
+        # a hole-free mesh puts lambda_max near 4.4e7, and the dense values
+        # come out 1.6e-9 (relative) away from the sparse ones, whose
+        # eigenvalues match their own Rayleigh quotients to 2e-12.
+        pytest.param(DomainSpec("spherical", 2, SymmetryOrder.ORDER4,
+                                FourierProfile(1.1, ((4, 0.04, -0.03),))),
+                     marks=pytest.mark.xfail(strict=True, reason=(
+                         "dense branch loses ~1e-9 on hole-free meshes"))),
+    ])
+    def test_sparse_path_matches_dense(self, spec):
+        system = assemble(generate_mesh(spec, 1), spec.form)
+        assert system.n_unknowns > fem2d.DENSE_CUTOFF
+        sparse_vals = np.array(eigensolve(system, m=8).eigenvalues)
+        dense_vals = np.array(eigensolve(system, m=8,
+                                         dense_cutoff=system.n_unknowns).eigenvalues)
+        scale = np.maximum(np.abs(dense_vals), 1.0)
+        assert np.max(np.abs(sparse_vals - dense_vals) / scale) <= 1e-10
+
     def test_result_serialization(self, disk_result):
         blob = json.loads(json.dumps(disk_result.to_dict(), sort_keys=True))
         assert len(blob["levels"]) == 3
@@ -264,12 +300,6 @@ class TestVerifyTheorem:
         lhs = 1.0 / mu2 + 1.0 / mu3
         rhs = 2.0 / verdict.mu_annulus
         assert lhs >= rhs * (1 - verdict.tau)
-
-    def test_mesh_csv_dump(self):
-        mesh = generate_mesh(ANNULUS, 0)
-        vcsv, tcsv = fem2d.mesh_to_csv(mesh)
-        assert vcsv.startswith("index,r,theta")
-        assert len(tcsv.strip().split("\n")) == mesh.triangles.shape[0] + 1
 
     def test_convergence_table_is_gnuplot_ready(self, disk_result):
         table = fem2d.convergence_table(disk_result, label="disk")

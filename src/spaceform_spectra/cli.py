@@ -14,6 +14,7 @@ timestamps, so identical inputs produce identical bytes.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -64,10 +65,18 @@ _DEFAULTS = {
 }
 
 
-def _merge_config(args: argparse.Namespace) -> None:
+def _flag_choices(parser: argparse.ArgumentParser, command: str) -> dict:
+    """Flag name -> allowed values, for the flags of ``command`` with ``choices``."""
+    (subparsers,) = (a for a in parser._actions
+                     if isinstance(a, argparse._SubParsersAction))
+    return {a.dest: a.choices for a in subparsers.choices[command]._actions if a.choices}
+
+
+def _merge_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> None:
     """Fill flags left at None: flag > --config file > ``_DEFAULTS``.
 
-    A config key that names no flag of the subcommand is invalid input.
+    A config key that names no flag of the subcommand, or a value outside
+    the flag's ``choices``, is invalid input.
     """
     file_values = _load_json(args.config) if args.config else {}
     if not isinstance(file_values, dict):
@@ -76,6 +85,10 @@ def _merge_config(args: argparse.Namespace) -> None:
     unknown = sorted(set(file_values) - flags)
     if unknown:
         raise ValueError(f"unknown config keys for {args.command}: {', '.join(unknown)}")
+    for key, allowed in _flag_choices(parser, args.command).items():
+        if key in file_values and file_values[key] not in allowed:
+            raise ValueError(f"config {key}={file_values[key]!r} is not one of "
+                             f"{', '.join(allowed)}")
     defaults = _DEFAULTS[args.command]
     for key in flags:
         if getattr(args, key) is None:
@@ -105,8 +118,7 @@ def cmd_sl(args, parser) -> int:
         if args.problem:
             problem, config = slsolver.problem_from_dict(_load_json(args.problem))
             if args.max_j is not None:
-                config = SolverConfig(config.grid_points, config.richardson,
-                                      config.eig_tol, int(args.max_j))
+                config = dataclasses.replace(config, max_j=int(args.max_j))
         else:
             _require(args, parser, ("form", "n", "k", "r1", "r2"))
             problem = SLProblem(args.form, int(args.n), int(args.k),
@@ -197,7 +209,8 @@ def cmd_spectrum(args, parser) -> int:
     payload = {"schema_version": 1, "spectrum": spec.to_dict(),
                "first_values": values}
     if args.certify:
-        cert = spectrum.certify_lemmas(form, n, r1, r2, j_max=min(j_max, 5), config=config)
+        cert = spectrum.certify_lemmas(form, n, r1, r2, j_max=min(j_max, 5), config=config,
+                                       assembled=spec)
         for check in cert.checks:
             status = "PASS" if check.passed else "FAIL"
             print(f"{check.name}: {status} (worst {_fmt(check.worst)}, "
@@ -528,7 +541,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        _merge_config(args)
+        _merge_config(args, parser)
     except _INVALID_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID

@@ -270,8 +270,13 @@ def _solve_one(system: FemSystem, m: int, dense_cutoff: int) -> tuple[np.ndarray
     if m >= n:
         raise ValueError("need m well below the number of unknowns")
     if n <= dense_cutoff:
-        vals, vecs = dense_linalg.eigh(K.toarray(), M.toarray(),
-                                       subset_by_index=(0, m - 1))
+        # shift-invert as on the sparse path: eigh(K, M) is accurate only to
+        # eps * lambda_max(K, M) absolutely, and the r = 1e-3 inner ring of a
+        # hole-free mesh makes lambda_max large; theta = 1/(lambda - SHIFT)
+        Md = M.toarray()
+        theta, vecs = dense_linalg.eigh(Md, K.toarray() - SHIFT * Md,
+                                        subset_by_index=(n - m, n - 1))
+        vals, vecs = SHIFT + 1.0 / theta[::-1], vecs[:, ::-1]
     else:
         # K - SHIFT*M is symmetric positive definite: a symmetric
         # minimum-degree ordering of its pattern fills far less than the
@@ -303,11 +308,13 @@ def _solve_one(system: FemSystem, m: int, dense_cutoff: int) -> tuple[np.ndarray
 def eigensolve(systems, m: int = 8, dense_cutoff: int = DENSE_CUTOFF) -> FemEigenResult:
     """Smallest ``m`` eigenvalues of one system or a refinement sequence.
 
-    Small systems go through a dense generalized solver; larger ones use
-    shift-invert Lanczos with a fixed start vector, applying the inverse
-    through one sparse LU factorization of K - SHIFT*M under a symmetric
-    minimum-degree ordering.  With several levels the last two are
-    Richardson-combined assuming second-order convergence.
+    Both paths invert K - SHIFT*M.  Small systems take the largest
+    eigenvalues theta = 1/(lambda - SHIFT) of the dense pencil
+    (M, K - SHIFT*M); larger ones use shift-invert Lanczos with a fixed
+    start vector, applying the inverse through one sparse LU factorization
+    of K - SHIFT*M under a symmetric minimum-degree ordering.  With several
+    levels the last two are Richardson-combined assuming second-order
+    convergence.
     """
     if m < 2:
         raise ValueError("ask for at least two eigenvalues")

@@ -229,11 +229,21 @@ def discretize(problem: SLProblem, config) -> TridiagonalSystem:
 
 
 def _pencil_rayleigh(system: TridiagonalSystem, u: np.ndarray) -> np.ndarray:
-    """(u^T K u)/(u^T M u) columnwise for mass-space vectors u."""
-    ku = system.diag[:, None] * u
-    ku[:-1] += system.offdiag[:, None] * u[1:]
-    ku[1:] += system.offdiag[:, None] * u[:-1]
-    return np.einsum("ij,ij->j", u, ku) / np.einsum("i,ij->j", system.mass, u * u)
+    """(u^T K u)/(u^T M u) columnwise for mass-space vectors u.
+
+    u^T K u is summed in flux form, sum(-offdiag * (u_{i+1} - u_i)^2) plus
+    sum(row_sum * u_i^2), whose terms are nonnegative (the row sums are the
+    potential and eliminated-boundary terms).  The expanded form
+    diag * u^2 + 2 offdiag * u_i u_{i+1} cancels terms of size 1/h^2 and
+    leaves rounding noise near 1e-10 in the lowest eigenvalues.
+    """
+    row_sum = system.diag.copy()
+    row_sum[:-1] += system.offdiag
+    row_sum[1:] += system.offdiag
+    du = np.diff(u, axis=0)
+    energy = (np.einsum("i,ij->j", -system.offdiag, du * du)
+              + np.einsum("i,ij->j", row_sum, u * u))
+    return energy / np.einsum("i,ij->j", system.mass, u * u)
 
 
 def _eigen_tridiagonal(system: TridiagonalSystem, count: int, tol: float):
@@ -284,7 +294,6 @@ class SLEigenpair:
     eigenvalue_grid: float
     grid: np.ndarray
     values: np.ndarray
-    normalization: float = 1.0
 
     def __post_init__(self):
         self.grid.setflags(write=False)
@@ -298,7 +307,7 @@ class SLEigenpair:
         return int(np.sum(signs[1:] * signs[:-1] < 0))
 
 
-def _finalize_vector(system: TridiagonalSystem, u_active: np.ndarray) -> tuple[np.ndarray, float]:
+def _finalize_vector(system: TridiagonalSystem, u_active: np.ndarray) -> np.ndarray:
     full = system.embed(u_active)
     mass_full = np.zeros_like(full)
     mass_full[system.active_start:system.active_stop] = system.mass
@@ -307,7 +316,7 @@ def _finalize_vector(system: TridiagonalSystem, u_active: np.ndarray) -> tuple[n
     nz = np.nonzero(np.abs(full) > 1e-8 * np.max(np.abs(full)))[0]
     if nz.size and full[nz[-1]] < 0:
         full = -full
-    return full, 1.0
+    return full
 
 
 def solve(problem: SLProblem, config: SolverConfig | None = None) -> list[SLEigenpair]:
@@ -316,24 +325,26 @@ def solve(problem: SLProblem, config: SolverConfig | None = None) -> list[SLEige
     Eigenvalues are extracted by bisection to ``config.eig_tol``; with
     ``config.richardson`` the values from grids N and 2N are combined as
     (4 mu_2N - mu_N)/3 and the eigenvectors are reported on the finer
-    grid.  A gap between adjacent eigenvalues below 1000 * eig_tol trips
-    a NearDegeneracyWarning: the continuum eigenvalues are simple, so a
-    near-tie indicates discretization trouble.
+    grid.  The coarse grid N yields exactly ``max_j`` values; the fine grid
+    yields one more, a probe for the gap check: a gap between adjacent
+    fine-grid eigenvalues below 1000 * eig_tol trips a
+    NearDegeneracyWarning, because the continuum eigenvalues are simple
+    and a near-tie indicates discretization trouble.  The first j pairs
+    agree, to rounding, whatever ``max_j >= j`` was requested.
     """
     config = config or SolverConfig()
     want = config.max_j
-    probe = want + 1  # one extra for the simplicity gap check
+    probe = want + 1  # one extra on the fine grid for the simplicity gap check
 
     fine_N = config.grid_points * 2 if config.richardson else config.grid_points
     fine = discretize(problem, fine_N)
     vals_fine, vecs_fine = _eigen_tridiagonal(fine, probe, config.eig_tol)
 
+    published = vals_fine[:want].copy()
     if config.richardson:
         coarse = discretize(problem, config.grid_points)
-        vals_coarse, _ = _eigen_tridiagonal(coarse, probe, config.eig_tol)
-        published = vals_fine + (vals_fine - vals_coarse) / 3.0
-    else:
-        published = vals_fine.copy()
+        vals_coarse, _ = _eigen_tridiagonal(coarse, want, config.eig_tol)
+        published += (published - vals_coarse) / 3.0
 
     gaps = np.diff(vals_fine)
     if np.any(gaps <= 1e3 * config.eig_tol):
@@ -345,15 +356,13 @@ def solve(problem: SLProblem, config: SolverConfig | None = None) -> list[SLEige
 
     pairs = []
     for j in range(1, want + 1):
-        u_full, _ = _finalize_vector(fine, vecs_fine[:, j - 1])
         pairs.append(SLEigenpair(
             problem=problem,
             j=j,
             eigenvalue=float(published[j - 1]),
             eigenvalue_grid=float(vals_fine[j - 1]),
             grid=fine.grid.copy(),
-            values=u_full,
-            normalization=1.0,
+            values=_finalize_vector(fine, vecs_fine[:, j - 1]),
         ))
     return pairs
 
@@ -366,10 +375,7 @@ def discrete_rayleigh(pair: SLEigenpair) -> float:
     """
     system = discretize(pair.problem, pair.grid.size - 1)
     u = pair.values[system.active_start:system.active_stop]
-    ku = system.diag * u
-    ku[:-1] += system.offdiag * u[1:]
-    ku[1:] += system.offdiag * u[:-1]
-    return float(np.dot(u, ku) / np.dot(u * u, system.mass))
+    return float(_pencil_rayleigh(system, u[:, None])[0])
 
 
 def locate_b(pair: SLEigenpair, problem: SLProblem) -> float:

@@ -12,7 +12,10 @@ the potential at an interior radius.
 ``certify_lemmas`` re-derives the structural facts the assembly relies
 on (Neumann/Dirichlet bridge, strict interlacing in k, monotone lowest
 eigenfunctions and their pointwise comparison bound) and reports
-residuals at fixed tolerances.
+residuals at fixed tolerances.  Given the assembled spectrum it certifies
+the very Neumann pairs ``assemble`` solved, so a ``spectrum --certify``
+run solves each radial problem once; it adds only the Dirichlet modes
+k <= 4 that its checks compare against.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ import csv
 import io
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -74,7 +77,10 @@ class AnnulusSpectrum:
 
     ``entries`` are sorted by value with (k, j) breaking ties; the list
     is complete below ``complete_up_to`` and entries above that cutoff
-    have been dropped.
+    have been dropped.  ``neumann_pairs`` maps each mode k to every
+    Neumann eigenpair ``assemble`` solved for it with ``solver_config``,
+    for ``certify_lemmas`` to reuse; neither field is part of the value
+    (``to_dict``, equality, repr).
     """
 
     form: SpaceForm
@@ -83,6 +89,9 @@ class AnnulusSpectrum:
     r2: float
     entries: tuple
     complete_up_to: float
+    neumann_pairs: dict = field(default_factory=dict, compare=False, repr=False)
+    solver_config: SolverConfig = field(default_factory=SolverConfig,
+                                        compare=False, repr=False)
 
     def eigenvalues(self, count: int) -> list[float]:
         """First ``count`` eigenvalues, each repeated with multiplicity."""
@@ -130,16 +139,14 @@ def assemble(form: SpaceForm, n: int, r1: float, r2: float,
     form = _as_form(form)
     if k_max < 2 or j_max < 2:
         raise ValueError("need k_max >= 2 and j_max >= 2")
-    config = config or SolverConfig()
-    base = config if config.max_j == j_max else SolverConfig(
-        grid_points=config.grid_points, richardson=config.richardson,
-        eig_tol=config.eig_tol, max_j=j_max)
+    base = replace(config or SolverConfig(), max_j=j_max)
 
+    neumann_pairs: dict[int, tuple] = {}
     mode_values: dict[int, list[float]] = {}
     for k in range(k_max + 1):
         problem = SLProblem(form, n, k, r1, r2, BoundaryCondition.NEUMANN)
-        pairs = slsolver.solve(problem, base)
-        mode_values[k] = [p.eigenvalue for p in pairs]
+        neumann_pairs[k] = tuple(slsolver.solve(problem, base))
+        mode_values[k] = [p.eigenvalue for p in neumann_pairs[k]]
 
     if abs(mode_values[0][0]) > 1e-8:
         raise slsolver.ConvergenceError(
@@ -158,7 +165,8 @@ def assemble(form: SpaceForm, n: int, r1: float, r2: float,
     ]
     entries.sort(key=lambda e: (e.value, e.k, e.j))
     return AnnulusSpectrum(form=form, n=n, r1=r1, r2=r2,
-                           entries=tuple(entries), complete_up_to=complete_up_to)
+                           entries=tuple(entries), complete_up_to=complete_up_to,
+                           neumann_pairs=neumann_pairs, solver_config=base)
 
 
 # ---------------------------------------------------------------------------
@@ -202,7 +210,8 @@ class LemmaCertification:
 
 def certify_lemmas(form: SpaceForm, n: int, r1: float, r2: float,
                    j_max: int = 4,
-                   config: SolverConfig | None = None) -> LemmaCertification:
+                   config: SolverConfig | None = None,
+                   assembled: AnnulusSpectrum | None = None) -> LemmaCertification:
     """Residual report for the structural facts behind the assembly.
 
     Checks, at fixed tolerances:
@@ -210,28 +219,44 @@ def certify_lemmas(form: SpaceForm, n: int, r1: float, r2: float,
     * ``neumann_dirichlet_bridge``: mu_{0,j+1} = lambda_{1,j} to 1e-6
       for j <= j_max (differentiating a mode-0 Neumann eigenfunction
       produces a mode-1 Dirichlet one), and strictly above mu_{1,j}.
-    * ``k_interlacing``: mu_{k,j} < mu_{k+1,j} with margin > 1e-8.
-    * ``neumann_below_dirichlet``: mu_{k,j} < lambda_{k,j}, margin > 1e-8.
+    * ``k_interlacing``: mu_{k,j} < mu_{k+1,j} with margin > 1e-8
+      for k <= 4, j <= min(j_max, 4).
+    * ``neumann_below_dirichlet``: mu_{k,j} < lambda_{k,j}, margin > 1e-8,
+      for k <= 4, j <= min(j_max, 4).
     * ``lowest_pair_*`` (annuli only): the interior radius where the
       potential equals mu_{k,1}; strict monotonicity of the lowest
       eigenfunction; and its pointwise comparison inequality against the
       outer-boundary value, with slack >= -1e-10.
 
+    The checks read Neumann modes k <= 5 (j_max + 1 pairs for k = 0,
+    j_max for k = 1, min(j_max, 4) above) and Dirichlet modes k <= 4
+    (j_max pairs for k = 1, min(j_max, 4) otherwise); only those pairs
+    are solved.  A Neumann mode is taken from ``assembled`` instead when
+    it holds enough pairs of the same problem, solved with the same
+    ``grid_points``, ``richardson`` and ``eig_tol`` as ``config``.
+
     Failures are entries in the report, never exceptions.
     """
     form = _as_form(form)
     config = config or SolverConfig()
-    k_top = 5                      # interlacing is checked for k <= 4
-    jm_neu = max(j_max + 1, 4)
-    jm_dir = max(j_max, 4)
+    short = min(j_max, 4)          # interlacing and N/D ordering read j <= 4
+    neumann_need = {0: j_max + 1, 1: j_max, 2: short, 3: short, 4: short, 5: short}
+    dirichlet_need = {0: short, 1: j_max, 2: short, 3: short, 4: short}
 
-    neumann: dict[int, list] = {}
-    dirichlet: dict[int, list] = {}
-    for k in range(k_top + 1):
-        cfg_n = SolverConfig(config.grid_points, config.richardson, config.eig_tol, jm_neu)
-        cfg_d = SolverConfig(config.grid_points, config.richardson, config.eig_tol, jm_dir)
-        neumann[k] = slsolver.solve(SLProblem(form, n, k, r1, r2, BoundaryCondition.NEUMANN), cfg_n)
-        dirichlet[k] = slsolver.solve(SLProblem(form, n, k, r1, r2, BoundaryCondition.DIRICHLET), cfg_d)
+    neumann: dict = {}
+    for k, need in neumann_need.items():
+        problem = SLProblem(form, n, k, r1, r2, BoundaryCondition.NEUMANN)
+        cfg_n = replace(config, max_j=need)
+        pairs = assembled.neumann_pairs.get(k, ()) if assembled else ()
+        if not (len(pairs) >= need and pairs[0].problem == problem
+                and replace(assembled.solver_config, max_j=need) == cfg_n):
+            pairs = slsolver.solve(problem, cfg_n)
+        neumann[k] = pairs
+    dirichlet = {
+        k: slsolver.solve(SLProblem(form, n, k, r1, r2, BoundaryCondition.DIRICHLET),
+                          replace(config, max_j=need))
+        for k, need in dirichlet_need.items()
+    }
 
     checks = []
 

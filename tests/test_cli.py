@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from spaceform_spectra import cli
+from spaceform_spectra import cli, slsolver
 from spaceform_spectra import domains as dm
 from spaceform_spectra.domains import DomainSpec, FourierProfile, SymmetryOrder
 
@@ -91,6 +91,22 @@ class TestSpectrumCommand:
                             "--grid-points", "512", "--count", "4"], capsys)
         assert code == 0
         assert "neumann_dirichlet_bridge: PASS" in out
+
+    def test_certify_solves_each_radial_problem_once(self, monkeypatch, capsys):
+        calls = {"neumann": 0, "dirichlet": 0}
+        real_solve = slsolver.solve
+
+        def counting_solve(problem, config=None):
+            calls[str(problem.bc)] += 1
+            return real_solve(problem, config)
+
+        monkeypatch.setattr(slsolver, "solve", counting_solve)
+        code, out, _ = run(["spectrum", "--form", "hyperbolic", "--n", "2",
+                            "--r1", "0.5", "--r2", "1.5", "--certify"], capsys)
+        assert code == 0
+        assert "FAIL" not in out
+        # kmax = jmax = 8: Neumann k = 0..8 once; Dirichlet k = 0..4 for the checks
+        assert calls == {"neumann": 9, "dirichlet": 5}
 
     def test_truncation_exit_3(self, capsys):
         code, _, err = run(["spectrum", "--form", "euclidean", "--n", "2",
@@ -203,6 +219,14 @@ class TestVerifyCommand:
                             "--config", str(cfg)], capsys)
         assert code == 2
         assert "levles" in err
+
+    def test_config_value_outside_choices_exit_2(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"check": "bogus"}))
+        code, out, err = run(["moments", "--random-family", "s=4 count=1",
+                              "--form", "euclidean", "--config", str(cfg)], capsys)
+        assert code == 2
+        assert "bogus" in err and "checks pass" not in out
 
     def test_determinism_byte_identical(self, tmp_path, capsys):
         args = ["verify", "--random-family", "s=4 count=1 amplitude=0.06",

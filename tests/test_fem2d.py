@@ -228,15 +228,10 @@ class TestEigensolve:
         DomainSpec("hyperbolic", 2, SymmetryOrder.ORDER4,
                    FourierProfile(1.2, ((4, 0.05, 0.0),)),
                    FourierProfile(0.5, ((4, 0.0, 0.02),))),
-        # The dense generalized solver is accurate only to about
-        # eps * lambda_max(K, M) in absolute terms. The r = 1e-3 inner ring of
-        # a hole-free mesh puts lambda_max near 4.4e7, and the dense values
-        # come out 1.6e-9 (relative) away from the sparse ones, whose
-        # eigenvalues match their own Rayleigh quotients to 2e-12.
-        pytest.param(DomainSpec("spherical", 2, SymmetryOrder.ORDER4,
-                                FourierProfile(1.1, ((4, 0.04, -0.03),))),
-                     marks=pytest.mark.xfail(strict=True, reason=(
-                         "dense branch loses ~1e-9 on hole-free meshes"))),
+        # hole-free: the r = 1e-3 inner ring puts lambda_max(K, M) near 4.4e7,
+        # which a dense eigh(K, M) would resolve only to about 1.6e-9 relative
+        DomainSpec("spherical", 2, SymmetryOrder.ORDER4,
+                   FourierProfile(1.1, ((4, 0.04, -0.03),))),
     ])
     def test_sparse_path_matches_dense(self, spec):
         system = assemble(generate_mesh(spec, 1), spec.form)

@@ -126,6 +126,21 @@ class TestSolveAgainstClosedForms:
             assert lam == pytest.approx(oracles.first_bessel_zero(k) ** 2, rel=1e-7)
 
 
+class TestPrefixStability:
+    # certify_lemmas reuses the pairs assemble solved with a larger max_j,
+    # so the first j values must not depend on how many more were asked for
+    @pytest.mark.parametrize("form,n,r1,r2",
+                             CONFIGS + [(SpaceForm.EUCLIDEAN, 2, 1.0, 2.0)])
+    def test_first_values_independent_of_max_j(self, form, n, r1, r2):
+        j = 4
+        for bc in ("neumann", "dirichlet"):
+            for k in (0, 1, 3):
+                problem = SLProblem(form, n, k, r1, r2, bc)
+                few = [p.eigenvalue for p in solve(problem, SolverConfig(max_j=j))]
+                more = [p.eigenvalue for p in solve(problem, SolverConfig(max_j=j + 2))]
+                assert few == pytest.approx(more[:j], rel=1e-12, abs=1e-12)
+
+
 @pytest.fixture(scope="module")
 def hyperbolic_pairs():
     return solve(SLProblem("hyperbolic", 2, 1, 0.3, 1.2),

@@ -154,6 +154,50 @@ class TestCertifyLemmas:
         assert "lowest_pair_interior_radius" not in names
         assert "neumann_dirichlet_bridge" in names
 
+    @pytest.mark.parametrize("form,n,r1,r2", [
+        (SpaceForm.HYPERBOLIC, 2, 0.5, 1.5),
+        (SpaceForm.EUCLIDEAN, 2, 1.0, 2.0),
+        (SpaceForm.SPHERICAL, 3, 0.0, 1.2),
+    ])
+    def test_assembled_pairs_certify_like_a_fresh_solve(self, form, n, r1, r2):
+        config = SolverConfig(grid_points=1024)
+        spec = assemble(form, n, r1, r2, 8, 8, config)
+        reused = certify_lemmas(form, n, r1, r2, j_max=5, config=config, assembled=spec)
+        fresh = certify_lemmas(form, n, r1, r2, j_max=5, config=config)
+        assert [c.name for c in reused.checks] == [c.name for c in fresh.checks]
+        for a, b in zip(reused.checks, fresh.checks):
+            assert a.passed == b.passed
+            # residual-type worsts are eigenvalue differences at rounding level
+            assert abs(a.worst - b.worst) <= 1e-9 * max(abs(b.worst), 1.0)
+
+    def test_assembled_pairs_reused_only_when_they_fit(self, monkeypatch):
+        form, n, r1, r2 = SpaceForm.EUCLIDEAN, 2, 0.5, 1.5
+        config = SolverConfig(grid_points=256)
+        solved = []
+        real_solve = spectrum.slsolver.solve
+
+        def counting_solve(problem, cfg):
+            solved.append((str(problem.bc), problem.k))
+            return real_solve(problem, cfg)
+
+        monkeypatch.setattr(spectrum.slsolver, "solve", counting_solve)
+
+        def neumann_solves(**kwargs):
+            solved.clear()
+            certify_lemmas(form, n, r1, r2, j_max=3, config=config, **kwargs)
+            return sorted(k for bc, k in solved if bc == "neumann")
+
+        # modes k <= 3 only; then j_max = 3, one pair short for the bridge's k = 0
+        few_modes = assemble(form, n, r1, r2, 3, 4, config)
+        assert neumann_solves(assembled=few_modes) == [4, 5]
+        few_pairs = assemble(form, n, r1, r2, 8, 3, config)
+        assert neumann_solves(assembled=few_pairs) == [0]
+        other_grid = assemble(form, n, r1, r2, 8, 8, SolverConfig(grid_points=512))
+        assert neumann_solves(assembled=other_grid) == [0, 1, 2, 3, 4, 5]
+        other_shell = assemble(form, n, r1, 1.6, 8, 8, config)
+        assert neumann_solves(assembled=other_shell) == [0, 1, 2, 3, 4, 5]
+        assert neumann_solves() == [0, 1, 2, 3, 4, 5]
+
     def test_json_payload(self):
         report = certify_lemmas(SpaceForm.EUCLIDEAN, 2, 0.5, 1.5, j_max=3,
                                 config=SolverConfig(grid_points=512))

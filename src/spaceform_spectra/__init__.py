@@ -15,7 +15,6 @@ from .spaceform import (
     cos_m,
     from_normal_coords,
     match_outer_radius,
-    rotate,
     sin_m,
     to_normal_coords,
     unit_sphere_area,

@@ -6,14 +6,17 @@ certification), ``verify`` (domain-vs-matched-shell comparison through
 the finite-element pipeline) and ``moments`` (symmetry orthogonality and
 Rayleigh-bound checks by quadrature).
 
-Exit codes: 0 success, 2 invalid input, 3 solver failure or truncation,
-4 a verification check failed.  Reports are JSON with sorted keys and no
-timestamps, so identical inputs produce identical bytes.
+Exit codes: 0 success, 2 invalid input (an unreadable input file or an
+unwritable output path included), 3 solver failure or truncation, 4 a
+verification check failed.  The subcommands raise; ``main`` alone turns an
+exception into an exit code and a stderr line.  Reports are JSON with
+sorted keys and no timestamps, so identical inputs produce identical bytes.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import os
@@ -36,6 +39,25 @@ _INVALID_ERRORS = (ValueError, GeometryError, dm.SymmetryError,
                    json.JSONDecodeError)
 _SOLVER_ERRORS = (slsolver.ConvergenceError, fem2d.FemConvergenceError,
                   spectrum.CutoffTooLowError)
+
+
+def _exit_for(exc: Exception) -> int:
+    """Print ``exc`` to stderr under its prefix and return its exit code.
+
+    A ``where`` attribute on the exception (``"domain 3"``) is named in
+    the message.
+    """
+    if isinstance(exc, spectrum.CutoffTooLowError):
+        code, prefix = EXIT_SOLVER, "truncation"
+    elif isinstance(exc, _SOLVER_ERRORS):
+        code, prefix = EXIT_SOLVER, "solver failure"
+    else:
+        code, prefix = EXIT_INVALID, "error"
+    where = getattr(exc, "where", None)
+    if where:
+        prefix += f" on {where}"
+    print(f"{prefix}: {exc}", file=sys.stderr)
+    return code
 
 
 def _fmt(value: float) -> str:
@@ -114,28 +136,17 @@ def _place(args, path: str | None) -> str | None:
 # ---------------------------------------------------------------------------
 
 def cmd_sl(args, parser) -> int:
-    try:
-        if args.problem:
-            problem, config = slsolver.problem_from_dict(_load_json(args.problem))
-            if args.max_j is not None:
-                config = dataclasses.replace(config, max_j=int(args.max_j))
-        else:
-            _require(args, parser, ("form", "n", "k", "r1", "r2"))
-            problem = SLProblem(args.form, int(args.n), int(args.k),
-                                float(args.r1), float(args.r2), args.bc)
-            config = SolverConfig(
-                grid_points=int(args.grid_points),
-                richardson=not args.no_richardson,
-                max_j=int(args.max_j or 1))
-    except _INVALID_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-
-    try:
-        pairs = slsolver.solve(problem, config)
-    except _SOLVER_ERRORS as exc:
-        print(f"solver failure: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
+    if args.problem:
+        problem, config = slsolver.problem_from_dict(_load_json(args.problem))
+    else:
+        _require(args, parser, ("form", "n", "k", "r1", "r2"))
+        problem = SLProblem(args.form, int(args.n), int(args.k),
+                            float(args.r1), float(args.r2), args.bc)
+        config = SolverConfig(grid_points=int(args.grid_points),
+                              richardson=not args.no_richardson)
+    if args.max_j is not None:
+        config = dataclasses.replace(config, max_j=int(args.max_j))
+    pairs = slsolver.solve(problem, config)
 
     print(f"# {problem.bc} radial spectrum, form={problem.form}, n={problem.n}, "
           f"k={problem.k}, interval=[{_fmt(problem.r1)}, {_fmt(problem.r2)}]")
@@ -147,7 +158,7 @@ def cmd_sl(args, parser) -> int:
         payload = {
             "schema_version": 1,
             "problem": slsolver.problem_to_dict(problem, config),
-            "eigenpairs": json.loads(slsolver.pairs_to_json(pairs)),
+            "eigenpairs": slsolver.pairs_to_dicts(pairs),
         }
         _write_json(_place(args, args.json), payload)
     if args.csv:
@@ -168,33 +179,18 @@ def cmd_sl(args, parser) -> int:
 
 def cmd_spectrum(args, parser) -> int:
     _require(args, parser, ("form", "n", "r1", "r2"))
-    try:
-        form = SpaceForm(args.form)
-        n = int(args.n)
-        r1, r2 = float(args.r1), float(args.r2)
-        k_max, j_max = int(args.kmax), int(args.jmax)
-        count = int(args.count)
-        config = SolverConfig(grid_points=int(args.grid_points))
-    except _INVALID_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
+    form = SpaceForm(args.form)
+    n = int(args.n)
+    r1, r2 = float(args.r1), float(args.r2)
+    k_max, j_max = int(args.kmax), int(args.jmax)
+    count = int(args.count)
+    config = SolverConfig(grid_points=int(args.grid_points))
     if k_max < 2 or j_max < 2:
-        print(f"truncation: kmax={k_max}, jmax={j_max} cannot certify a spectrum "
-              "prefix (need both >= 2)", file=sys.stderr)
-        return EXIT_SOLVER
-
-    try:
-        spec = spectrum.assemble(form, n, r1, r2, k_max, j_max, config)
-        values = spec.eigenvalues(count)
-    except spectrum.CutoffTooLowError as exc:
-        print(f"truncation: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
-    except _SOLVER_ERRORS as exc:
-        print(f"solver failure: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
-    except _INVALID_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
+        raise spectrum.CutoffTooLowError(
+            f"kmax={k_max}, jmax={j_max} cannot certify a spectrum prefix "
+            "(need both >= 2)")
+    spec = spectrum.assemble(form, n, r1, r2, k_max, j_max, config)
+    values = spec.eigenvalues(count)
 
     print(f"# Neumann shell spectrum, form={form}, n={n}, "
           f"interval=[{_fmt(r1)}, {_fmt(r2)}], certified below {_fmt(spec.complete_up_to)}")
@@ -208,6 +204,7 @@ def cmd_spectrum(args, parser) -> int:
 
     payload = {"schema_version": 1, "spectrum": spec.to_dict(),
                "first_values": values}
+    passed = True
     if args.certify:
         cert = spectrum.certify_lemmas(form, n, r1, r2, j_max=min(j_max, 5), config=config,
                                        assembled=spec)
@@ -216,16 +213,13 @@ def cmd_spectrum(args, parser) -> int:
             print(f"{check.name}: {status} (worst {_fmt(check.worst)}, "
                   f"tol {_fmt(check.tolerance)})")
         payload["certification"] = cert.to_dict()
-        if not cert.passed:
-            if args.json:
-                _write_json(_place(args, args.json), payload)
-            return EXIT_FAIL
+        passed = cert.passed
     if args.json:
         _write_json(_place(args, args.json), payload)
     if args.csv:
         with open(_place(args, args.csv), "w") as fh:
             fh.write(spec.to_csv())
-    return EXIT_OK
+    return EXIT_OK if passed else EXIT_FAIL
 
 
 # ---------------------------------------------------------------------------
@@ -270,6 +264,16 @@ def _collect_specs(args) -> list[dm.DomainSpec]:
     return specs
 
 
+@contextlib.contextmanager
+def _on_domain(idx: int):
+    """Tag an error ``main`` reports with the 1-based domain index."""
+    try:
+        yield
+    except _SOLVER_ERRORS + _INVALID_ERRORS as exc:
+        exc.where = f"domain {idx}"
+        raise
+
+
 # ---------------------------------------------------------------------------
 # verify
 # ---------------------------------------------------------------------------
@@ -277,27 +281,16 @@ def _collect_specs(args) -> list[dm.DomainSpec]:
 def cmd_verify(args, parser) -> int:
     if not args.spec and not args.random_family:
         parser.error("need --spec FILE or --random-family 's=4 count=5 amplitude=0.1'")
-    try:
-        specs = _collect_specs(args)
-        config = fem2d.VerifyConfig(
-            levels=tuple(range(1, int(args.levels) + 1)),
-            m=int(args.m))
-    except _INVALID_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
+    specs = _collect_specs(args)
+    config = fem2d.VerifyConfig(levels=tuple(range(1, int(args.levels) + 1)),
+                                m=int(args.m))
 
     results = []
     blocks: list[str] = []
     failures = 0
     for idx, spec in enumerate(specs, start=1):
-        try:
+        with _on_domain(idx):
             verdict = fem2d.verify_theorem(spec, config)
-        except _SOLVER_ERRORS as exc:
-            print(f"solver failure on domain {idx}: {exc}", file=sys.stderr)
-            return EXIT_SOLVER
-        except _INVALID_ERRORS as exc:
-            print(f"error on domain {idx}: {exc}", file=sys.stderr)
-            return EXIT_INVALID
         status = "PASS" if verdict.passed else "FAIL"
         failures += 0 if verdict.passed else 1
         print(f"[{idx}/{len(specs)}] {verdict.spec_hash} {status}  form={verdict.form} "
@@ -422,28 +415,17 @@ def _rayleigh_checks(spec: dm.DomainSpec, grid: dm.QuadratureGrid) -> list[dict]
 def cmd_moments(args, parser) -> int:
     if not args.spec and not args.random_family:
         parser.error("need --spec FILE or --random-family 's=4 count=5 amplitude=0.1'")
-    try:
-        specs = _collect_specs(args)
-    except _INVALID_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-
+    specs = _collect_specs(args)
     results = []
     failures = 0
     for idx, spec in enumerate(specs, start=1):
-        try:
+        with _on_domain(idx):
             grid = dm.QuadratureGrid.for_spec(spec)
             checks: list[dict] = []
             if args.check in ("orthogonality", "both"):
                 checks.extend(_orthogonality_checks(spec, grid))
             if args.check in ("rayleigh", "both"):
                 checks.extend(_rayleigh_checks(spec, grid))
-        except _SOLVER_ERRORS as exc:
-            print(f"solver failure on domain {idx}: {exc}", file=sys.stderr)
-            return EXIT_SOLVER
-        except _INVALID_ERRORS as exc:
-            print(f"error on domain {idx}: {exc}", file=sys.stderr)
-            return EXIT_INVALID
         bad = [c for c in checks if not c["passed"]]
         failures += len(bad)
         print(f"[{idx}/{len(specs)}] sym={spec.symmetry_order} form={spec.form}: "
@@ -538,17 +520,12 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    try:
         _merge_config(args, parser)
-    except _INVALID_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-    try:
         return args.func(args, parser)
-    except SystemExit as exc:  # parser.error inside a command
+    except SystemExit as exc:  # argparse, also parser.error inside a command
         return int(exc.code or 0)
+    except _SOLVER_ERRORS + _INVALID_ERRORS as exc:
+        return _exit_for(exc)
 
 
 if __name__ == "__main__":

@@ -20,8 +20,6 @@ eigenvalue on a volume-matched symmetric domain.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -62,7 +60,6 @@ __all__ = [
     "random_family",
     "spec_to_dict",
     "spec_from_dict",
-    "grid_to_csv",
 ]
 
 
@@ -713,15 +710,3 @@ def spec_from_dict(data: dict) -> DomainSpec:
     rho_out = parse_profile(data["rho_out"], "rho_out")
     rho_in = parse_profile(data["rho_in"], "rho_in") if data.get("rho_in") else None
     return DomainSpec(data["form"], 2, symmetry, rho_out, rho_in)
-
-
-def grid_to_csv(grid: QuadratureGrid) -> str:
-    """Node table (radius, coordinates, weight) for debugging."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["r"] + [f"x{i + 1}" for i in range(grid.spec.n)] + ["weight"])
-    for idx in range(grid.radius.size):
-        writer.writerow([repr(float(grid.radius[idx]))]
-                        + [repr(float(grid.coords[a, idx])) for a in range(grid.spec.n)]
-                        + [repr(float(grid.weight[idx]))])
-    return buf.getvalue()

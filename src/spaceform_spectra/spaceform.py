@@ -4,8 +4,8 @@ Curvature is normalized to +1 / 0 / -1; in geodesic polar coordinates
 around a base point the metric reads ``dr^2 + sin_m(r)^2 g_0`` with
 ``g_0`` the round metric on the unit (n-1)-sphere and ``sin_m`` equal to
 ``sin r``, ``r`` or ``sinh r`` depending on the curvature sign.  This
-module holds that radial profile, shell volumes, volume matching, the
-normal-coordinate chart and its quarter-turn rotations.
+module holds that radial profile, shell volumes, volume matching and the
+normal-coordinate chart.
 
 All functions are pure and accept scalars or numpy arrays where it makes
 sense; nothing here mutates shared state.
@@ -35,7 +35,6 @@ __all__ = [
     "match_outer_radius",
     "to_normal_coords",
     "from_normal_coords",
-    "rotate",
     "constants_reference",
     "write_constants_reference",
 ]
@@ -309,25 +308,6 @@ def from_normal_coords(x, form: SpaceForm | None = None) -> GeodesicPoint:
     last = math.atan2(x[n - 1], x[n - 2]) % (2 * math.pi)
     angles.append(last)
     return GeodesicPoint(r, tuple(angles))
-
-
-def rotate(x, i: int, j: int, quarter_turns: int) -> np.ndarray:
-    """Rotate normal coordinates in the (i, j) plane by quarter turns.
-
-    Axes are 1-based with 1 <= i < j <= n.  One quarter turn sends
-    (X_i, X_j) to (-X_j, X_i); two give the half turn (-X_i, -X_j).
-    """
-    x = np.asarray(x, dtype=float)
-    n = x.size
-    if not (1 <= i < j <= n):
-        raise IndexError(f"need 1 <= i < j <= {n}, got i={i}, j={j}")
-    if quarter_turns not in (1, 2, 3):
-        raise ValueError("quarter_turns must be 1, 2 or 3")
-    out = x.copy()
-    a, b = i - 1, j - 1
-    for _ in range(quarter_turns):
-        out[a], out[b] = -out[b], out[a]
-    return out
 
 
 # ---------------------------------------------------------------------------

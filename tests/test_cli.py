@@ -1,8 +1,9 @@
+import dataclasses
 import json
 
 import pytest
 
-from spaceform_spectra import cli, slsolver
+from spaceform_spectra import cli, fem2d, slsolver, spectrum
 from spaceform_spectra import domains as dm
 from spaceform_spectra.domains import DomainSpec, FourierProfile, SymmetryOrder
 
@@ -42,6 +43,12 @@ class TestSlCommand:
         code, _, err = run(["sl", "--form", "euclidean", "--n", "2", "--k", "0",
                             "--r1", "2", "--r2", "1"], capsys)
         assert code == 2
+
+    def test_max_j_zero_exit_2(self, capsys):
+        code, out, err = run(["sl", "--form", "euclidean", "--n", "2", "--k", "0",
+                              "--r1", "1", "--r2", "2", "--max-j", "0"], capsys)
+        assert code == 2
+        assert "max_j" in err and out == ""
 
     def test_config_file_merge_and_override(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -107,6 +114,26 @@ class TestSpectrumCommand:
         assert "FAIL" not in out
         # kmax = jmax = 8: Neumann k = 0..8 once; Dirichlet k = 0..4 for the checks
         assert calls == {"neumann": 9, "dirichlet": 5}
+
+    def test_failed_certification_writes_both_artifacts(self, tmp_path, monkeypatch,
+                                                        capsys):
+        real = spectrum.certify_lemmas
+
+        def failing(*args, **kwargs):
+            cert = real(*args, **kwargs)
+            broken = dataclasses.replace(cert.checks[0], passed=False)
+            return dataclasses.replace(cert, checks=(broken,) + cert.checks[1:])
+
+        monkeypatch.setattr(spectrum, "certify_lemmas", failing)
+        report, table = tmp_path / "s.json", tmp_path / "s.csv"
+        code, out, _ = run(["spectrum", "--form", "euclidean", "--n", "2",
+                            "--r1", "1", "--r2", "2", "--grid-points", "256",
+                            "--count", "4", "--certify", "--json", str(report),
+                            "--csv", str(table)], capsys)
+        assert code == 4
+        assert "FAIL" in out
+        assert json.loads(report.read_text())["certification"]["passed"] is False
+        assert table.read_text().splitlines()[0] == "i,value,k,j,multiplicity"
 
     def test_truncation_exit_3(self, capsys):
         code, _, err = run(["spectrum", "--form", "euclidean", "--n", "2",
@@ -275,3 +302,50 @@ class TestMomentsCommand:
                             "--check", "orthogonality"], capsys)
         assert code == 4
         assert "FAIL" in out
+
+
+class TestExitMapping:
+    """Every subcommand reaches the same exception-to-exit-code mapping."""
+
+    @pytest.mark.parametrize("argv", [
+        ["sl", "--form", "euclidean", "--n", "2", "--k", "0", "--r1", "1", "--r2", "2",
+         "--grid-points", "64", "--json"],
+        ["spectrum", "--form", "euclidean", "--n", "2", "--r1", "1", "--r2", "2",
+         "--grid-points", "256", "--count", "4", "--csv"],
+        ["verify", "--random-family", "s=4 count=1 amplitude=0.05", "--form", "euclidean",
+         "--levels", "1", "--m", "4", "--plot-data"],
+        ["moments", "--random-family", "s=4 count=1 amplitude=0.05", "--form", "euclidean",
+         "--check", "orthogonality", "--json"],
+    ], ids=["sl-json", "spectrum-csv", "verify-plot-data", "moments-json"])
+    def test_unwritable_artifact_exit_2(self, argv, tmp_path, capsys):
+        code, _, err = run(argv + [str(tmp_path / "missing" / "artifact")], capsys)
+        assert code == 2
+        assert err.startswith("error:") and "Traceback" not in err
+
+    def test_uncreatable_out_dir_exit_2(self, tmp_path, capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        code, _, err = run(["--out", str(blocker / "sub"), "sl", "--form", "euclidean",
+                            "--n", "2", "--k", "0", "--r1", "1", "--r2", "2",
+                            "--grid-points", "64", "--json", "pairs.json"], capsys)
+        assert code == 2
+        assert err.startswith("error:")
+
+    def test_missing_input_file_exit_2(self, tmp_path, capsys):
+        code, _, err = run(["verify", "--spec", str(tmp_path / "absent.json")], capsys)
+        assert code == 2
+        assert err.startswith("error:")
+
+    @pytest.mark.parametrize("exc,code,prefix", [
+        (fem2d.FemConvergenceError("residual too large"), 3, "solver failure on domain 1:"),
+        (ValueError("bad domain"), 2, "error on domain 1:"),
+    ])
+    def test_failing_domain_is_named(self, exc, code, prefix, monkeypatch, capsys):
+        def raising(spec, config):
+            raise exc
+
+        monkeypatch.setattr(fem2d, "verify_theorem", raising)
+        got, _, err = run(["verify", "--random-family", "s=4 count=2 amplitude=0.05",
+                           "--form", "euclidean", "--levels", "1"], capsys)
+        assert got == code
+        assert err.startswith(prefix)

@@ -371,13 +371,6 @@ class TestWireFormat:
                                "symmetry_order": "order4",
                                "rho_out": {"base": 1.0}})
 
-    def test_grid_csv_header(self):
-        spec = DomainSpec.exact_annulus("euclidean", 2, 0.5, 1.0)
-        grid = QuadratureGrid.for_spec(spec, 4, 8)
-        lines = dm.grid_to_csv(grid).strip().split("\n")
-        assert lines[0] == "r,x1,x2,weight"
-        assert len(lines) == 1 + 4 * 8
-
 
 class TestMatchedAnnulus:
     def test_exact_annulus_is_its_own_match(self):

@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from spaceform_spectra import domains as dm
 from spaceform_spectra import spaceform as sf
 from spaceform_spectra.spaceform import (
     GeodesicPoint,
@@ -181,42 +182,59 @@ class TestNormalCoordinates:
 
 
 class TestRotate:
+    """Quarter turns of the normal-coordinate chart, as the order-4 symmetry
+    generators build them; axes are 0-based here."""
+
+    DIMS = (2, 3, 5)
+
+    @staticmethod
+    def planes(n):
+        return [(i, j) for i in range(n) for j in range(i + 1, n)]
+
     def test_quarter_turn(self):
-        assert np.allclose(sf.rotate(np.array([1.0, 2.0]), 1, 2, 1), [-2.0, 1.0])
+        rng = np.random.default_rng(2)
+        for n in self.DIMS:
+            for i, j in self.planes(n):
+                x = rng.normal(size=n)
+                y = dm._quarter_turn(n, i, j) @ x
+                assert (y[i], y[j]) == (-x[j], x[i])
 
     def test_half_turn(self):
-        assert np.allclose(sf.rotate(np.array([1.0, 2.0]), 1, 2, 2), [-1.0, -2.0])
+        x = np.array([1.0, 2.0])
+        assert np.array_equal(np.linalg.matrix_power(dm._quarter_turn(2, 0, 1), 2) @ x,
+                              [-1.0, -2.0])
 
     def test_fixed_axis(self):
-        assert np.allclose(sf.rotate(np.array([5.0, 0.0, 0.0]), 2, 3, 1), [5.0, 0.0, 0.0])
+        rng = np.random.default_rng(3)
+        for n in self.DIMS:
+            for i, j in self.planes(n):
+                x = rng.normal(size=n)
+                y = dm._quarter_turn(n, i, j) @ x
+                others = [a for a in range(n) if a not in (i, j)]
+                assert np.array_equal(y[others], x[others])
 
     def test_two_quarters_equal_half(self):
-        rng = np.random.default_rng(2)
-        for _ in range(50):
-            x = rng.normal(size=4)
-            once = sf.rotate(sf.rotate(x, 2, 4, 1), 2, 4, 1)
-            assert np.allclose(once, sf.rotate(x, 2, 4, 2), atol=0)
+        # the square of each order-4 generator is the matching order-2 pair flip
+        for n in self.DIMS:
+            quarters = dm.symmetry_generators(n, dm.SymmetryOrder.ORDER4)
+            flips = dm.symmetry_generators(n, dm.SymmetryOrder.ORDER2)
+            assert len(quarters) == len(flips) == len(self.planes(n))
+            for q, flip, (i, j) in zip(quarters, flips, self.planes(n)):
+                assert np.array_equal(q @ q, flip)
+                assert np.array_equal(flip, dm._pair_flip(n, i, j))
 
     def test_four_quarters_identity(self):
-        x = np.array([0.3, -1.2, 0.7])
-        out = x
-        for _ in range(4):
-            out = sf.rotate(out, 1, 3, 1)
-        assert np.array_equal(out, x)
+        for n in self.DIMS:
+            for q in dm.symmetry_generators(n, dm.SymmetryOrder.ORDER4):
+                assert np.array_equal(np.linalg.matrix_power(q, 4), np.eye(n))
 
     def test_norm_preserved_exactly(self):
-        # entries are only swapped and negated, so the norm is bit-stable
-        rng = np.random.default_rng(8)
-        for _ in range(100):
-            x = rng.normal(size=5)
-            y = sf.rotate(x, 2, 5, 3)
-            assert np.linalg.norm(np.sort(np.abs(x)) - np.sort(np.abs(y))) == 0.0
-
-    def test_index_errors(self):
-        with pytest.raises(IndexError):
-            sf.rotate(np.array([1.0, 2.0]), 2, 1, 1)
-        with pytest.raises(ValueError):
-            sf.rotate(np.array([1.0, 2.0]), 1, 2, 4)
+        # entries are only permuted and negated, so the generator is orthogonal
+        for n in self.DIMS:
+            for q in dm.symmetry_generators(n, dm.SymmetryOrder.ORDER4):
+                assert np.array_equal(q.T @ q, np.eye(n))
+                assert np.array_equal(np.sort(np.abs(q), axis=None),
+                                      np.sort(np.abs(np.eye(n)), axis=None))
 
 
 class TestConstantsReference:

@@ -87,18 +87,43 @@ _DEFAULTS = {
 }
 
 
-def _flag_choices(parser: argparse.ArgumentParser, command: str) -> dict:
-    """Flag name -> allowed values, for the flags of ``command`` with ``choices``."""
+def _flag_actions(parser: argparse.ArgumentParser, command: str) -> dict:
+    """Flag name -> argparse action, for ``command`` and the top-level flags."""
     (subparsers,) = (a for a in parser._actions
                      if isinstance(a, argparse._SubParsersAction))
-    return {a.dest: a.choices for a in subparsers.choices[command]._actions if a.choices}
+    return {a.dest: a for p in (parser, subparsers.choices[command]) for a in p._actions}
+
+
+def _config_value(action: argparse.Action, value):
+    """A --config value, checked and converted as its flag would be.
+
+    A switch takes a JSON boolean.  Any other flag takes a JSON string or
+    number, whose command-line spelling goes through the flag's ``type``
+    and ``choices``, so ``2.9`` is refused where ``--max-j 2.9`` is.
+    """
+    if isinstance(action, argparse._StoreTrueAction):
+        if not isinstance(value, bool):
+            raise ValueError(f"config {action.dest}={value!r} must be true or false")
+        return value
+    if isinstance(value, bool) or not isinstance(value, (str, int, float)):
+        raise ValueError(f"config {action.dest}={value!r} must be a string or a number")
+    spelled = value if isinstance(value, str) else json.dumps(value)
+    try:
+        converted = action.type(spelled) if action.type else spelled
+    except (TypeError, ValueError):
+        raise ValueError(f"config {action.dest}={value!r} is not a valid "
+                         f"{action.type.__name__}") from None
+    if action.choices and converted not in action.choices:
+        raise ValueError(f"config {action.dest}={value!r} is not one of "
+                         f"{', '.join(action.choices)}")
+    return converted
 
 
 def _merge_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> None:
     """Fill flags left at None: flag > --config file > ``_DEFAULTS``.
 
-    A config key that names no flag of the subcommand, or a value outside
-    the flag's ``choices``, is invalid input.
+    A config key that names no flag of the subcommand, or a value its
+    flag would refuse on the command line, is invalid input.
     """
     file_values = _load_json(args.config) if args.config else {}
     if not isinstance(file_values, dict):
@@ -107,10 +132,9 @@ def _merge_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
     unknown = sorted(set(file_values) - flags)
     if unknown:
         raise ValueError(f"unknown config keys for {args.command}: {', '.join(unknown)}")
-    for key, allowed in _flag_choices(parser, args.command).items():
-        if key in file_values and file_values[key] not in allowed:
-            raise ValueError(f"config {key}={file_values[key]!r} is not one of "
-                             f"{', '.join(allowed)}")
+    actions = _flag_actions(parser, args.command)
+    file_values = {key: _config_value(actions[key], value)
+                   for key, value in file_values.items()}
     defaults = _DEFAULTS[args.command]
     for key in flags:
         if getattr(args, key) is None:
@@ -140,12 +164,12 @@ def cmd_sl(args, parser) -> int:
         problem, config = slsolver.problem_from_dict(_load_json(args.problem))
     else:
         _require(args, parser, ("form", "n", "k", "r1", "r2"))
-        problem = SLProblem(args.form, int(args.n), int(args.k),
-                            float(args.r1), float(args.r2), args.bc)
-        config = SolverConfig(grid_points=int(args.grid_points),
+        problem = SLProblem(args.form, args.n, args.k,
+                            args.r1, args.r2, args.bc)
+        config = SolverConfig(grid_points=args.grid_points,
                               richardson=not args.no_richardson)
     if args.max_j is not None:
-        config = dataclasses.replace(config, max_j=int(args.max_j))
+        config = dataclasses.replace(config, max_j=args.max_j)
     pairs = slsolver.solve(problem, config)
 
     print(f"# {problem.bc} radial spectrum, form={problem.form}, n={problem.n}, "
@@ -180,11 +204,11 @@ def cmd_sl(args, parser) -> int:
 def cmd_spectrum(args, parser) -> int:
     _require(args, parser, ("form", "n", "r1", "r2"))
     form = SpaceForm(args.form)
-    n = int(args.n)
-    r1, r2 = float(args.r1), float(args.r2)
-    k_max, j_max = int(args.kmax), int(args.jmax)
-    count = int(args.count)
-    config = SolverConfig(grid_points=int(args.grid_points))
+    n = args.n
+    r1, r2 = args.r1, args.r2
+    k_max, j_max = args.kmax, args.jmax
+    count = args.count
+    config = SolverConfig(grid_points=args.grid_points)
     if k_max < 2 or j_max < 2:
         raise spectrum.CutoffTooLowError(
             f"kmax={k_max}, jmax={j_max} cannot certify a spectrum prefix "
@@ -255,7 +279,7 @@ def _collect_specs(args) -> list[dm.DomainSpec]:
     family = _parse_family(args.random_family)
     forms = ([SpaceForm(args.form)] if args.form != "all"
              else [SpaceForm.EUCLIDEAN, SpaceForm.SPHERICAL, SpaceForm.HYPERBOLIC])
-    seed = int(args.seed)
+    seed = args.seed
     specs: list[dm.DomainSpec] = []
     for offset, form in enumerate(forms):
         specs.extend(dm.random_family(
@@ -282,8 +306,8 @@ def cmd_verify(args, parser) -> int:
     if not args.spec and not args.random_family:
         parser.error("need --spec FILE or --random-family 's=4 count=5 amplitude=0.1'")
     specs = _collect_specs(args)
-    config = fem2d.VerifyConfig(levels=tuple(range(1, int(args.levels) + 1)),
-                                m=int(args.m))
+    config = fem2d.VerifyConfig(levels=tuple(range(1, args.levels + 1)),
+                                m=args.m)
 
     results = []
     blocks: list[str] = []
@@ -311,8 +335,8 @@ def cmd_verify(args, parser) -> int:
         payload = {
             "schema_version": 1,
             "command": "verify",
-            "seed": int(args.seed),
-            "params": {"levels": int(args.levels), "m": int(args.m),
+            "seed": args.seed,
+            "params": {"levels": args.levels, "m": args.m,
                        "family": args.random_family, "form": args.form},
             "domains": results,
             "summary": {"total": len(specs), "pass": len(specs) - failures,
@@ -438,7 +462,7 @@ def cmd_moments(args, parser) -> int:
     if args.json:
         _write_json(_place(args, args.json), {
             "schema_version": 1, "command": "moments",
-            "seed": int(args.seed),
+            "seed": args.seed,
             "domains": results,
             "summary": {"failures": failures},
         })

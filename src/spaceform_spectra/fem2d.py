@@ -7,7 +7,10 @@ the metric dr^2 + sin_m(r)^2 dtheta^2 is diagonal in the chart, assembly
 only needs the scalar weights sin_m(r) (mass, radial stiffness) and
 1/sin_m(r) (angular stiffness), evaluated by the mid-edge three-point
 rule; curved boundaries are resolved exactly along mesh rays and the
-domain symmetry is exact on the vertex set.
+domain symmetry is exact on the vertex set.  Every quad splits the same
+way into two triangles, so assembly computes each triangle type's element
+entries as (n_radial, n_angular) arrays and sums them straight into the
+seven-point stencil of every vertex, with no per-triangle index triples.
 
 Eigenvalues come from shift-invert Lanczos on the pencil (K, M).  The
 shifted matrix K - SHIFT*M is symmetric positive definite, so it is
@@ -103,7 +106,7 @@ class PolarMesh:
 
     def triangle_coords(self) -> np.ndarray:
         """(T, 3, 2) chart coordinates with theta unwrapped per element."""
-        coords = self.vertices[self.triangles].copy()
+        coords = self.vertices[self.triangles]  # advanced indexing copies
         theta = coords[:, :, 1]
         wrap = (theta.max(axis=1) - theta.min(axis=1)) > math.pi
         theta[wrap] += np.where(theta[wrap] < math.pi, 2 * math.pi, 0.0)
@@ -191,6 +194,80 @@ _MIDEDGE = np.array([[0.5, 0.5, 0.0],
                      [0.0, 0.5, 0.5],
                      [0.5, 0.0, 0.5]])
 
+# the seven stencil slots of vertex (i, j): itself, then its neighbours
+# (i + di, j + dj) across the radial, angular and quad-diagonal edges
+_STENCIL = ((0, 0), (-1, 0), (1, 0), (0, -1), (0, 1), (-1, -1), (1, 1))
+
+
+def _element_entries(form: SpaceForm, r, t) -> tuple[dict, dict]:
+    """Element stiffness and mass entries of one triangle in every quad.
+
+    ``r`` and ``t`` hold the chart coordinates of the three vertices, each
+    an (n_radial, n_angular) array or a row broadcasting to one.  Returns
+    two dicts keyed by local vertex pairs (a, b) with a <= b.
+    """
+    area = 0.5 * ((r[1] - r[0]) * (t[2] - t[0]) - (t[1] - t[0]) * (r[2] - r[0]))
+    if np.any(area <= 0):
+        raise DegenerateDomainError("degenerate triangle during assembly")
+    # constant P1 gradients: grad lambda_a = rot(opposite edge) / (2A)
+    grad_r = [(t[(a + 1) % 3] - t[(a + 2) % 3]) / (2 * area) for a in range(3)]
+    grad_t = [(r[(a + 2) % 3] - r[(a + 1) % 3]) / (2 * area) for a in range(3)]
+    # sin_m at the midpoint of edge q = (q, q + 1), the rows of _MIDEDGE
+    s_mid = [sin_m(form, 0.5 * (r[q] + r[(q + 1) % 3])) for q in range(3)]
+    w_r = (area / 3.0) * (s_mid[0] + s_mid[1] + s_mid[2])
+    w_t = (area / 3.0) * (1.0 / s_mid[0] + 1.0 / s_mid[1] + 1.0 / s_mid[2])
+    stiffness, mass = {}, {}
+    for a in range(3):
+        for b in range(a, 3):
+            stiffness[a, b] = grad_r[a] * grad_r[b] * w_r + grad_t[a] * grad_t[b] * w_t
+            # phi_a phi_b is 1/4 at the midpoints of the edges holding both
+            mass[a, b] = (area / 12.0) * sum(s_mid[q] for q in range(3)
+                                             if _MIDEDGE[q, a] and _MIDEDGE[q, b])
+    return stiffness, mass
+
+
+def _stencil_sums(t1: dict, t2: dict):
+    """Sum the element entries of both triangle types into stencil coefficients.
+
+    Quad (i, j) has corners a = (i, j), b = (i, j+1), c = (i+1, j) and
+    d = (i+1, j+1); ``t1`` holds T1 = [a, c, d] and ``t2`` holds
+    T2 = [a, d, b], as ``_element_entries`` returns them.  Returns the
+    vertex coefficients (n_radial + 1, n_angular) and the coefficients of
+    the radial edges (i, j)-(i+1, j), the angular edges (i, j)-(i, j+1)
+    and the diagonal edges (i, j)-(i+1, j+1); np.roll by one angular step
+    moves a quad's entry to the quad on its right.
+    """
+    n_radial, n_angular = t1[0, 0].shape
+    vertex = np.zeros((n_radial + 1, n_angular))
+    vertex[:-1] += t1[0, 0] + t2[0, 0] + np.roll(t2[2, 2], 1, axis=1)    # a, b
+    vertex[1:] += t1[1, 1] + np.roll(t1[2, 2] + t2[1, 1], 1, axis=1)     # c, d
+    radial = t1[0, 1] + np.roll(t2[1, 2], 1, axis=1)                     # a-c, b-d
+    angular = np.zeros((n_radial + 1, n_angular))
+    angular[:-1] += t2[0, 2]                                             # a-b
+    angular[1:] += t1[1, 2]                                              # c-d
+    diagonal = t1[0, 2] + t2[0, 1]                                       # a-d
+    return vertex, radial, angular, diagonal
+
+
+def _stencil_matrix(sums, columns: np.ndarray, valid: np.ndarray,
+                    indptr: np.ndarray) -> sparse.csr_matrix:
+    """Symmetric CSR matrix from ``_stencil_sums``, on the stencil pattern."""
+    vertex, radial, angular, diagonal = sums
+    values = np.zeros(valid.shape)  # slots in _STENCIL order
+    values[:, :, 0] = vertex
+    values[1:, :, 1] = radial
+    values[:-1, :, 2] = radial
+    values[:, :, 3] = np.roll(angular, 1, axis=1)
+    values[:, :, 4] = angular
+    values[1:, :, 5] = np.roll(diagonal, 1, axis=1)
+    values[:-1, :, 6] = diagonal
+    n = indptr.size - 1
+    # sort_indices works in place, so the matrix gets its own index arrays
+    matrix = sparse.csr_matrix((values[valid], columns.copy(), indptr.copy()),
+                               shape=(n, n))
+    matrix.sort_indices()
+    return matrix
+
 
 def assemble(mesh: PolarMesh, form: SpaceForm) -> FemSystem:
     """Stiffness and mass for the weak form in the chart.
@@ -199,35 +276,36 @@ def assemble(mesh: PolarMesh, form: SpaceForm) -> FemSystem:
     mass integrand: u v sin_m(r).  P1 gradients are constant per element,
     so only the two scalar weight integrals vary, both taken by the
     mid-edge rule.  Neumann conditions are natural: no boundary terms.
+
+    The mesh is structured, so the element entries of each of the two
+    triangle types are (n_radial, n_angular) arrays and sum directly into
+    every vertex's seven stencil coefficients (itself, two radial, two
+    angular and two quad-diagonal neighbours); K and M are built from
+    those, with no duplicate entries to sum.
     """
-    coords = mesh.triangle_coords()
-    areas = _chart_areas(coords)
-    if np.any(areas <= 0):
-        raise DegenerateDomainError("degenerate triangle during assembly")
+    n_radial, n_angular = mesh.n_radial, mesh.n_angular
+    r = mesh.vertices[:, 0].reshape(n_radial + 1, n_angular)
+    theta = mesh.vertices[:n_angular, 1]
+    # quad corners; theta unwraps across 2 pi in the last angular column
+    r_a, r_c = r[:-1], r[1:]
+    r_b, r_d = np.roll(r_a, -1, axis=1), np.roll(r_c, -1, axis=1)
+    t_a, t_b = theta, np.append(theta[1:], 2 * math.pi)
+    k1, m1 = _element_entries(form, (r_a, r_c, r_d), (t_a, t_a, t_b))  # T1 = [a, c, d]
+    k2, m2 = _element_entries(form, (r_a, r_d, r_b), (t_a, t_b, t_b))  # T2 = [a, d, b]
 
-    # constant P1 gradients: grad lambda_a = rot(opposite edge) / (2A)
-    r_pts, t_pts = coords[:, :, 0], coords[:, :, 1]
-    grads = np.empty_like(coords)  # (T, 3 vertices, 2 components dr/dt)
-    for a in range(3):
-        b, c = (a + 1) % 3, (a + 2) % 3
-        grads[:, a, 0] = (t_pts[:, b] - t_pts[:, c]) / (2 * areas)
-        grads[:, a, 1] = (r_pts[:, c] - r_pts[:, b]) / (2 * areas)
-
-    r_mid = _MIDEDGE @ coords[:, :, 0].T                    # (3 qpts, T)
-    s_mid = sin_m(form, r_mid)
-    w_r = (areas / 3.0) * np.sum(s_mid, axis=0)             # radial stiffness weight
-    w_t = (areas / 3.0) * np.sum(1.0 / s_mid, axis=0)       # angular stiffness weight
-
-    k_elem = (grads[:, :, None, 0] * grads[:, None, :, 0] * w_r[:, None, None]
-              + grads[:, :, None, 1] * grads[:, None, :, 1] * w_t[:, None, None])
-    phi = _MIDEDGE  # (q, a)
-    m_elem = np.einsum("qa,qb,qt->tab", phi, phi, s_mid) * (areas / 3.0)[:, None, None]
-
-    rows = np.repeat(mesh.triangles, 3, axis=1).ravel()
-    cols = np.tile(mesh.triangles, (1, 3)).ravel()
+    # vertex (i, j) is row i * n_angular + j; slots off the mesh are dropped
     n = mesh.n_vertices
-    stiffness = sparse.coo_matrix((k_elem.ravel(), (rows, cols)), shape=(n, n)).tocsr()
-    mass = sparse.coo_matrix((m_elem.ravel(), (rows, cols)), shape=(n, n)).tocsr()
+    di, dj = (np.array(d, dtype=np.int32) for d in zip(*_STENCIL))
+    rows = np.arange(n_radial + 1, dtype=np.int32)[:, None, None] + di
+    cols = np.arange(n_angular, dtype=np.int32)[None, :, None] + dj
+    valid = np.broadcast_to((rows >= 0) & (rows <= n_radial),
+                            (n_radial + 1, n_angular, len(_STENCIL)))
+    columns = (rows * n_angular + cols % n_angular)[valid]
+    indptr = np.zeros(n + 1, dtype=np.int32)
+    np.cumsum(valid.sum(axis=2, dtype=np.int32).ravel(), out=indptr[1:])
+
+    stiffness = _stencil_matrix(_stencil_sums(k1, k2), columns, valid, indptr)
+    mass = _stencil_matrix(_stencil_sums(m1, m2), columns, valid, indptr)
     return FemSystem(mesh=mesh, form=form, stiffness=stiffness, mass=mass)
 
 
@@ -284,7 +362,11 @@ def _solve_one(system: FemSystem, m: int, dense_cutoff: int) -> tuple[np.ndarray
         lu = sparse_linalg.splu((K - SHIFT * M).tocsc(), permc_spec="MMD_AT_PLUS_A",
                                 options={"SymmetricMode": True})
         op_inv = sparse_linalg.LinearOperator((n, n), matvec=lu.solve, dtype=K.dtype)
-        v0 = np.ones(n)  # fixed start vector keeps ARPACK deterministic
+        # a fixed start vector keeps ARPACK deterministic; it must not be
+        # invariant under the mesh rotations, or it is orthogonal up to
+        # rounding to every eigenvector outside the invariant sector (the
+        # mu_2 pair included), and Lanczos finds those only from rounding noise
+        v0 = 1.0 + np.arange(n) / n
         vals, vecs = sparse_linalg.eigsh(K, k=m, M=M, sigma=SHIFT, which="LM", v0=v0,
                                          OPinv=op_inv)
         order = np.argsort(vals)

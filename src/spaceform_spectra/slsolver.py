@@ -153,10 +153,6 @@ class TridiagonalSystem:
     active_start: int
     active_stop: int          # exclusive
 
-    @property
-    def active_grid(self) -> np.ndarray:
-        return self.grid[self.active_start:self.active_stop]
-
     def embed(self, u_active: np.ndarray) -> np.ndarray:
         """Pad an active-node vector with the eliminated boundary zeros."""
         full = np.zeros(self.grid.size)

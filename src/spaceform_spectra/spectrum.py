@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import math
 from dataclasses import dataclass, field, replace
 
@@ -103,9 +102,6 @@ class AnnulusSpectrum:
         raise CutoffTooLowError(
             f"only {len(flat)} eigenvalues certified below {self.complete_up_to:.6g}; "
             f"raise k_max/j_max to reach {count}")
-
-    def certified_count(self) -> int:
-        return sum(e.multiplicity for e in self.entries)
 
     def to_dict(self) -> dict:
         return {
@@ -203,9 +199,6 @@ class LemmaCertification:
     def to_dict(self) -> dict:
         return {"form": str(self.form), "n": self.n, "r1": self.r1, "r2": self.r2,
                 "passed": self.passed, "checks": [c.to_dict() for c in self.checks]}
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
 
 
 def certify_lemmas(form: SpaceForm, n: int, r1: float, r2: float,

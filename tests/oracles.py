@@ -201,3 +201,53 @@ def polar_mesh_connectivity(n_radial: int, n_angular: int):
     edges = [(vid(0, j), vid(0, j + 1)) for j in range(n_angular)]
     edges += [(vid(n_radial, j), vid(n_radial, j + 1)) for j in range(n_angular)]
     return np.array(tris, dtype=np.int64), np.array(edges, dtype=np.int64)
+
+
+# ---------------------------------------------------------------------------
+# Metric P1 stiffness and mass, summed one element matrix per triangle.
+# ---------------------------------------------------------------------------
+
+def _sin_m_array(form: str, r: np.ndarray) -> np.ndarray:
+    return {"euclidean": r, "spherical": np.sin(r), "hyperbolic": np.sinh(r)}[str(form)]
+
+
+def element_assembly(vertices: np.ndarray, triangles: np.ndarray, form: str):
+    """(K, M) as CSR matrices, from (T, 3, 3) element matrices summed as COO.
+
+    ``vertices`` holds (r, theta) rows and ``triangles`` counterclockwise
+    vertex triples; theta is unwrapped per triangle across 2 pi. Stiffness
+    integrand (u_r v_r + sin_m^-2 u_t v_t) sin_m(r), mass integrand
+    u v sin_m(r), both weights by the mid-edge three-point rule.
+    """
+    import scipy.sparse as sparse
+
+    coords = vertices[triangles]
+    theta = coords[:, :, 1]
+    wrap = (theta.max(axis=1) - theta.min(axis=1)) > math.pi
+    theta[wrap] += np.where(theta[wrap] < math.pi, 2 * math.pi, 0.0)
+    r_pts, t_pts = coords[:, :, 0], coords[:, :, 1]
+    e1 = coords[:, 1] - coords[:, 0]
+    e2 = coords[:, 2] - coords[:, 0]
+    areas = 0.5 * (e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0])
+
+    grads = np.empty_like(coords)  # (T, 3 vertices, 2 components d/dr, d/dtheta)
+    for a in range(3):
+        b, c = (a + 1) % 3, (a + 2) % 3
+        grads[:, a, 0] = (t_pts[:, b] - t_pts[:, c]) / (2 * areas)
+        grads[:, a, 1] = (r_pts[:, c] - r_pts[:, b]) / (2 * areas)
+
+    midedge = np.array([[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.5, 0.0, 0.5]])
+    s_mid = _sin_m_array(form, midedge @ r_pts.T)              # (3 qpts, T)
+    w_r = (areas / 3.0) * np.sum(s_mid, axis=0)
+    w_t = (areas / 3.0) * np.sum(1.0 / s_mid, axis=0)
+    k_elem = (grads[:, :, None, 0] * grads[:, None, :, 0] * w_r[:, None, None]
+              + grads[:, :, None, 1] * grads[:, None, :, 1] * w_t[:, None, None])
+    m_elem = (np.einsum("qa,qb,qt->tab", midedge, midedge, s_mid)
+              * (areas / 3.0)[:, None, None])
+
+    rows = np.repeat(triangles, 3, axis=1).ravel()
+    cols = np.tile(triangles, (1, 3)).ravel()
+    n = vertices.shape[0]
+    stiffness = sparse.coo_matrix((k_elem.ravel(), (rows, cols)), shape=(n, n)).tocsr()
+    mass = sparse.coo_matrix((m_elem.ravel(), (rows, cols)), shape=(n, n)).tocsr()
+    return stiffness, mass

@@ -65,6 +65,29 @@ class TestSlCommand:
         assert code == 0
         assert len(out.strip().splitlines()) == 3
 
+    @pytest.mark.parametrize("values", [{"max_j": 2.9, "r2": 2.0},
+                                        {"k": True, "r2": 2.0},
+                                        {"no_richardson": 1, "r2": 2.0}])
+    def test_config_value_its_flag_refuses_exit_2(self, tmp_path, capsys, values):
+        # --max-j 2.9 and a boolean --k exit 2 on the command line, so they do
+        # in the file too; a switch takes only true or false
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(values))
+        argv = ["sl", "--form", "euclidean", "--n", "2", "--r1", "1",
+                "--grid-points", "64", "--config", str(cfg)]
+        code, out, err = run(argv + ([] if "k" in values else ["--k", "0"]), capsys)
+        assert code == 2 and out == ""
+        assert next(iter(values)) in err
+
+    def test_config_integer_for_float_flag(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"r2": 2}))
+        code, out, _ = run(["sl", "--form", "euclidean", "--n", "2", "--k", "0",
+                            "--r1", "1", "--grid-points", "64", "--config", str(cfg)],
+                           capsys)
+        assert code == 0
+        assert "interval=[1, 2]" in out
+
     def test_problem_file_and_artifacts(self, tmp_path, capsys):
         problem = {"form": "euclidean", "n": 2, "k": 1, "r1": 0.0, "r2": 1.0,
                    "bc": "neumann", "grid_points": 512, "max_j": 2}

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -132,31 +133,66 @@ class TestAssembly:
 
     def test_entries_match_independent_element_integration(self):
         # rebuild the whole system with plain loops: P1 gradients from a
-        # barycentric solve and the Euclidean weight integral in closed
-        # form (int_T r = area * centroid radius, exact for a linear weight)
-        mesh = generate_mesh(ANNULUS, 0)
-        system = assemble(mesh, SpaceForm.EUCLIDEAN)
-        coords = mesh.triangle_coords()
-        n = mesh.n_vertices
-        k_ref = np.zeros((n, n))
-        m_ref = np.zeros((n, n))
-        for tri, pts in zip(mesh.triangles, coords):
-            mat = np.column_stack([pts[:, 0], pts[:, 1], np.ones(3)])
-            grads = np.linalg.solve(mat, np.eye(3))[:2]  # rows: d/dr, d/dtheta
-            area = 0.5 * abs(np.linalg.det(mat))
-            r_mid = fem2d._MIDEDGE @ pts[:, 0]
-            w_r = area * float(np.mean(r_mid))           # = int_T r exactly
-            w_t = area / 3.0 * float(np.sum(1.0 / r_mid))
-            for a in range(3):
-                for b in range(3):
-                    k_ref[tri[a], tri[b]] += (grads[0, a] * grads[0, b] * w_r
-                                              + grads[1, a] * grads[1, b] * w_t)
-                    m_ref[tri[a], tri[b]] += area / 3.0 * float(
-                        np.sum(fem2d._MIDEDGE[:, a] * fem2d._MIDEDGE[:, b] * r_mid))
-        k_dense = system.stiffness.toarray()
-        m_dense = system.mass.toarray()
-        assert np.max(np.abs(k_dense - k_ref)) <= 1e-10 * np.max(np.abs(k_ref))
-        assert np.max(np.abs(m_dense - m_ref)) <= 1e-12 * np.max(np.abs(m_ref))
+        # barycentric solve, sin_m written out here, and both weight
+        # integrals by the mid-edge rule
+        sin = {"euclidean": lambda r: r, "spherical": math.sin, "hyperbolic": math.sinh}
+        for spec in (ANNULUS,
+                     DomainSpec.exact_annulus("spherical", 2, 0.5, 1.2),
+                     DomainSpec.exact_annulus("hyperbolic", 2, 0.5, 1.5),
+                     DomainSpec.exact_annulus("spherical", 2, 0.0, 1.0)):  # hole-free
+            mesh = generate_mesh(spec, 0)
+            system = assemble(mesh, spec.form)
+            coords = mesh.triangle_coords()
+            n = mesh.n_vertices
+            k_ref = np.zeros((n, n))
+            m_ref = np.zeros((n, n))
+            for tri, pts in zip(mesh.triangles, coords):
+                mat = np.column_stack([pts[:, 0], pts[:, 1], np.ones(3)])
+                grads = np.linalg.solve(mat, np.eye(3))[:2]  # rows: d/dr, d/dtheta
+                area = 0.5 * abs(np.linalg.det(mat))
+                s_mid = [sin[str(spec.form)](float(r)) for r in fem2d._MIDEDGE @ pts[:, 0]]
+                w_r = area / 3.0 * sum(s_mid)
+                w_t = area / 3.0 * sum(1.0 / s for s in s_mid)
+                for a in range(3):
+                    for b in range(3):
+                        k_ref[tri[a], tri[b]] += (grads[0, a] * grads[0, b] * w_r
+                                                  + grads[1, a] * grads[1, b] * w_t)
+                        m_ref[tri[a], tri[b]] += area / 3.0 * sum(
+                            fem2d._MIDEDGE[q, a] * fem2d._MIDEDGE[q, b] * s_mid[q]
+                            for q in range(3))
+            k_dense = system.stiffness.toarray()
+            m_dense = system.mass.toarray()
+            assert np.max(np.abs(k_dense - k_ref)) <= 1e-10 * np.max(np.abs(k_ref)), spec.form
+            assert np.max(np.abs(m_dense - m_ref)) <= 1e-12 * np.max(np.abs(m_ref)), spec.form
+
+    @pytest.mark.parametrize("form", ["euclidean", "spherical", "hyperbolic"])
+    @pytest.mark.parametrize("hole", [True, False], ids=["shell", "hole-free"])
+    def test_stencil_matches_element_assembly(self, form, hole):
+        spec = DomainSpec(form, 2, SymmetryOrder.ORDER4,
+                          FourierProfile(1.2, ((4, 0.06, -0.04),)),
+                          FourierProfile(0.5, ((4, 0.02, 0.02),)) if hole else None)
+        for level in range(4):
+            mesh = generate_mesh(spec, level)
+            system = assemble(mesh, spec.form)
+            reference = oracles.element_assembly(mesh.vertices, mesh.triangles, form)
+            for matrix, ref in zip((system.stiffness, system.mass), reference):
+                assert np.array_equal(matrix.indptr, ref.indptr)
+                assert np.array_equal(matrix.indices, ref.indices)
+                scale = np.max(np.abs(ref.data))
+                assert np.max(np.abs(matrix.data - ref.data)) <= 1e-13 * scale
+
+    def test_peak_memory_is_a_small_multiple_of_the_result(self):
+        # summing per-triangle COO triples peaked above 8x the bytes of K and M
+        mesh = generate_mesh(ANNULUS, 3)
+        tracemalloc.start()
+        try:
+            system = assemble(mesh, SpaceForm.EUCLIDEAN)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        result = sum(array.nbytes for matrix in (system.stiffness, system.mass)
+                     for array in (matrix.data, matrix.indices, matrix.indptr))
+        assert peak < 4 * result
 
 
 class TestEigensolve:

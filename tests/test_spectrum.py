@@ -52,7 +52,8 @@ class TestAssemble:
         assert values[1] == values[2] == second.value
 
     def test_flattened_order_nondecreasing(self, euclid_annulus):
-        values = euclid_annulus.eigenvalues(euclid_annulus.certified_count())
+        count = sum(e.multiplicity for e in euclid_annulus.entries)
+        values = euclid_annulus.eigenvalues(count)
         assert all(b >= a for a, b in zip(values, values[1:]))
         assert values[0] == 0.0 < values[1]
 
@@ -201,6 +202,6 @@ class TestCertifyLemmas:
     def test_json_payload(self):
         report = certify_lemmas(SpaceForm.EUCLIDEAN, 2, 0.5, 1.5, j_max=3,
                                 config=SolverConfig(grid_points=512))
-        blob = json.loads(report.to_json())
+        blob = json.loads(json.dumps(report.to_dict(), sort_keys=True))
         assert blob["passed"] is True
         assert all("worst" in c for c in blob["checks"])

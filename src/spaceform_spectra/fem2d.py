@@ -12,17 +12,17 @@ way into two triangles, so assembly computes each triangle type's element
 entries as (n_radial, n_angular) arrays and sums them straight into the
 seven-point stencil of every vertex, with no per-triangle index triples.
 
-Eigenvalues come from shift-invert Lanczos on the pencil (K, M).  The
-shifted matrix K - SHIFT*M is symmetric positive definite, so it is
-factored once per level under a symmetric minimum-degree ordering
-(multiple minimum degree on the pattern of A^T + A; J. W. H. Liu, ACM TOMS
-11, 1985), which cuts the LU fill of SuperLU's default column ordering by
-more than 40 % on the polar mesh.
+Eigenvalues come from shift-invert Lanczos on the pencil (K, M) at every
+level, the coarsest included.  The shifted matrix K - SHIFT*M is
+symmetric positive definite, so it is factored once per level under a
+symmetric minimum-degree ordering (multiple minimum degree on the pattern
+of A^T + A; J. W. H. Liu, ACM TOMS 11, 1985), which cuts the LU fill of
+SuperLU's default column ordering by more than 40 % on the polar mesh.
 
 Hole-free domains keep the chart away from its r = 0 degeneracy with a
 small artificial inner circle (natural boundary condition, radius 1e-3);
-the induced eigenvalue shift is far below the discretization error
-budget and is covered by the reported tolerance.
+shrinking it to 1e-4 moves mu_2 by less than 5e-5 relative at level 2,
+below the 1e-4 floor of the reported tolerance.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as dense_linalg
 import scipy.sparse as sparse
 import scipy.sparse.linalg as sparse_linalg
 
@@ -58,8 +57,12 @@ __all__ = [
 ]
 
 HOLE_FREE_INNER_RADIUS = 1e-3
-DENSE_CUTOFF = 1000          # sparse shift-invert above this many unknowns
+# level-0 mesh; the angular count is a multiple of 16 at every level, so the
+# quarter-turn symmetry of a domain is exact on the vertex set
+LEVEL0_RADIAL, LEVEL0_ANGULAR = 12, 48
 SHIFT = -0.1                 # shift-invert target below the spectrum
+TAU_FLOOR = 1e-4             # smallest verdict tolerance
+RADIAL_EIG_TOL = 1e-12       # eig_tol of the matched shell's radial solve
 
 
 class DegenerateDomainError(ValueError):
@@ -72,27 +75,21 @@ class FemConvergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class PolarMesh:
-    """Structured triangulation of the chart image of the domain.
+    """Vertices of the structured mesh of the chart image of the domain.
 
-    ``vertices`` holds (r, theta) rows; angular index wraps periodically,
-    so triangles crossing theta = 0 refer to both ends of the vertex
-    table and their coordinates must be unwrapped before measuring them
-    (see ``triangle_coords``).
+    ``vertices`` holds (r, theta) rows; vertex (i, j) of radial ring i and
+    angular ray j is row ``i * n_angular + j``, and j wraps periodically.
+    The triangles are implicit: every quad (i, j) splits into
+    [(i, j), (i+1, j), (i+1, j+1)] and [(i, j), (i+1, j+1), (i, j+1)].
     """
 
     spec: dm.DomainSpec
-    level: int
     n_radial: int
     n_angular: int
     vertices: np.ndarray
-    triangles: np.ndarray
-    boundary_edges: np.ndarray
-    inner_is_artificial: bool
 
     def __post_init__(self):
         self.vertices.setflags(write=False)
-        self.triangles.setflags(write=False)
-        self.boundary_edges.setflags(write=False)
 
     @property
     def n_vertices(self) -> int:
@@ -104,77 +101,36 @@ class PolarMesh:
         gaps = self.vertices[-self.n_angular:, 0] - self.vertices[:self.n_angular, 0]
         return float(np.mean(gaps)) / self.n_radial
 
-    def triangle_coords(self) -> np.ndarray:
-        """(T, 3, 2) chart coordinates with theta unwrapped per element."""
-        coords = self.vertices[self.triangles]  # advanced indexing copies
-        theta = coords[:, :, 1]
-        wrap = (theta.max(axis=1) - theta.min(axis=1)) > math.pi
-        theta[wrap] += np.where(theta[wrap] < math.pi, 2 * math.pi, 0.0)
-        return coords
 
-
-def generate_mesh(spec: dm.DomainSpec, level: int,
-                  base_radial: int = 12, base_angular: int = 48) -> PolarMesh:
+def generate_mesh(spec: dm.DomainSpec, level: int) -> PolarMesh:
     """Structured mesh at refinement ``level`` (each level quadruples triangles).
 
-    The angular count is a multiple of 16, so quarter-turn symmetry of
-    the domain is exact on the vertex set; at least ten radial cells must
-    span the gap or the mesh is refused as degenerate.
+    Level 0 has LEVEL0_RADIAL cells along each of LEVEL0_ANGULAR rays, spaced
+    uniformly between rho_in(theta) and rho_out(theta); each level doubles
+    both counts.  Boundaries that touch or cross are refused; otherwise
+    every chart triangle has area dtheta * (rho_out - rho_in) / (2 n_radial)
+    > 0, taken on the ray of its radial edge.
     """
     if spec.n != 2:
         raise ValueError("the finite-element path is two-dimensional")
     if level < 0:
         raise ValueError("level must be >= 0")
-    if base_angular % 16:
-        raise ValueError("base angular count must be a multiple of 16")
-    n_radial = base_radial * 2**level
-    n_angular = base_angular * 2**level
-    if n_radial < 10:
-        raise DegenerateDomainError(
-            f"{n_radial} radial cells cannot resolve the gap (need >= 10)")
+    n_radial = LEVEL0_RADIAL * 2**level
+    n_angular = LEVEL0_ANGULAR * 2**level
 
     theta = np.linspace(0.0, 2 * math.pi, n_angular, endpoint=False)
     rho_out = spec.rho_out.at_theta(theta)
     if spec.has_hole:
         rho_in = spec.rho_in.at_theta(theta)
-        inner_artificial = False
     else:
         rho_in = np.full_like(theta, HOLE_FREE_INNER_RADIUS)
-        inner_artificial = True
-    min_gap = float(np.min(rho_out - rho_in))
-    if min_gap <= 0:
+    if np.min(rho_out - rho_in) <= 0:
         raise DegenerateDomainError("boundaries touch or cross")
 
     t = np.arange(n_radial + 1)[:, None] / n_radial
     r = rho_in[None, :] + t * (rho_out - rho_in)[None, :]
     vertices = np.column_stack([r.ravel(), np.tile(theta, n_radial + 1)])
-
-    # vertex (i, j) sits at row i * n_angular + j; the angular index j wraps
-    j = np.arange(n_angular, dtype=np.int64)
-    j_next = (j + 1) % n_angular
-    row = np.arange(n_radial, dtype=np.int64)[:, None] * n_angular
-    a, b = row + j, row + j_next
-    c, d = a + n_angular, b + n_angular
-    # per quad, in (i, j) order: two counterclockwise triangles in (r, theta),
-    # radial edge first
-    triangles = np.stack([np.stack([a, c, d], axis=-1),
-                          np.stack([a, d, b], axis=-1)], axis=2).reshape(-1, 3)
-
-    ring = np.column_stack([j, j_next])
-    edges = np.concatenate([ring, ring + n_radial * n_angular])
-    mesh = PolarMesh(spec=spec, level=level, n_radial=n_radial, n_angular=n_angular,
-                     vertices=vertices, triangles=triangles, boundary_edges=edges,
-                     inner_is_artificial=inner_artificial)
-    areas = _chart_areas(mesh.triangle_coords())
-    if np.any(areas <= 0):
-        raise DegenerateDomainError("mesh contains inverted chart triangles")
-    return mesh
-
-
-def _chart_areas(coords: np.ndarray) -> np.ndarray:
-    e1 = coords[:, 1] - coords[:, 0]
-    e2 = coords[:, 2] - coords[:, 0]
-    return 0.5 * (e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0])
+    return PolarMesh(spec=spec, n_radial=n_radial, n_angular=n_angular, vertices=vertices)
 
 
 @dataclass(frozen=True)
@@ -317,7 +273,9 @@ class FemEigenResult:
     the leading O(h^2) term from the last two levels; ``est_rel_error``
     is |extrapolated - finest| / extrapolated (absolute for the zero
     mode); ``observed_order`` is the log2 ratio of successive corrections
-    when three or more levels are available.
+    when three or more levels are available, None for the constant mode
+    (whose corrections are rounding noise) and wherever the ratio is not
+    finite.
     """
 
     levels: tuple
@@ -342,35 +300,26 @@ class FemEigenResult:
         }
 
 
-def _solve_one(system: FemSystem, m: int, dense_cutoff: int) -> tuple[np.ndarray, float]:
+def _solve_one(system: FemSystem, m: int) -> tuple[np.ndarray, float]:
     K, M = system.stiffness, system.mass
     n = system.n_unknowns
     if m >= n:
         raise ValueError("need m well below the number of unknowns")
-    if n <= dense_cutoff:
-        # shift-invert as on the sparse path: eigh(K, M) is accurate only to
-        # eps * lambda_max(K, M) absolutely, and the r = 1e-3 inner ring of a
-        # hole-free mesh makes lambda_max large; theta = 1/(lambda - SHIFT)
-        Md = M.toarray()
-        theta, vecs = dense_linalg.eigh(Md, K.toarray() - SHIFT * Md,
-                                        subset_by_index=(n - m, n - 1))
-        vals, vecs = SHIFT + 1.0 / theta[::-1], vecs[:, ::-1]
-    else:
-        # K - SHIFT*M is symmetric positive definite: a symmetric
-        # minimum-degree ordering of its pattern fills far less than the
-        # column ordering eigsh would otherwise pick
-        lu = sparse_linalg.splu((K - SHIFT * M).tocsc(), permc_spec="MMD_AT_PLUS_A",
-                                options={"SymmetricMode": True})
-        op_inv = sparse_linalg.LinearOperator((n, n), matvec=lu.solve, dtype=K.dtype)
-        # a fixed start vector keeps ARPACK deterministic; it must not be
-        # invariant under the mesh rotations, or it is orthogonal up to
-        # rounding to every eigenvector outside the invariant sector (the
-        # mu_2 pair included), and Lanczos finds those only from rounding noise
-        v0 = 1.0 + np.arange(n) / n
-        vals, vecs = sparse_linalg.eigsh(K, k=m, M=M, sigma=SHIFT, which="LM", v0=v0,
-                                         OPinv=op_inv)
-        order = np.argsort(vals)
-        vals, vecs = vals[order], vecs[:, order]
+    # K - SHIFT*M is symmetric positive definite: a symmetric minimum-degree
+    # ordering of its pattern fills far less than the column ordering eigsh
+    # would otherwise pick
+    lu = sparse_linalg.splu((K - SHIFT * M).tocsc(), permc_spec="MMD_AT_PLUS_A",
+                            options={"SymmetricMode": True})
+    op_inv = sparse_linalg.LinearOperator((n, n), matvec=lu.solve, dtype=K.dtype)
+    # a fixed start vector keeps ARPACK deterministic; it must not be
+    # invariant under the mesh rotations, or it is orthogonal up to rounding
+    # to every eigenvector outside the invariant sector (the mu_2 pair
+    # included), and Lanczos finds those only from rounding noise
+    v0 = 1.0 + np.arange(n) / n
+    vals, vecs = sparse_linalg.eigsh(K, k=m, M=M, sigma=SHIFT, which="LM", v0=v0,
+                                     OPinv=op_inv)
+    order = np.argsort(vals)
+    vals, vecs = vals[order], vecs[:, order]
 
     ku = K @ vecs
     mu_ = M @ vecs
@@ -381,20 +330,18 @@ def _solve_one(system: FemSystem, m: int, dense_cutoff: int) -> tuple[np.ndarray
     if rel > 1e-9:
         raise FemConvergenceError(
             f"eigen residual {rel:.3e} above 1e-9 at {n} unknowns")
-    if abs(vals[0]) > 1e-6 * max(1.0, abs(vals[min(1, m - 1)])):
+    if abs(vals[0]) > 1e-6 * max(1.0, abs(vals[1])):
         raise FemConvergenceError(
             f"constant mode came out at {vals[0]:.3e}; assembly is suspect")
     return vals, rel
 
 
-def eigensolve(systems, m: int = 8, dense_cutoff: int = DENSE_CUTOFF) -> FemEigenResult:
+def eigensolve(systems, m: int = 8) -> FemEigenResult:
     """Smallest ``m`` eigenvalues of one system or a refinement sequence.
 
-    Both paths invert K - SHIFT*M.  Small systems take the largest
-    eigenvalues theta = 1/(lambda - SHIFT) of the dense pencil
-    (M, K - SHIFT*M); larger ones use shift-invert Lanczos with a fixed
-    start vector, applying the inverse through one sparse LU factorization
-    of K - SHIFT*M under a symmetric minimum-degree ordering.  With several
+    Every system goes through shift-invert Lanczos with a fixed start
+    vector, applying the inverse through one sparse LU factorization of
+    K - SHIFT*M under a symmetric minimum-degree ordering.  With several
     levels the last two are Richardson-combined assuming second-order
     convergence.
     """
@@ -407,7 +354,7 @@ def eigensolve(systems, m: int = 8, dense_cutoff: int = DENSE_CUTOFF) -> FemEige
     history = []
     max_resid = 0.0
     for system in systems:
-        vals, resid = _solve_one(system, m, dense_cutoff)
+        vals, resid = _solve_one(system, m)
         max_resid = max(max_resid, resid)
         history.append((system.n_unknowns, system.mesh.chart_h, tuple(float(v) for v in vals)))
 
@@ -426,20 +373,18 @@ def eigensolve(systems, m: int = 8, dense_cutoff: int = DENSE_CUTOFF) -> FemEige
         den = np.abs(coarse - finest)
         with np.errstate(divide="ignore", invalid="ignore"):
             slopes = np.log2(num / den)
-        order = tuple(float(s) if np.isfinite(s) else float("nan") for s in slopes)
+        # the constant mode's corrections are rounding noise
+        order = (None,) + tuple(float(s) if np.isfinite(s) else None for s in slopes[1:])
     return FemEigenResult(levels=tuple(history),
                           eigenvalues=tuple(float(v) for v in finest),
                           extrapolated=extrapolated, est_rel_error=est,
                           observed_order=order, max_residual=max_resid)
 
 
-def solve_domain(spec: dm.DomainSpec, levels=(1, 2, 3), m: int = 8,
-                 base_radial: int = 12, base_angular: int = 48,
-                 dense_cutoff: int = DENSE_CUTOFF) -> FemEigenResult:
+def solve_domain(spec: dm.DomainSpec, levels=(1, 2, 3), m: int = 8) -> FemEigenResult:
     """Mesh, assemble and eigensolve the domain across refinement levels."""
-    systems = [assemble(generate_mesh(spec, lv, base_radial, base_angular), spec.form)
-               for lv in levels]
-    return eigensolve(systems, m=m, dense_cutoff=dense_cutoff)
+    systems = [assemble(generate_mesh(spec, lv), spec.form) for lv in levels]
+    return eigensolve(systems, m=m)
 
 
 # ---------------------------------------------------------------------------
@@ -450,11 +395,6 @@ def solve_domain(spec: dm.DomainSpec, levels=(1, 2, 3), m: int = 8,
 class VerifyConfig:
     levels: tuple = (1, 2, 3)
     m: int = 8
-    base_radial: int = 12
-    base_angular: int = 48
-    sl_grid_points: int = 2048
-    sl_eig_tol: float = 1e-12
-    tau_floor: float = 1e-4
 
 
 @dataclass(frozen=True)
@@ -520,20 +460,17 @@ def verify_theorem(spec: dm.DomainSpec, config: VerifyConfig | None = None) -> T
     vol = dm.volume(spec, grid)
     r1, r2 = dm.matched_annulus(spec, grid)
 
-    sl_config = SolverConfig(grid_points=config.sl_grid_points, richardson=True,
-                             eig_tol=config.sl_eig_tol, max_j=1)
+    sl_config = SolverConfig(grid_points=2048, richardson=True,
+                             eig_tol=RADIAL_EIG_TOL, max_j=1)
     mu_annulus = slsolver.solve(
         SLProblem(spec.form, 2, 1, r1, r2), sl_config)[0].eigenvalue
 
-    fem = solve_domain(spec, levels=config.levels, m=config.m,
-                       base_radial=config.base_radial,
-                       base_angular=config.base_angular)
+    fem = solve_domain(spec, levels=config.levels, m=config.m)
 
     indices = (2, 3) if spec.symmetry_order is dm.SymmetryOrder.ORDER4 else (2,)
     best = fem.best()
     est = fem.est_rel_error or tuple(0.0 for _ in best)
-    tau = max(config.tau_floor,
-              3.0 * max(est[i - 1] for i in indices) + 10.0 * config.sl_eig_tol)
+    tau = max(TAU_FLOOR, 3.0 * max(est[i - 1] for i in indices) + 10.0 * RADIAL_EIG_TOL)
     margins = tuple((mu_annulus - best[i - 1]) / mu_annulus for i in indices)
     return TheoremVerdict(
         spec_hash=spec_hash(spec), form=spec.form, symmetry=spec.symmetry_order,

@@ -207,6 +207,22 @@ def polar_mesh_connectivity(n_radial: int, n_angular: int):
 # Metric P1 stiffness and mass, summed one element matrix per triangle.
 # ---------------------------------------------------------------------------
 
+def triangle_coords(vertices: np.ndarray, triangles: np.ndarray) -> np.ndarray:
+    """(T, 3, 2) chart coordinates of each triangle, theta unwrapped across 2 pi."""
+    coords = vertices[triangles]  # advanced indexing copies
+    theta = coords[:, :, 1]
+    wrap = (theta.max(axis=1) - theta.min(axis=1)) > math.pi
+    theta[wrap] += np.where(theta[wrap] < math.pi, 2 * math.pi, 0.0)
+    return coords
+
+
+def chart_areas(coords: np.ndarray) -> np.ndarray:
+    """Signed (r, theta) areas of (T, 3, 2) triangle coordinates."""
+    e1 = coords[:, 1] - coords[:, 0]
+    e2 = coords[:, 2] - coords[:, 0]
+    return 0.5 * (e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0])
+
+
 def _sin_m_array(form: str, r: np.ndarray) -> np.ndarray:
     return {"euclidean": r, "spherical": np.sin(r), "hyperbolic": np.sinh(r)}[str(form)]
 
@@ -221,14 +237,9 @@ def element_assembly(vertices: np.ndarray, triangles: np.ndarray, form: str):
     """
     import scipy.sparse as sparse
 
-    coords = vertices[triangles]
-    theta = coords[:, :, 1]
-    wrap = (theta.max(axis=1) - theta.min(axis=1)) > math.pi
-    theta[wrap] += np.where(theta[wrap] < math.pi, 2 * math.pi, 0.0)
+    coords = triangle_coords(vertices, triangles)
     r_pts, t_pts = coords[:, :, 0], coords[:, :, 1]
-    e1 = coords[:, 1] - coords[:, 0]
-    e2 = coords[:, 2] - coords[:, 0]
-    areas = 0.5 * (e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0])
+    areas = chart_areas(coords)
 
     grads = np.empty_like(coords)  # (T, 3 vertices, 2 components d/dr, d/dtheta)
     for a in range(3):
@@ -251,3 +262,25 @@ def element_assembly(vertices: np.ndarray, triangles: np.ndarray, form: str):
     stiffness = sparse.coo_matrix((k_elem.ravel(), (rows, cols)), shape=(n, n)).tocsr()
     mass = sparse.coo_matrix((m_elem.ravel(), (rows, cols)), shape=(n, n)).tocsr()
     return stiffness, mass
+
+
+# ---------------------------------------------------------------------------
+# Generalized eigenvalues by dense shift-invert.
+# ---------------------------------------------------------------------------
+
+def dense_shift_invert(stiffness, mass, m: int, shift: float) -> np.ndarray:
+    """The ``m`` smallest eigenvalues of K u = lambda M u, from dense matrices.
+
+    Takes the largest eigenvalues theta = 1/(lambda - shift) of the pencil
+    (M, K - shift*M), which is definite for a shift below the spectrum.
+    A plain ``eigh(K, M)`` is accurate only to eps * lambda_max(K, M)
+    absolutely, and the r = 1e-3 inner ring of a hole-free mesh makes
+    lambda_max large.
+    """
+    import scipy.linalg
+
+    k_dense, m_dense = stiffness.toarray(), mass.toarray()
+    n = k_dense.shape[0]
+    theta = scipy.linalg.eigh(m_dense, k_dense - shift * m_dense, eigvals_only=True,
+                              subset_by_index=(n - m, n - 1))
+    return shift + 1.0 / theta[::-1]

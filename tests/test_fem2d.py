@@ -36,23 +36,27 @@ def annulus_result():
     return solve_domain(ANNULUS, levels=(1, 2, 3), m=8)
 
 
+def mesh_triangles(mesh):
+    return oracles.polar_mesh_connectivity(mesh.n_radial, mesh.n_angular)[0]
+
+
+def mesh_triangle_coords(mesh):
+    return oracles.triangle_coords(mesh.vertices, mesh_triangles(mesh))
+
+
 class TestMeshGeneration:
     def test_structured_counts_and_orientation(self):
         mesh = generate_mesh(ANNULUS, 0)
         assert mesh.n_radial == 12 and mesh.n_angular == 48
         assert mesh.n_vertices == 13 * 48
-        assert mesh.triangles.shape[0] == 2 * 12 * 48
-        areas = fem2d._chart_areas(mesh.triangle_coords())
+        assert mesh_triangles(mesh).shape[0] == 2 * 12 * 48
+        areas = oracles.chart_areas(mesh_triangle_coords(mesh))
         assert np.all(areas > 0)
 
     def test_refinement_quadruples_triangles(self):
-        t0 = generate_mesh(ANNULUS, 0).triangles.shape[0]
-        t1 = generate_mesh(ANNULUS, 1).triangles.shape[0]
+        t0 = mesh_triangles(generate_mesh(ANNULUS, 0)).shape[0]
+        t1 = mesh_triangles(generate_mesh(ANNULUS, 1)).shape[0]
         assert t1 == 4 * t0
-
-    def test_boundary_edges_cover_both_rings(self):
-        mesh = generate_mesh(ANNULUS, 0)
-        assert mesh.boundary_edges.shape[0] == 2 * mesh.n_angular
 
     def test_vertex_set_invariant_under_quarter_rotation(self):
         spec = DomainSpec("euclidean", 2, SymmetryOrder.ORDER4,
@@ -65,39 +69,31 @@ class TestMeshGeneration:
         mapped = {(round(r, 10), round(t, 10)) for r, t in rotated}
         assert original == mapped
 
-    def test_periodic_identification(self):
-        mesh = generate_mesh(ANNULUS, 0)
-        # triangles in the last angular sector reuse the theta = 0 vertices
-        last_sector = mesh.triangles[2 * (mesh.n_angular - 1):2 * mesh.n_angular]
-        assert np.any(last_sector % mesh.n_angular == 0)
-
     def test_degenerate_resolution_rejected(self):
-        with pytest.raises(DegenerateDomainError):
-            generate_mesh(ANNULUS, 0, base_radial=8)
+        # the outer boundary lies inside the artificial inner circle
+        tiny_disk = DomainSpec.exact_annulus("euclidean", 2, 0.0, 5e-4)
+        with pytest.raises(DegenerateDomainError, match="touch or cross"):
+            generate_mesh(tiny_disk, 0)
 
     def test_hole_free_uses_artificial_inner_circle(self):
         disk = DomainSpec.exact_annulus("euclidean", 2, 0.0, 1.0)
         mesh = generate_mesh(disk, 0)
-        assert mesh.inner_is_artificial
+        assert not disk.has_hole
         assert mesh.vertices[:, 0].min() == pytest.approx(fem2d.HOLE_FREE_INNER_RADIUS)
+
+    @pytest.mark.parametrize("form", ["euclidean", "spherical", "hyperbolic"])
+    def test_inner_circle_shift_below_tau_floor(self, form, monkeypatch):
+        disk = DomainSpec.exact_annulus(form, 2, 0.0, 1.0)
+        mu_2 = []
+        for radius in (1e-3, 1e-4):
+            monkeypatch.setattr(fem2d, "HOLE_FREE_INNER_RADIUS", radius)
+            mu_2.append(solve_domain(disk, levels=(2,), m=4).eigenvalues[1])
+        assert abs(mu_2[0] - mu_2[1]) <= fem2d.TAU_FLOOR * mu_2[1]
 
     def test_requires_planar_spec(self):
         spec3 = DomainSpec.exact_annulus("euclidean", 3, 0.5, 1.0)
         with pytest.raises(ValueError):
             generate_mesh(spec3, 1)
-
-    @pytest.mark.parametrize("rho_in", [FourierProfile(0.55, ((4, 0.02, 0.02),)), None])
-    def test_connectivity_matches_loop_reference(self, rho_in):
-        spec = DomainSpec("euclidean", 2, SymmetryOrder.ORDER4,
-                          FourierProfile(1.25, ((4, 0.06, -0.04),)), rho_in)
-        for level in (0, 1, 2):
-            mesh = generate_mesh(spec, level)
-            triangles, edges = oracles.polar_mesh_connectivity(mesh.n_radial,
-                                                               mesh.n_angular)
-            assert mesh.triangles.dtype == np.int64
-            assert mesh.boundary_edges.dtype == np.int64
-            assert np.array_equal(mesh.triangles, triangles)
-            assert np.array_equal(mesh.boundary_edges, edges)
 
 
 @pytest.fixture(scope="module")
@@ -112,9 +108,8 @@ class TestAssembly:
 
     def test_mass_row_sums_accumulate_quadrature_volume(self, system):
         # partition of unity: sum_ij M_ij equals the element-quadrature volume
-        mesh = system.mesh
-        coords = mesh.triangle_coords()
-        areas = fem2d._chart_areas(coords)
+        coords = mesh_triangle_coords(system.mesh)
+        areas = oracles.chart_areas(coords)
         r_mid = fem2d._MIDEDGE @ coords[:, :, 0].T
         quad_volume = float(np.sum(areas / 3.0 * np.sum(sin_m(system.form, r_mid), axis=0)))
         assert float(system.mass.sum()) == pytest.approx(quad_volume, rel=1e-12)
@@ -142,11 +137,12 @@ class TestAssembly:
                      DomainSpec.exact_annulus("spherical", 2, 0.0, 1.0)):  # hole-free
             mesh = generate_mesh(spec, 0)
             system = assemble(mesh, spec.form)
-            coords = mesh.triangle_coords()
+            triangles = mesh_triangles(mesh)
+            coords = oracles.triangle_coords(mesh.vertices, triangles)
             n = mesh.n_vertices
             k_ref = np.zeros((n, n))
             m_ref = np.zeros((n, n))
-            for tri, pts in zip(mesh.triangles, coords):
+            for tri, pts in zip(triangles, coords):
                 mat = np.column_stack([pts[:, 0], pts[:, 1], np.ones(3)])
                 grads = np.linalg.solve(mat, np.eye(3))[:2]  # rows: d/dr, d/dtheta
                 area = 0.5 * abs(np.linalg.det(mat))
@@ -174,7 +170,7 @@ class TestAssembly:
         for level in range(4):
             mesh = generate_mesh(spec, level)
             system = assemble(mesh, spec.form)
-            reference = oracles.element_assembly(mesh.vertices, mesh.triangles, form)
+            reference = oracles.element_assembly(mesh.vertices, mesh_triangles(mesh), form)
             for matrix, ref in zip((system.stiffness, system.mass), reference):
                 assert np.array_equal(matrix.indptr, ref.indptr)
                 assert np.array_equal(matrix.indices, ref.indices)
@@ -207,6 +203,8 @@ class TestEigensolve:
 
     def test_zero_mode(self, disk_result):
         assert abs(disk_result.eigenvalues[0]) <= 1e-8
+        # its level-to-level changes are rounding noise, not a convergence order
+        assert disk_result.observed_order[0] is None
 
     def test_convergence_from_above_at_order_two(self, disk_result):
         values = np.array([lvl[2] for lvl in disk_result.levels])
@@ -251,36 +249,39 @@ class TestEigensolve:
     def test_residual_tracking(self, annulus_result):
         assert annulus_result.max_residual <= 1e-9
 
-    def test_dense_path_small_mesh(self):
+    def test_sparse_path_level0_mesh(self):
         system = assemble(generate_mesh(ANNULUS, 0), SpaceForm.EUCLIDEAN)
-        assert system.n_unknowns < fem2d.DENSE_CUTOFF
+        assert system.n_unknowns == 13 * 48
         res = eigensolve(system, m=4)
         assert res.extrapolated is None
         mu11 = slsolver.solve(SLProblem("euclidean", 2, 1, 1.0, 2.0),
                               SolverConfig(max_j=1))[0].eigenvalue
         assert res.eigenvalues[1] == pytest.approx(mu11, rel=2e-2)
 
-    @pytest.mark.parametrize("spec", [
-        DomainSpec("hyperbolic", 2, SymmetryOrder.ORDER4,
-                   FourierProfile(1.2, ((4, 0.05, 0.0),)),
-                   FourierProfile(0.5, ((4, 0.0, 0.02),))),
+    @pytest.mark.parametrize("spec,level", [
+        pytest.param(DomainSpec("hyperbolic", 2, SymmetryOrder.ORDER4,
+                                FourierProfile(1.2, ((4, 0.05, 0.0),)),
+                                FourierProfile(0.5, ((4, 0.0, 0.02),))), 1, id="spec0"),
         # hole-free: the r = 1e-3 inner ring puts lambda_max(K, M) near 4.4e7,
         # which a dense eigh(K, M) would resolve only to about 1.6e-9 relative
-        DomainSpec("spherical", 2, SymmetryOrder.ORDER4,
-                   FourierProfile(1.1, ((4, 0.04, -0.03),))),
+        pytest.param(DomainSpec("spherical", 2, SymmetryOrder.ORDER4,
+                                FourierProfile(1.1, ((4, 0.04, -0.03),))), 1, id="spec1"),
+        pytest.param(DomainSpec.exact_annulus("euclidean", 2, 0.0, 1.0), 0,
+                     id="disk-level0"),
     ])
-    def test_sparse_path_matches_dense(self, spec):
-        system = assemble(generate_mesh(spec, 1), spec.form)
-        assert system.n_unknowns > fem2d.DENSE_CUTOFF
+    def test_sparse_path_matches_dense(self, spec, level):
+        system = assemble(generate_mesh(spec, level), spec.form)
         sparse_vals = np.array(eigensolve(system, m=8).eigenvalues)
-        dense_vals = np.array(eigensolve(system, m=8,
-                                         dense_cutoff=system.n_unknowns).eigenvalues)
+        dense_vals = oracles.dense_shift_invert(system.stiffness, system.mass, 8,
+                                                fem2d.SHIFT)
         scale = np.maximum(np.abs(dense_vals), 1.0)
         assert np.max(np.abs(sparse_vals - dense_vals) / scale) <= 1e-10
 
     def test_result_serialization(self, disk_result):
-        blob = json.loads(json.dumps(disk_result.to_dict(), sort_keys=True))
+        # strict JSON: no NaN or Infinity anywhere in the report
+        blob = json.loads(json.dumps(disk_result.to_dict(), sort_keys=True, allow_nan=False))
         assert len(blob["levels"]) == 3
+        assert blob["observed_order"][0] is None
         assert blob["extrapolated"][1] == disk_result.extrapolated[1]
 
 

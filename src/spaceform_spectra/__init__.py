@@ -12,8 +12,6 @@ from .spaceform import (
     SpaceForm,
     UnattainableVolumeError,
     annulus_volume,
-    cos_m,
-    from_normal_coords,
     match_outer_radius,
     sin_m,
     to_normal_coords,
@@ -27,7 +25,6 @@ from .slsolver import (
     SLProblem,
     SolverConfig,
     discretize,
-    extend_gk,
     locate_b,
     solve,
 )
@@ -40,6 +37,7 @@ from .domains import (
     RadialTestFunction,
     SphereProfile,
     SymmetryOrder,
+    extend_gk,
     grad_pair_integral,
     integrate_moment,
     matched_annulus,

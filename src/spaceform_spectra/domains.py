@@ -11,11 +11,13 @@ Gauss-Legendre in r, trapezoid in the periodic angle, Gauss-Legendre in
 the polar cosine for n = 3).
 
 The moment and gradient integrals here are the test-function machinery
-for the annulus-comparison bound: products g(r) * monomial(X) integrate
-to zero under the matching symmetry, the gradient cross terms collapse
-to a radial factor times X_i X_j, and the Rayleigh quotient of the
-constant-extended lowest annulus eigenfunction never exceeds the annulus
-eigenvalue on a volume-matched symmetric domain.
+for the annulus-comparison bound, and each reads a QuadratureGrid alone
+(the grid carries its domain).  Products g(r) * monomial(X) integrate to
+zero under the matching symmetry, the gradient cross terms collapse to a
+radial factor times X_i X_j, and the Rayleigh quotient of g_k, the
+lowest mode-k Neumann eigenfunction of the volume-matched shell extended
+beyond the shell by its outer value (``extend_gk``), never exceeds the
+shell eigenvalue on a symmetric domain.
 """
 
 from __future__ import annotations
@@ -26,8 +28,9 @@ from enum import Enum
 
 import numpy as np
 from scipy import optimize
+from scipy.interpolate import CubicSpline
 
-from .slsolver import BoundaryCondition, SLEigenpair, extend_gk
+from .slsolver import BoundaryCondition, SLEigenpair
 from .spaceform import (
     GeometryError,
     HEMISPHERE_RADIUS,
@@ -51,11 +54,10 @@ __all__ = [
     "volume",
     "integrate_moment",
     "grad_pair_integral",
+    "extend_gk",
     "rayleigh_gk",
-    "sum_gradient_identity_check",
-    "GradientIdentityReport",
     "matched_annulus",
-    "boundary_extrema",
+    "inner_infimum",
     "random_spec",
     "random_family",
     "spec_to_dict",
@@ -168,40 +170,22 @@ class SphereProfile:
 
 @dataclass(frozen=True)
 class RadialTestFunction:
-    """Radial profile with value/derivative queries, optionally tagged with
-    the coordinate index it multiplies."""
+    """Radial profile g(r) with value and derivative queries."""
 
     value_fn: object = field(repr=False)
-    derivative_fn: object = field(repr=False, default=None)
-    index: int | None = None
+    derivative_fn: object = field(repr=False)
 
     def value(self, r):
         return np.asarray(self.value_fn(np.asarray(r, dtype=float)), dtype=float)
 
     def derivative(self, r):
-        if self.derivative_fn is None:
-            raise TypeError("this radial profile has no derivative")
         return np.asarray(self.derivative_fn(np.asarray(r, dtype=float)), dtype=float)
-
-    __call__ = value
 
     @staticmethod
     def constant(c: float = 1.0) -> "RadialTestFunction":
         return RadialTestFunction(
             value_fn=lambda r: np.full_like(np.asarray(r, dtype=float), c),
             derivative_fn=lambda r: np.zeros_like(np.asarray(r, dtype=float)))
-
-
-def _g_value(g, r):
-    if hasattr(g, "value"):
-        return np.asarray(g.value(r), dtype=float)
-    return np.asarray(g(np.asarray(r, dtype=float)), dtype=float)
-
-
-def _g_derivative(g, r):
-    if hasattr(g, "derivative"):
-        return np.asarray(g.derivative(r), dtype=float)
-    raise TypeError("gradient integrals need a profile with a derivative query")
 
 
 # ---------------------------------------------------------------------------
@@ -328,46 +312,40 @@ def _validate_spec(spec: DomainSpec) -> None:
                     "on the angular sample")
 
 
-def boundary_extrema(spec: DomainSpec) -> dict:
-    """inf/sup of both boundaries, refined by local optimization.
+def inner_infimum(spec: DomainSpec) -> float:
+    """inf rho_in (0 without a hole), refined by local optimization.
 
-    The dense-sample argmin/argmax is polished with a bounded scalar
-    minimizer (n = 2) or Nelder-Mead in the two angles (n = 3), so the
-    values are accurate well beyond the sampling resolution.
+    The dense-sample argmin is polished with a bounded scalar minimizer
+    (n = 2) or Nelder-Mead in the two angles (n = 3), so the value is
+    accurate well beyond the sampling resolution.
     """
-    out: dict[str, float] = {}
-    for name, profile in (("out", spec.rho_out), ("in", spec.rho_in)):
-        if profile is None:
-            continue
-        for kind, sign in (("inf", 1.0), ("sup", -1.0)):
-            if spec.n == 2:
-                theta = np.linspace(0.0, 2 * math.pi, 4096, endpoint=False)
-                vals = sign * profile.at_theta(theta)
-                t0 = theta[int(np.argmin(vals))]
-                window = 2 * math.pi / 4096 * 4
-                res = optimize.minimize_scalar(
-                    lambda t: sign * float(profile.at_theta(np.array([t]))[0]),
-                    bounds=(t0 - window, t0 + window), method="bounded",
-                    options={"xatol": 1e-12})
-                out[f"{kind}_{name}"] = sign * float(res.fun)
-            else:
-                omega = _fibonacci_sphere(16384)
-                vals = sign * profile.evaluate(omega)
-                best = omega[:, int(np.argmin(vals))]
-                phi2 = math.acos(np.clip(best[0], -1, 1))
-                phi3 = math.atan2(best[2], best[1])
+    profile = spec.rho_in
+    if profile is None:
+        return 0.0
+    if spec.n == 2:
+        theta = np.linspace(0.0, 2 * math.pi, 4096, endpoint=False)
+        t0 = theta[int(np.argmin(profile.at_theta(theta)))]
+        window = 2 * math.pi / 4096 * 4
+        res = optimize.minimize_scalar(
+            lambda t: float(profile.at_theta(np.array([t]))[0]),
+            bounds=(t0 - window, t0 + window), method="bounded",
+            options={"xatol": 1e-12})
+        return float(res.fun)
+    omega = _fibonacci_sphere(16384)
+    best = omega[:, int(np.argmin(profile.evaluate(omega)))]
+    phi2 = math.acos(np.clip(best[0], -1, 1))
+    phi3 = math.atan2(best[2], best[1])
 
-                def objective(angles, _profile=profile, _sign=sign):
-                    p2, p3 = angles
-                    w = np.array([[math.cos(p2)],
-                                  [math.sin(p2) * math.cos(p3)],
-                                  [math.sin(p2) * math.sin(p3)]])
-                    return _sign * float(_profile.evaluate(w)[0])
+    def objective(angles):
+        p2, p3 = angles
+        w = np.array([[math.cos(p2)],
+                      [math.sin(p2) * math.cos(p3)],
+                      [math.sin(p2) * math.sin(p3)]])
+        return float(profile.evaluate(w)[0])
 
-                res = optimize.minimize(objective, [phi2, phi3], method="Nelder-Mead",
-                                        options={"xatol": 1e-10, "fatol": 1e-14})
-                out[f"{kind}_{name}"] = sign * float(res.fun)
-    return out
+    res = optimize.minimize(objective, [phi2, phi3], method="Nelder-Mead",
+                            options={"xatol": 1e-10, "fatol": 1e-14})
+    return float(res.fun)
 
 
 # ---------------------------------------------------------------------------
@@ -379,19 +357,14 @@ class QuadratureGrid:
     """Tensor quadrature over the domain with the metric volume factor baked in.
 
     ``weight`` integrates against sin_m^{n-1}(r) dr dsigma(Theta), so
-    summing it yields the domain volume; ``coords`` are the chart
-    coordinates X = r * omega of every node.
+    summing it yields the domain volume; ``radius`` and ``coords`` hold
+    the geodesic radius and the chart coordinates X = r * omega of every
+    node.
     """
 
     spec: DomainSpec
-    radial_points: int
-    angular_points: tuple
-    omega: np.ndarray
-    angular_weight: np.ndarray
-    ray_inner: np.ndarray
-    ray_outer: np.ndarray
-    radius: np.ndarray
     weight: np.ndarray
+    radius: np.ndarray
     coords: np.ndarray
 
     @staticmethod
@@ -406,7 +379,6 @@ class QuadratureGrid:
             theta = np.linspace(0.0, 2 * math.pi, count, endpoint=False)
             omega = np.vstack([np.cos(theta), np.sin(theta)])
             ang_w = np.full(count, 2 * math.pi / count)
-            shape = (count,)
         else:
             polar, azimuth = (48, 96) if angular_points is None else angular_points
             if azimuth % 4:
@@ -419,7 +391,6 @@ class QuadratureGrid:
             omega[1] = np.repeat(su, azimuth) * np.tile(np.cos(phi3), polar)
             omega[2] = np.repeat(su, azimuth) * np.tile(np.sin(phi3), polar)
             ang_w = np.repeat(wu, azimuth) * (2 * math.pi / azimuth)
-            shape = (int(polar), int(azimuth))
 
         lo = (spec.rho_in.evaluate(omega) if spec.rho_in is not None
               else np.zeros(omega.shape[1]))
@@ -432,37 +403,28 @@ class QuadratureGrid:
         weight = (ang_w[:, None] * wr * metric).ravel()
         radius = r.ravel()
         coords = omega[:, :, None] * r[None, :, :]
-        return QuadratureGrid(
-            spec=spec, radial_points=int(radial_points), angular_points=shape,
-            omega=omega, angular_weight=ang_w, ray_inner=lo, ray_outer=hi,
-            radius=radius, weight=weight,
-            coords=coords.reshape(spec.n, radius.size))
+        return QuadratureGrid(spec=spec, weight=weight, radius=radius,
+                              coords=coords.reshape(spec.n, radius.size))
 
 
-def _check_grid(spec: DomainSpec, grid: QuadratureGrid) -> None:
-    if grid.spec is not spec and grid.spec != spec:
-        raise ValueError("quadrature grid was built for a different domain")
-
-
-def volume(spec: DomainSpec, grid: QuadratureGrid) -> float:
+def volume(grid: QuadratureGrid) -> float:
     """Domain volume: the metric weight integrated over the whole grid."""
-    _check_grid(spec, grid)
     return float(np.sum(grid.weight))
 
 
-def integrate_moment(spec: DomainSpec, grid: QuadratureGrid, g,
+def integrate_moment(grid: QuadratureGrid, g: RadialTestFunction,
                      powers, absolute: bool = False) -> float:
-    """Integral of g(r) * prod_i X_i^{p_i} over the domain.
+    """Integral of g(r) * prod_i X_i^{p_i} over the grid's domain.
 
     ``powers`` lists one exponent per coordinate.  With ``absolute`` the
     integrand is replaced by its absolute value, which is the natural
     scale against which the symmetric cases vanish.
     """
-    _check_grid(spec, grid)
+    n = grid.spec.n
     powers = tuple(int(p) for p in powers)
-    if len(powers) != spec.n or any(p < 0 for p in powers):
-        raise ValueError(f"powers must be {spec.n} nonnegative exponents")
-    integrand = _g_value(g, grid.radius)
+    if len(powers) != n or any(p < 0 for p in powers):
+        raise ValueError(f"powers must be {n} nonnegative exponents")
+    integrand = g.value(grid.radius)
     for axis, p in enumerate(powers):
         if p:
             col = grid.coords[axis]
@@ -473,7 +435,7 @@ def integrate_moment(spec: DomainSpec, grid: QuadratureGrid, g,
     return float(np.dot(grid.weight, integrand))
 
 
-def grad_pair_integral(spec: DomainSpec, grid: QuadratureGrid, g,
+def grad_pair_integral(grid: QuadratureGrid, g: RadialTestFunction,
                        i: int, j: int, absolute: bool = False) -> float:
     """Integral of <grad(g X_i), grad(g X_j)> for distinct axes (1-based).
 
@@ -481,12 +443,12 @@ def grad_pair_integral(spec: DomainSpec, grid: QuadratureGrid, g,
     [((r g' + g)^2 / r^2) - g^2 / sin_m(r)^2] X_i X_j,
     which this evaluates directly on the grid.
     """
-    _check_grid(spec, grid)
+    spec = grid.spec
     if not (1 <= i <= spec.n and 1 <= j <= spec.n) or i == j:
         raise ValueError("need distinct 1-based axes i, j")
     r = grid.radius
-    gv = _g_value(g, r)
-    gd = _g_derivative(g, r)
+    gv = g.value(r)
+    gd = g.derivative(r)
     factor = ((r * gd + gv) ** 2 / r**2
               - gv**2 / sin_m(spec.form, r) ** 2)
     integrand = factor * grid.coords[i - 1] * grid.coords[j - 1]
@@ -495,35 +457,62 @@ def grad_pair_integral(spec: DomainSpec, grid: QuadratureGrid, g,
     return float(np.dot(grid.weight, integrand))
 
 
-def matched_annulus(spec: DomainSpec, grid: QuadratureGrid) -> tuple[float, float]:
+def matched_annulus(grid: QuadratureGrid) -> tuple[float, float]:
     """Comparison shell radii: r1 = inf rho_in (0 without a hole) and the
-    outer radius that matches the domain volume."""
-    _check_grid(spec, grid)
-    r1 = boundary_extrema(spec)["inf_in"] if spec.has_hole else 0.0
-    r2 = match_outer_radius(spec.form, spec.n, r1, volume(spec, grid))
+    outer radius that matches the volume of the grid's domain."""
+    spec = grid.spec
+    r1 = inner_infimum(spec)
+    r2 = match_outer_radius(spec.form, spec.n, r1, volume(grid))
     return r1, r2
 
 
-def rayleigh_gk(spec: DomainSpec, grid: QuadratureGrid, k: int,
-                pair: SLEigenpair) -> float:
+def extend_gk(pair: SLEigenpair) -> RadialTestFunction:
+    """The lowest Neumann eigenfunction u_k, continued by u_k(r2) beyond r2.
+
+    Inside the shell [r1, r2] the samples of ``pair`` are interpolated by
+    a cubic spline (clamped where the boundary derivative is known to
+    vanish); past r2 the value is the constant u_k(r2) and the derivative
+    zero.  Queries below r1 are outside the domain of definition and
+    raise GeometryError.
+    """
+    problem = pair.problem
+    if problem.bc is not BoundaryCondition.NEUMANN or pair.j != 1:
+        raise ValueError("extension is defined for (k, 1) Neumann pairs")
+    r1, r2 = problem.r1, problem.r2
+    inner_clamped = problem.has_inner_boundary or problem.k >= 2
+    spline = CubicSpline(
+        pair.grid, pair.values,
+        bc_type=((1, 0.0) if inner_clamped else "not-a-knot", (1, 0.0)))
+    tail = float(pair.values[-1])
+
+    def inside(r):
+        if np.any(r < r1 - 1e-12):
+            raise GeometryError(f"query below the inner radius {r1}")
+        return np.clip(r, r1, r2)
+
+    return RadialTestFunction(
+        value_fn=lambda r: np.where(r <= r2, spline(inside(r)), tail),
+        derivative_fn=lambda r: np.where(r <= r2, spline(inside(r), 1), 0.0))
+
+
+def rayleigh_gk(grid: QuadratureGrid, pair: SLEigenpair) -> float:
     """Rayleigh quotient of the constant-extended lowest mode-k eigenfunction.
 
-    ``pair`` must be the (k, 1) Neumann eigenpair of the volume-matched
-    comparison shell whose inner ball sits inside the hole; both
-    preconditions are enforced.  On the exact shell the quotient equals
-    the eigenvalue; on symmetric perturbations it cannot exceed it.
+    ``pair`` must be the (k, 1) Neumann eigenpair, k >= 1, of the
+    comparison shell that matches the volume of the grid's domain, in the
+    same form and dimension, with its inner ball inside the hole; all of
+    these preconditions are enforced.  On the exact shell the quotient
+    equals the eigenvalue; on symmetric perturbations it cannot exceed it.
     """
-    _check_grid(spec, grid)
+    spec = grid.spec
     problem = pair.problem
-    if problem.k != k:
-        raise ValueError(f"pair carries mode k={problem.k}, expected {k}")
-    if k < 1 or pair.j != 1 or problem.bc is not BoundaryCondition.NEUMANN:
+    if problem.k < 1 or pair.j != 1 or problem.bc is not BoundaryCondition.NEUMANN:
         raise ValueError("need the (k, 1) Neumann pair with k >= 1")
     if problem.form is not spec.form or problem.n != spec.n:
         raise ValueError("pair and domain live on different spaces")
 
     if spec.has_hole:
-        inf_in = boundary_extrema(spec)["inf_in"]
+        inf_in = inner_infimum(spec)
         if problem.r1 > inf_in + 1e-9:
             raise VolumeMismatchError(
                 f"inner ball radius {problem.r1:.12g} pokes out of the hole "
@@ -532,14 +521,13 @@ def rayleigh_gk(spec: DomainSpec, grid: QuadratureGrid, k: int,
         raise VolumeMismatchError("hole-free domain needs an r1 = 0 comparison ball")
 
     target = annulus_volume(spec.form, spec.n, problem.r1, problem.r2)
-    vol = volume(spec, grid)
+    vol = volume(grid)
     if abs(vol - target) > 1e-8 * target:
         raise VolumeMismatchError(
             f"domain volume {vol:.12g} vs shell volume {target:.12g} "
             "differ beyond 1e-8 relative")
 
-    sup_out = float(np.max(grid.ray_outer))
-    gk = extend_gk(pair, max(sup_out, problem.r2))
+    gk = extend_gk(pair)
     r = grid.radius
     gv = gk.value(r)
     gd = gk.derivative(r)
@@ -547,43 +535,6 @@ def rayleigh_gk(spec: DomainSpec, grid: QuadratureGrid, k: int,
     numerator = float(np.dot(grid.weight, gd**2 + coef / sin_m(spec.form, r) ** 2 * gv**2))
     denominator = float(np.dot(grid.weight, gv**2))
     return numerator / denominator
-
-
-@dataclass(frozen=True)
-class GradientIdentityReport:
-    max_relative_residual: float
-    tolerance: float
-    nodes: int
-
-    @property
-    def passed(self) -> bool:
-        return self.max_relative_residual <= self.tolerance
-
-
-def sum_gradient_identity_check(spec: DomainSpec, grid: QuadratureGrid,
-                                pair: SLEigenpair) -> GradientIdentityReport:
-    """Check sum_i |grad(G(r) X_i / r)|^2 = (G')^2 + (n-1) G^2 / sin_m^2.
-
-    Each summand is evaluated from the per-axis closed form with the
-    actual node coordinates, so the check exercises the chart (the
-    coordinates must satisfy sum X_i^2 = r^2) and the gradient algebra
-    at once.
-    """
-    _check_grid(spec, grid)
-    gk = extend_gk(pair, float(np.max(grid.ray_outer)) + 1.0)
-    r = grid.radius
-    gv = gk.value(r)
-    gd = gk.derivative(r)
-    inv_sm2 = 1.0 / sin_m(spec.form, r) ** 2
-    ratios2 = (grid.coords / r) ** 2
-    lhs = np.zeros_like(r)
-    for axis in range(spec.n):
-        lhs += gd**2 * ratios2[axis] + gv**2 * inv_sm2 * (1.0 - ratios2[axis])
-    rhs = gd**2 + (spec.n - 1) * gv**2 * inv_sm2
-    scale = gd**2 + (spec.n - 1) * np.abs(gv**2 * inv_sm2) + 1e-300
-    worst = float(np.max(np.abs(lhs - rhs) / scale))
-    return GradientIdentityReport(max_relative_residual=worst,
-                                  tolerance=1e-10, nodes=r.size)
 
 
 # ---------------------------------------------------------------------------

@@ -136,7 +136,6 @@ def generate_mesh(spec: dm.DomainSpec, level: int) -> PolarMesh:
 @dataclass(frozen=True)
 class FemSystem:
     mesh: PolarMesh
-    form: SpaceForm
     stiffness: sparse.csr_matrix
     mass: sparse.csr_matrix
 
@@ -225,8 +224,8 @@ def _stencil_matrix(sums, columns: np.ndarray, valid: np.ndarray,
     return matrix
 
 
-def assemble(mesh: PolarMesh, form: SpaceForm) -> FemSystem:
-    """Stiffness and mass for the weak form in the chart.
+def assemble(mesh: PolarMesh) -> FemSystem:
+    """Stiffness and mass for the weak form in the chart of ``mesh.spec``.
 
     Stiffness integrand: (u_r v_r + sin_m^{-2} u_t v_t) sin_m(r);
     mass integrand: u v sin_m(r).  P1 gradients are constant per element,
@@ -239,6 +238,7 @@ def assemble(mesh: PolarMesh, form: SpaceForm) -> FemSystem:
     angular and two quad-diagonal neighbours); K and M are built from
     those, with no duplicate entries to sum.
     """
+    form = mesh.spec.form
     n_radial, n_angular = mesh.n_radial, mesh.n_angular
     r = mesh.vertices[:, 0].reshape(n_radial + 1, n_angular)
     theta = mesh.vertices[:n_angular, 1]
@@ -262,7 +262,7 @@ def assemble(mesh: PolarMesh, form: SpaceForm) -> FemSystem:
 
     stiffness = _stencil_matrix(_stencil_sums(k1, k2), columns, valid, indptr)
     mass = _stencil_matrix(_stencil_sums(m1, m2), columns, valid, indptr)
-    return FemSystem(mesh=mesh, form=form, stiffness=stiffness, mass=mass)
+    return FemSystem(mesh=mesh, stiffness=stiffness, mass=mass)
 
 
 @dataclass(frozen=True)
@@ -363,7 +363,8 @@ def eigensolve(systems, m: int = 8) -> FemEigenResult:
     if len(history) >= 2:
         coarse = np.array(history[-2][2])
         extra = finest + (finest - coarse) / 3.0
-        scale = np.maximum(np.abs(extra), 1.0)
+        scale = np.abs(extra)
+        scale[0] = 1.0  # the constant mode's error is absolute
         est = tuple(float(x) for x in np.abs(extra - finest) / scale)
         extrapolated = tuple(float(x) for x in extra)
     if len(history) >= 3:
@@ -383,7 +384,7 @@ def eigensolve(systems, m: int = 8) -> FemEigenResult:
 
 def solve_domain(spec: dm.DomainSpec, levels=(1, 2, 3), m: int = 8) -> FemEigenResult:
     """Mesh, assemble and eigensolve the domain across refinement levels."""
-    systems = [assemble(generate_mesh(spec, lv), spec.form) for lv in levels]
+    systems = [assemble(generate_mesh(spec, lv)) for lv in levels]
     return eigensolve(systems, m=m)
 
 
@@ -457,8 +458,8 @@ def verify_theorem(spec: dm.DomainSpec, config: VerifyConfig | None = None) -> T
         raise dm.SymmetryError("the comparison needs a declared symmetry class")
 
     grid = dm.QuadratureGrid.for_spec(spec)
-    vol = dm.volume(spec, grid)
-    r1, r2 = dm.matched_annulus(spec, grid)
+    vol = dm.volume(grid)
+    r1, r2 = dm.matched_annulus(grid)
 
     sl_config = SolverConfig(grid_points=2048, richardson=True,
                              eig_tol=RADIAL_EIG_TOL, max_j=1)

@@ -26,11 +26,10 @@ point is k, so the bounded solution vanishes).
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 from scipy.linalg import LinAlgError, eigh_tridiagonal
 
 from .spaceform import GeometryError, SpaceForm, _as_form, _gl_rule, sin_m
@@ -47,8 +46,6 @@ __all__ = [
     "discretize",
     "solve",
     "locate_b",
-    "extend_gk",
-    "ExtendedRadialFunction",
     "problem_from_dict",
     "problem_to_dict",
     "pairs_to_dicts",
@@ -168,15 +165,14 @@ def _origin_cell_mass(form: SpaceForm, n: int, h: float) -> float:
     return half * float(np.dot(w, sin_m(form, nodes) ** (n - 1)))
 
 
-def discretize(problem: SLProblem, config) -> TridiagonalSystem:
+def discretize(problem: SLProblem, cells: int) -> TridiagonalSystem:
     """Flux-form finite-difference pencil for the radial problem.
 
-    ``config`` is a SolverConfig or a bare cell count; the grid has one
-    node more than it has cells.  Neumann conditions are natural (the
-    boundary half-cells simply lose their outer flux); Dirichlet
-    conditions eliminate the boundary node.
+    The grid has ``cells`` uniform cells and one node more.  Neumann
+    conditions are natural (the boundary half-cells simply lose their
+    outer flux); Dirichlet conditions eliminate the boundary node.
     """
-    N = config.grid_points if isinstance(config, SolverConfig) else int(config)
+    N = int(cells)
     if N < 8:
         raise ValueError("grid too coarse")
     r1, r2, n, form = problem.r1, problem.r2, problem.n, problem.form
@@ -369,14 +365,15 @@ def solve(problem: SLProblem, config: SolverConfig | None = None) -> list[SLEige
     return pairs
 
 
-def locate_b(pair: SLEigenpair, problem: SLProblem) -> float:
+def locate_b(pair: SLEigenpair) -> float:
     """Radius b in (r1, r2) where the potential equals the first eigenvalue.
 
     For the lowest Neumann eigenpair of a mode k >= 1 on an annulus the
     flux (sin_m^{n-1} u')' changes sign exactly once, which forces
     mu = k(k+n-2)/sin_m(b)^2 at an interior radius b; this inverts the
-    relation in closed form and checks the residual.
+    relation in closed form for ``pair.problem`` and checks the residual.
     """
+    problem = pair.problem
     if problem.k < 1 or pair.j != 1:
         raise ValueError("b-location applies to the (k, 1) pair with k >= 1")
     if problem.bc is not BoundaryCondition.NEUMANN:
@@ -403,65 +400,6 @@ def locate_b(pair: SLEigenpair, problem: SLProblem) -> float:
     if resid > 1e-9 * mu:
         raise NoRootError(f"residual {resid:.3e} exceeds 1e-9 * mu")  # pragma: no cover
     return b
-
-
-@dataclass(frozen=True)
-class ExtendedRadialFunction:
-    """u_k on [r1, r2] continued by its outer value beyond r2.
-
-    Inside the annulus the stored samples are interpolated by a cubic
-    spline (clamped where the boundary derivative is known to vanish);
-    past r2 the function is the constant u_k(r2) with zero derivative.
-    Queries below r1 are outside the domain of definition.
-    """
-
-    r_inner: float
-    r_outer: float
-    r_max: float
-    _spline: CubicSpline = field(repr=False)
-    _tail: float
-
-    def _check(self, r: np.ndarray):
-        if np.any(r < self.r_inner - 1e-12):
-            raise GeometryError(f"query below the inner radius {self.r_inner}")
-
-    def value(self, r):
-        arr = np.asarray(r, dtype=float)
-        self._check(arr)
-        out = np.where(arr <= self.r_outer,
-                       self._spline(np.clip(arr, self.r_inner, self.r_outer)),
-                       self._tail)
-        return out if out.ndim else float(out)
-
-    def derivative(self, r):
-        arr = np.asarray(r, dtype=float)
-        self._check(arr)
-        out = np.where(arr <= self.r_outer,
-                       self._spline(np.clip(arr, self.r_inner, self.r_outer), 1),
-                       0.0)
-        return out if out.ndim else float(out)
-
-    __call__ = value
-
-
-def extend_gk(pair: SLEigenpair, r_max: float) -> ExtendedRadialFunction:
-    """Constant continuation of a lowest Neumann eigenfunction beyond r2."""
-    problem = pair.problem
-    if problem.bc is not BoundaryCondition.NEUMANN or pair.j != 1:
-        raise ValueError("extension is defined for (k, 1) Neumann pairs")
-    if r_max < problem.r2:
-        raise ValueError("r_max must reach at least the outer radius")
-    inner_clamped = problem.has_inner_boundary or problem.k >= 2
-    spline = CubicSpline(
-        pair.grid, pair.values,
-        bc_type=((1, 0.0) if inner_clamped else "not-a-knot", (1, 0.0)))
-    return ExtendedRadialFunction(
-        r_inner=problem.r1,
-        r_outer=problem.r2,
-        r_max=float(r_max),
-        _spline=spline,
-        _tail=float(pair.values[-1]),
-    )
 
 
 # ---------------------------------------------------------------------------

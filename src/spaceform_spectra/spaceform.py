@@ -27,14 +27,12 @@ __all__ = [
     "UnattainableVolumeError",
     "GeodesicPoint",
     "sin_m",
-    "cos_m",
     "radial_weight_functions",
     "warped_product_residual",
     "unit_sphere_area",
     "annulus_volume",
     "match_outer_radius",
     "to_normal_coords",
-    "from_normal_coords",
     "constants_reference",
     "write_constants_reference",
 ]
@@ -86,21 +84,6 @@ def sin_m(form: SpaceForm, r):
         out = np.sinh(arr)
     else:
         out = arr.copy()
-    return out if out.ndim else float(out)
-
-
-def cos_m(form: SpaceForm, r):
-    """Derivative of sin_m: cos r / 1 / cosh r."""
-    form = _as_form(form)
-    arr = np.asarray(r, dtype=float)
-    if np.any(arr < 0):
-        raise GeometryError("radius must be nonnegative")
-    if form is SpaceForm.SPHERICAL:
-        out = np.cos(arr)
-    elif form is SpaceForm.HYPERBOLIC:
-        out = np.cosh(arr)
-    else:
-        out = np.ones_like(arr)
     return out if out.ndim else float(out)
 
 
@@ -283,31 +266,6 @@ def to_normal_coords(point: GeodesicPoint) -> np.ndarray:
         prod *= math.sin(point.theta[i])
     x[n - 1] = prod
     return x
-
-
-def from_normal_coords(x, form: SpaceForm | None = None) -> GeodesicPoint:
-    """Inverse chart; the zero vector maps to r = 0 with zero angles.
-
-    Interior angles are recovered with atan2 on tail norms (hence land in
-    [0, pi]); the last angle is reduced to [0, 2 pi).  With a spherical
-    form the chart requires |X| < pi.
-    """
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 1 or x.size < 2:
-        raise GeometryError("normal coordinates must be a vector of length >= 2")
-    n = x.size
-    r = float(np.linalg.norm(x))
-    if form is not None and _as_form(form) is SpaceForm.SPHERICAL and r >= math.pi:
-        raise GeometryError("point outside the spherical chart (|X| >= pi)")
-    if r == 0.0:
-        return GeodesicPoint(0.0, (0.0,) * (n - 1))
-    angles = []
-    for i in range(n - 2):
-        tail = float(np.linalg.norm(x[i + 1:]))
-        angles.append(math.atan2(tail, x[i]))
-    last = math.atan2(x[n - 1], x[n - 2]) % (2 * math.pi)
-    angles.append(last)
-    return GeodesicPoint(r, tuple(angles))
 
 
 # ---------------------------------------------------------------------------

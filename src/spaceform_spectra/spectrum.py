@@ -130,11 +130,14 @@ def assemble(form: SpaceForm, n: int, r1: float, r2: float,
     """Merged Neumann spectrum over modes k <= k_max, j <= j_max.
 
     The (0, 1) entry is the constant function and is recorded as an exact
-    zero.  r1 = 0 (a ball) is allowed.
+    zero.  r1 = 0 (a ball) is allowed.  A cutoff below 2 certifies no
+    prefix and raises CutoffTooLowError.
     """
     form = _as_form(form)
     if k_max < 2 or j_max < 2:
-        raise ValueError("need k_max >= 2 and j_max >= 2")
+        raise CutoffTooLowError(
+            f"kmax={k_max}, jmax={j_max} cannot certify a spectrum prefix "
+            "(need both >= 2)")
     base = replace(config or SolverConfig(), max_j=j_max)
 
     neumann_pairs: dict[int, tuple] = {}
@@ -284,7 +287,7 @@ def certify_lemmas(form: SpaceForm, n: int, r1: float, r2: float,
         for k in (1, 2, 3):
             pair = neumann[k][0]
             try:
-                b = locate_b(pair, pair.problem)
+                b = locate_b(pair)
             except slsolver.NoRootError:
                 ok_interior = False
                 continue

@@ -141,7 +141,7 @@ def test_criterion_05_lowest_pair_suite():
         for k in (1, 2, 3):
             problem = SLProblem(form, n, k, r1, r2)
             pair = slsolver.solve(problem, SolverConfig(max_j=1))[0]
-            b = slsolver.locate_b(pair, problem)
+            b = slsolver.locate_b(pair)
             interior &= r1 < b < r2
             resid = abs(pair.eigenvalue - problem.angular_eigenvalue
                         / sin_m(form, b) ** 2) / pair.eigenvalue
@@ -178,8 +178,8 @@ def _required_relative_moments(spec, grid):
     worst = 0.0
 
     def rel(g, powers):
-        signed = dm.integrate_moment(spec, grid, g, powers)
-        scale = dm.integrate_moment(spec, grid, g, powers, absolute=True)
+        signed = dm.integrate_moment(grid, g, powers)
+        scale = dm.integrate_moment(grid, g, powers, absolute=True)
         return abs(signed) / max(scale, 1e-300)
 
     pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
@@ -216,15 +216,15 @@ def _required_relative_moments(spec, grid):
                     powers[i] = powers[j] = 1
                     worst = max(worst, rel(g, powers))
             for p in (2, 4):
-                vals = [dm.integrate_moment(spec, grid, g,
+                vals = [dm.integrate_moment(grid, g,
                                             [p if a == i else 0 for a in range(n)])
                         for i in range(n)]
                 worst = max(worst, (max(vals) - min(vals)) / abs(vals[0]))
     if sym is SymmetryOrder.ORDER4:
         for i, j in pairs:
             if i < j:
-                signed = dm.grad_pair_integral(spec, grid, GAUSS, i + 1, j + 1)
-                scale = dm.grad_pair_integral(spec, grid, GAUSS, i + 1, j + 1,
+                signed = dm.grad_pair_integral(grid, GAUSS, i + 1, j + 1)
+                scale = dm.grad_pair_integral(grid, GAUSS, i + 1, j + 1,
                                               absolute=True)
                 worst = max(worst, abs(signed) / scale)
     return worst
@@ -251,8 +251,8 @@ def test_criterion_06_orthogonality_suite():
     for spec in controls:
         grid = QuadratureGrid.for_spec(spec)
         powers = [1] + [0] * (spec.n - 1)
-        signed = dm.integrate_moment(spec, grid, ONE, powers)
-        scale = dm.integrate_moment(spec, grid, ONE, powers, absolute=True)
+        signed = dm.integrate_moment(grid, ONE, powers)
+        scale = dm.integrate_moment(grid, ONE, powers, absolute=True)
         control_violation = min(control_violation, abs(signed) / scale)
     elapsed = time.perf_counter() - start
     ok = worst <= 1e-10 and control_violation >= 1e-3 and elapsed < 30.0
@@ -319,11 +319,11 @@ def test_criterion_08_rayleigh_bound():
         r2 = 1.1 if form is SpaceForm.SPHERICAL else 1.3
         spec = DomainSpec.exact_annulus(form, 2, 0.4, r2)
         grid = QuadratureGrid.for_spec(spec)
-        r1m, r2m = dm.matched_annulus(spec, grid)
+        r1m, r2m = dm.matched_annulus(grid)
         for k in (1, 2, 3):
             pair = slsolver.solve(SLProblem(form, 2, k, r1m, r2m),
                                   SolverConfig(max_j=1))[0]
-            quotient = dm.rayleigh_gk(spec, grid, k, pair)
+            quotient = dm.rayleigh_gk(grid, pair)
             worst_eq = max(worst_eq, abs(quotient - pair.eigenvalue) / pair.eigenvalue)
 
     margins = []
@@ -332,11 +332,11 @@ def test_criterion_08_rayleigh_bound():
         spec = dm.random_spec(rng, form, 2, SymmetryOrder.ORDER4,
                               amplitude=0.08, with_hole=True)
         grid = QuadratureGrid.for_spec(spec)
-        r1m, r2m = dm.matched_annulus(spec, grid)
+        r1m, r2m = dm.matched_annulus(grid)
         for k in (1, 2, 3):
             pair = slsolver.solve(SLProblem(form, 2, k, r1m, r2m),
                                   SolverConfig(max_j=1))[0]
-            quotient = dm.rayleigh_gk(spec, grid, k, pair)
+            quotient = dm.rayleigh_gk(grid, pair)
             margins.append((pair.eigenvalue - quotient) / pair.eigenvalue)
     sign_ok = all(m >= -1e-10 for m in margins)
     ok = worst_eq <= 1e-8 and sign_ok

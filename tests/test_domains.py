@@ -27,9 +27,9 @@ GAUSS = RadialTestFunction(lambda r: np.exp(-0.5 * r**2),
                            lambda r: -r * np.exp(-0.5 * r**2))
 
 
-def relative_moment(spec, grid, g, powers):
-    signed = dm.integrate_moment(spec, grid, g, powers)
-    scale = dm.integrate_moment(spec, grid, g, powers, absolute=True)
+def relative_moment(grid, g, powers):
+    signed = dm.integrate_moment(grid, g, powers)
+    scale = dm.integrate_moment(grid, g, powers, absolute=True)
     return abs(signed) / max(scale, 1e-300)
 
 
@@ -81,12 +81,12 @@ class TestQuadratureVolume:
         spec = DomainSpec.exact_annulus(form, n, 0.4, r2)
         grid = QuadratureGrid.for_spec(spec)
         expected = sf.annulus_volume(form, n, 0.4, r2)
-        assert dm.volume(spec, grid) == pytest.approx(expected, rel=1e-10)
+        assert dm.volume(grid) == pytest.approx(expected, rel=1e-10)
 
     def test_unit_disk(self):
         spec = DomainSpec.exact_annulus("euclidean", 2, 0.0, 1.0)
         grid = QuadratureGrid.for_spec(spec)
-        assert dm.volume(spec, grid) == pytest.approx(math.pi, rel=1e-12)
+        assert dm.volume(grid) == pytest.approx(math.pi, rel=1e-12)
 
     def test_weights_positive(self):
         spec = dm.random_spec(np.random.default_rng(1), "hyperbolic", 3,
@@ -97,8 +97,8 @@ class TestQuadratureVolume:
     def test_self_convergence_under_order_doubling(self):
         spec = dm.random_spec(np.random.default_rng(2), "spherical", 2,
                               SymmetryOrder.ORDER4, amplitude=0.08)
-        coarse = dm.volume(spec, QuadratureGrid.for_spec(spec, 32, 128))
-        fine = dm.volume(spec, QuadratureGrid.for_spec(spec, 64, 256))
+        coarse = dm.volume(QuadratureGrid.for_spec(spec, 32, 128))
+        fine = dm.volume(QuadratureGrid.for_spec(spec, 64, 256))
         assert abs(fine - coarse) / fine < 1e-9
 
     def test_error_drops_fast_when_doubling_low_orders(self):
@@ -106,17 +106,10 @@ class TestQuadratureVolume:
         # deliberately coarse grid gains three orders of magnitude or more
         spec = dm.random_spec(np.random.default_rng(4), "hyperbolic", 2,
                               SymmetryOrder.ORDER4, amplitude=0.08)
-        reference = dm.volume(spec, QuadratureGrid.for_spec(spec, 64, 512))
-        err_low = abs(dm.volume(spec, QuadratureGrid.for_spec(spec, 3, 16)) - reference)
-        err_high = abs(dm.volume(spec, QuadratureGrid.for_spec(spec, 6, 32)) - reference)
+        reference = dm.volume(QuadratureGrid.for_spec(spec, 64, 512))
+        err_low = abs(dm.volume(QuadratureGrid.for_spec(spec, 3, 16)) - reference)
+        err_high = abs(dm.volume(QuadratureGrid.for_spec(spec, 6, 32)) - reference)
         assert err_low >= 1e3 * err_high
-
-    def test_grid_spec_mismatch_rejected(self):
-        spec_a = DomainSpec.exact_annulus("euclidean", 2, 0.0, 1.0)
-        spec_b = DomainSpec.exact_annulus("euclidean", 2, 0.0, 1.1)
-        grid = QuadratureGrid.for_spec(spec_a)
-        with pytest.raises(ValueError):
-            dm.volume(spec_b, grid)
 
 
 def class_specs(symmetry, count, seed):
@@ -142,20 +135,20 @@ class TestOrthogonality:
                 for m in (0, 1):
                     powers = [0] * n
                     powers[0], powers[1] = 1, 2 * m
-                    assert relative_moment(spec, grid, g, powers) <= 1e-10
+                    assert relative_moment(grid, g, powers) <= 1e-10
                 for m in (0, 1, 2):
                     powers = [0] * n
                     powers[-1] = 2 * m + 1
-                    assert relative_moment(spec, grid, g, powers) <= 1e-10
+                    assert relative_moment(grid, g, powers) <= 1e-10
 
     def test_order2_mixed_moments_vanish(self):
         for spec in class_specs(SymmetryOrder.ORDER2, 6, 202):
             grid = QuadratureGrid.for_spec(spec)
             for g in (ONE, GAUSS):
                 for m in (0, 1, 2, 3):
-                    assert relative_moment(spec, grid, g, (1, m, 0)) <= 1e-10
-                    assert relative_moment(spec, grid, g, (0, 1, m)) <= 1e-10
-                assert relative_moment(spec, grid, g, (0, 0, 3)) <= 1e-10
+                    assert relative_moment(grid, g, (1, m, 0)) <= 1e-10
+                    assert relative_moment(grid, g, (0, 1, m)) <= 1e-10
+                assert relative_moment(grid, g, (0, 0, 3)) <= 1e-10
 
     def test_order4_cross_and_equal_moments(self):
         for spec in class_specs(SymmetryOrder.ORDER4, 6, 303):
@@ -165,9 +158,9 @@ class TestOrthogonality:
                 for j in range(i + 1, n):
                     powers = [0] * n
                     powers[i] = powers[j] = 1
-                    assert relative_moment(spec, grid, ONE, powers) <= 1e-10
+                    assert relative_moment(grid, ONE, powers) <= 1e-10
             for power in (2, 4):
-                vals = [dm.integrate_moment(spec, grid, GAUSS,
+                vals = [dm.integrate_moment(grid, GAUSS,
                                             [power if a == i else 0 for a in range(n)])
                         for i in range(n)]
                 assert (max(vals) - min(vals)) / abs(vals[0]) <= 1e-10
@@ -175,21 +168,21 @@ class TestOrthogonality:
     def test_order4_gradient_cross_terms_vanish(self):
         for spec in class_specs(SymmetryOrder.ORDER4, 4, 404):
             grid = QuadratureGrid.for_spec(spec)
-            signed = dm.grad_pair_integral(spec, grid, GAUSS, 1, 2)
-            scale = dm.grad_pair_integral(spec, grid, GAUSS, 1, 2, absolute=True)
+            signed = dm.grad_pair_integral(grid, GAUSS, 1, 2)
+            scale = dm.grad_pair_integral(grid, GAUSS, 1, 2, absolute=True)
             assert abs(signed) / scale <= 1e-10
 
     def test_negative_control_asymmetric_domain(self):
         spec = DomainSpec("euclidean", 2, SymmetryOrder.NONE,
                           FourierProfile(1.0, ((1, 0.05, 0.0),)))
         grid = QuadratureGrid.for_spec(spec)
-        assert relative_moment(spec, grid, ONE, (1, 0)) >= 1e-3
+        assert relative_moment(grid, ONE, (1, 0)) >= 1e-3
 
     def test_negative_control_3d(self):
         spec = DomainSpec("hyperbolic", 3, SymmetryOrder.NONE,
                           SphereProfile(1.0, (("dipole_2", 0.05),)))
         grid = QuadratureGrid.for_spec(spec)
-        assert relative_moment(spec, grid, ONE, (0, 1, 0)) >= 1e-3
+        assert relative_moment(grid, ONE, (0, 1, 0)) >= 1e-3
 
 
 def chart_coords_fn(n):
@@ -266,13 +259,8 @@ class TestGradientIdentities:
 
 
 @pytest.fixture(scope="module")
-def matched_pair():
-    spec = DomainSpec.exact_annulus("spherical", 2, 0.35, 1.1)
-    grid = QuadratureGrid.for_spec(spec)
-    r1, r2 = dm.matched_annulus(spec, grid)
-    pair = slsolver.solve(SLProblem("spherical", 2, 1, r1, r2),
-                          SolverConfig(max_j=1))[0]
-    return spec, grid, pair
+def shell_grid():
+    return QuadratureGrid.for_spec(DomainSpec.exact_annulus("spherical", 2, 0.35, 1.1))
 
 
 class TestRayleighBound:
@@ -281,11 +269,11 @@ class TestRayleighBound:
         r2 = 1.2 if form != "spherical" else 1.1
         spec = DomainSpec.exact_annulus(form, 2, 0.4, r2)
         grid = QuadratureGrid.for_spec(spec)
-        r1, r2m = dm.matched_annulus(spec, grid)
+        r1, r2m = dm.matched_annulus(grid)
         for k in (1, 2, 3):
             pair = slsolver.solve(SLProblem(form, 2, k, r1, r2m),
                                   SolverConfig(max_j=1))[0]
-            quotient = dm.rayleigh_gk(spec, grid, k, pair)
+            quotient = dm.rayleigh_gk(grid, pair)
             assert quotient == pytest.approx(pair.eigenvalue, rel=1e-8)
 
     def test_strict_inequality_on_perturbation(self):
@@ -293,60 +281,37 @@ class TestRayleighBound:
                           FourierProfile(1.3, ((4, 0.05, 0.02),)),
                           FourierProfile(0.6, ((4, -0.02, 0.03),)))
         grid = QuadratureGrid.for_spec(spec)
-        r1, r2 = dm.matched_annulus(spec, grid)
+        r1, r2 = dm.matched_annulus(grid)
         pair = slsolver.solve(SLProblem("euclidean", 2, 1, r1, r2),
                               SolverConfig(max_j=1))[0]
-        quotient = dm.rayleigh_gk(spec, grid, 1, pair)
+        quotient = dm.rayleigh_gk(grid, pair)
         assert quotient < pair.eigenvalue
 
     def test_ball_like_domain(self):
         spec = DomainSpec("hyperbolic", 2, SymmetryOrder.ORDER4,
                           FourierProfile(1.0, ((4, 0.04, 0.0),)))
         grid = QuadratureGrid.for_spec(spec)
-        r1, r2 = dm.matched_annulus(spec, grid)
+        r1, r2 = dm.matched_annulus(grid)
         assert r1 == 0.0
         pair = slsolver.solve(SLProblem("hyperbolic", 2, 1, 0.0, r2),
                               SolverConfig(max_j=1))[0]
-        quotient = dm.rayleigh_gk(spec, grid, 1, pair)
+        quotient = dm.rayleigh_gk(grid, pair)
         assert quotient <= pair.eigenvalue * (1 + 1e-10)
 
-    def test_volume_mismatch_rejected(self, matched_pair):
-        spec, grid, _ = matched_pair
+    def test_volume_mismatch_rejected(self, shell_grid):
         bad = slsolver.solve(SLProblem("spherical", 2, 1, 0.35, 1.05),
                              SolverConfig(max_j=1, grid_points=256))[0]
         with pytest.raises(VolumeMismatchError):
-            dm.rayleigh_gk(spec, grid, 1, bad)
+            dm.rayleigh_gk(shell_grid, bad)
 
-    def test_inner_ball_must_fit_the_hole(self, matched_pair):
-        spec, grid, _ = matched_pair
-        target = dm.volume(spec, grid)
+    def test_inner_ball_must_fit_the_hole(self, shell_grid):
+        target = dm.volume(shell_grid)
         r1_bad = 0.5  # pokes out of the hole (inf rho_in = 0.35)
         r2_bad = sf.match_outer_radius("spherical", 2, r1_bad, target)
         bad = slsolver.solve(SLProblem("spherical", 2, 1, r1_bad, r2_bad),
                              SolverConfig(max_j=1, grid_points=256))[0]
         with pytest.raises(VolumeMismatchError):
-            dm.rayleigh_gk(spec, grid, 1, bad)
-
-    def test_mode_mismatch_rejected(self, matched_pair):
-        spec, grid, pair = matched_pair
-        with pytest.raises(ValueError):
-            dm.rayleigh_gk(spec, grid, 2, pair)
-
-
-class TestSumGradientIdentity:
-    def test_residual_at_machine_scale(self, matched_pair):
-        spec, grid, pair = matched_pair
-        report = dm.sum_gradient_identity_check(spec, grid, pair)
-        assert report.passed
-        assert report.max_relative_residual <= 1e-10
-
-    def test_three_dimensional_domain(self):
-        spec = DomainSpec.exact_annulus("hyperbolic", 3, 0.4, 1.2)
-        grid = QuadratureGrid.for_spec(spec)
-        pair = slsolver.solve(SLProblem("hyperbolic", 3, 1, 0.4, 1.2),
-                              SolverConfig(max_j=1))[0]
-        report = dm.sum_gradient_identity_check(spec, grid, pair)
-        assert report.passed
+            dm.rayleigh_gk(shell_grid, bad)
 
 
 class TestWireFormat:
@@ -376,21 +341,17 @@ class TestMatchedAnnulus:
     def test_exact_annulus_is_its_own_match(self):
         spec = DomainSpec.exact_annulus("euclidean", 2, 0.7, 1.6)
         grid = QuadratureGrid.for_spec(spec)
-        r1, r2 = dm.matched_annulus(spec, grid)
+        r1, r2 = dm.matched_annulus(grid)
         assert r1 == pytest.approx(0.7, abs=1e-10)
         assert r2 == pytest.approx(1.6, abs=1e-9)
 
     def test_extrema_refinement(self):
-        spec = DomainSpec("euclidean", 2, SymmetryOrder.ORDER4,
+        spec = DomainSpec("euclidean", 2, SymmetryOrder.ORDER4, FourierProfile(2.0),
                           FourierProfile(1.0, ((4, 0.05, 0.0),)))
-        ext = dm.boundary_extrema(spec)
-        assert ext["inf_out"] == pytest.approx(0.95, abs=1e-10)
-        assert ext["sup_out"] == pytest.approx(1.05, abs=1e-10)
+        assert dm.inner_infimum(spec) == pytest.approx(0.95, abs=1e-10)
 
     def test_extrema_refinement_3d(self):
-        spec = DomainSpec("euclidean", 3, SymmetryOrder.ORDER4,
+        spec = DomainSpec("euclidean", 3, SymmetryOrder.ORDER4, SphereProfile(2.0),
                           SphereProfile(1.0, (("quartic_axes", 0.05),)))
-        ext = dm.boundary_extrema(spec)
         # quartic term ranges over [-0.8/3, 0.4] times the coefficient
-        assert ext["sup_out"] == pytest.approx(1.0 + 0.05 * 0.4, abs=1e-8)
-        assert ext["inf_out"] == pytest.approx(1.0 - 0.05 * 0.8 / 3.0, abs=1e-8)
+        assert dm.inner_infimum(spec) == pytest.approx(1.0 - 0.05 * 0.8 / 3.0, abs=1e-8)

@@ -98,7 +98,7 @@ class TestMeshGeneration:
 
 @pytest.fixture(scope="module")
 def system():
-    return assemble(generate_mesh(ANNULUS, 1), SpaceForm.EUCLIDEAN)
+    return assemble(generate_mesh(ANNULUS, 1))
 
 
 class TestAssembly:
@@ -111,7 +111,7 @@ class TestAssembly:
         coords = mesh_triangle_coords(system.mesh)
         areas = oracles.chart_areas(coords)
         r_mid = fem2d._MIDEDGE @ coords[:, :, 0].T
-        quad_volume = float(np.sum(areas / 3.0 * np.sum(sin_m(system.form, r_mid), axis=0)))
+        quad_volume = float(np.sum(areas / 3.0 * np.sum(sin_m(system.mesh.spec.form, r_mid), axis=0)))
         assert float(system.mass.sum()) == pytest.approx(quad_volume, rel=1e-12)
         # and the quadrature volume itself approximates the true volume
         true_volume = 3 * math.pi
@@ -136,7 +136,7 @@ class TestAssembly:
                      DomainSpec.exact_annulus("hyperbolic", 2, 0.5, 1.5),
                      DomainSpec.exact_annulus("spherical", 2, 0.0, 1.0)):  # hole-free
             mesh = generate_mesh(spec, 0)
-            system = assemble(mesh, spec.form)
+            system = assemble(mesh)
             triangles = mesh_triangles(mesh)
             coords = oracles.triangle_coords(mesh.vertices, triangles)
             n = mesh.n_vertices
@@ -169,7 +169,7 @@ class TestAssembly:
                           FourierProfile(0.5, ((4, 0.02, 0.02),)) if hole else None)
         for level in range(4):
             mesh = generate_mesh(spec, level)
-            system = assemble(mesh, spec.form)
+            system = assemble(mesh)
             reference = oracles.element_assembly(mesh.vertices, mesh_triangles(mesh), form)
             for matrix, ref in zip((system.stiffness, system.mass), reference):
                 assert np.array_equal(matrix.indptr, ref.indptr)
@@ -182,7 +182,7 @@ class TestAssembly:
         mesh = generate_mesh(ANNULUS, 3)
         tracemalloc.start()
         try:
-            system = assemble(mesh, SpaceForm.EUCLIDEAN)
+            system = assemble(mesh)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -205,6 +205,17 @@ class TestEigensolve:
         assert abs(disk_result.eigenvalues[0]) <= 1e-8
         # its level-to-level changes are rounding noise, not a convergence order
         assert disk_result.observed_order[0] is None
+
+    def test_error_estimate_relative_below_one(self):
+        # mu_2 of the radius-3 disk is about 0.377; only the constant mode's
+        # estimate is absolute
+        disk = DomainSpec.exact_annulus("euclidean", 2, 0.0, 3.0)
+        result = solve_domain(disk, levels=(1, 2, 3), m=4)
+        extra, finest = np.array(result.extrapolated), np.array(result.eigenvalues)
+        assert extra[1] < 1.0
+        assert result.est_rel_error[1:] == pytest.approx(
+            tuple(np.abs(extra - finest)[1:] / extra[1:]), rel=1e-12)
+        assert result.est_rel_error[0] == abs(extra[0] - finest[0])
 
     def test_convergence_from_above_at_order_two(self, disk_result):
         values = np.array([lvl[2] for lvl in disk_result.levels])
@@ -250,7 +261,7 @@ class TestEigensolve:
         assert annulus_result.max_residual <= 1e-9
 
     def test_sparse_path_level0_mesh(self):
-        system = assemble(generate_mesh(ANNULUS, 0), SpaceForm.EUCLIDEAN)
+        system = assemble(generate_mesh(ANNULUS, 0))
         assert system.n_unknowns == 13 * 48
         res = eigensolve(system, m=4)
         assert res.extrapolated is None
@@ -270,7 +281,7 @@ class TestEigensolve:
                      id="disk-level0"),
     ])
     def test_sparse_path_matches_dense(self, spec, level):
-        system = assemble(generate_mesh(spec, level), spec.form)
+        system = assemble(generate_mesh(spec, level))
         sparse_vals = np.array(eigensolve(system, m=8).eigenvalues)
         dense_vals = oracles.dense_shift_invert(system.stiffness, system.mass, 8,
                                                 fem2d.SHIFT)

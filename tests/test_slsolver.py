@@ -5,12 +5,12 @@ import numpy as np
 import pytest
 
 from spaceform_spectra import slsolver as sl
+from spaceform_spectra.domains import extend_gk
 from spaceform_spectra.slsolver import (
     SLProblem,
     SolverConfig,
     _pencil_rayleigh,
     discretize,
-    extend_gk,
     locate_b,
     solve,
 )
@@ -217,7 +217,7 @@ class TestLowestPair:
         for k in (1, 2, 3):
             problem = SLProblem(form, n, k, r1, r2)
             pair = solve(problem, fast_config())[0]
-            b = locate_b(pair, problem)
+            b = locate_b(pair)
             assert r1 < b < r2
             resid = abs(pair.eigenvalue
                         - problem.angular_eigenvalue / sin_m(form, b) ** 2)
@@ -226,22 +226,22 @@ class TestLowestPair:
     def test_locate_b_euclidean_closed_form(self):
         problem = SLProblem("euclidean", 2, 1, 1.0, 2.0)
         pair = solve(problem, fast_config())[0]
-        assert locate_b(pair, problem) == pytest.approx(1.0 / math.sqrt(pair.eigenvalue), rel=1e-12)
+        assert locate_b(pair) == pytest.approx(1.0 / math.sqrt(pair.eigenvalue), rel=1e-12)
 
     def test_locate_b_spherical_closed_form(self):
         problem = SLProblem("spherical", 2, 1, 0.3, 1.2)
         pair = solve(problem, fast_config())[0]
-        assert locate_b(pair, problem) == pytest.approx(
+        assert locate_b(pair) == pytest.approx(
             math.asin(math.sqrt(1.0 / pair.eigenvalue)), rel=1e-12)
 
     def test_locate_b_preconditions(self):
         problem = SLProblem("euclidean", 2, 0, 1.0, 2.0)
         pair = solve(problem, fast_config())[0]
         with pytest.raises(ValueError):
-            locate_b(pair, problem)
+            locate_b(pair)
         ball = SLProblem("euclidean", 2, 1, 0.0, 1.0)
         with pytest.raises(ValueError):
-            locate_b(solve(ball, fast_config())[0], ball)
+            locate_b(solve(ball, fast_config())[0])
 
     @pytest.mark.parametrize("form,n,r1,r2", CONFIGS)
     def test_strictly_increasing_on_the_annulus(self, form, n, r1, r2):
@@ -264,7 +264,7 @@ class TestLowestPair:
 def gk():
     problem = SLProblem("euclidean", 2, 1, 1.0, 2.0)
     pair = solve(problem, fast_config(grid=1024))[0]
-    return pair, extend_gk(pair, 3.0)
+    return pair, extend_gk(pair)
 
 
 class TestExtendGk:
@@ -296,7 +296,7 @@ class TestExtendGk:
         problem = SLProblem("euclidean", 2, 1, 1.0, 2.0, "dirichlet")
         pair = solve(problem, fast_config())[0]
         with pytest.raises(ValueError):
-            extend_gk(pair, 3.0)
+            extend_gk(pair)
 
 
 class TestWireFormats:

@@ -1,10 +1,13 @@
+import importlib
 import json
 import math
+import pkgutil
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import spaceform_spectra
 from spaceform_spectra import domains as dm
 from spaceform_spectra import spaceform as sf
 from spaceform_spectra.spaceform import (
@@ -35,13 +38,13 @@ class TestSinM:
         with pytest.raises(GeometryError):
             sf.sin_m(SpaceForm.SPHERICAL, math.pi + 0.1)
 
-    def test_derivative_matches_cos_m(self):
-        # central differences against the closed derivative branch
+    def test_derivative_matches_weight_derivative(self):
+        # central differences against h' of the radial weight functions
         step = 1e-6
         for form in FORMS:
             r = np.linspace(step, 3.0 if form is not SpaceForm.SPHERICAL else math.pi - step, 500)
             fd = (sf.sin_m(form, r + step) - sf.sin_m(form, r - step)) / (2 * step)
-            assert np.max(np.abs(fd - sf.cos_m(form, r))) < 1e-8
+            assert np.max(np.abs(fd - sf.radial_weight_functions(form)[1](r))) < 1e-8
 
     def test_strict_positivity(self):
         r = np.linspace(1e-6, math.pi - 1e-6, 100)
@@ -155,31 +158,6 @@ class TestNormalCoordinates:
             x = sf.to_normal_coords(point)
             assert np.linalg.norm(x) == pytest.approx(point.r, abs=1e-14 * max(1, point.r))
 
-    def test_inverse_examples(self):
-        p = sf.from_normal_coords(np.array([1.0, 0.0]))
-        assert (p.r, p.theta[0]) == (1.0, 0.0)
-        p = sf.from_normal_coords(np.array([0.0, -2.0]))
-        assert p.r == pytest.approx(2.0)
-        assert p.theta[0] == pytest.approx(3 * math.pi / 2)
-        assert sf.from_normal_coords(np.array([3.0, 4.0])).r == pytest.approx(5.0)
-
-    def test_round_trip(self):
-        rng = np.random.default_rng(11)
-        for _ in range(200):
-            n = int(rng.integers(2, 7))
-            x = rng.normal(size=n)
-            x *= rng.uniform(0.1, 2.0) / np.linalg.norm(x)
-            back = sf.to_normal_coords(sf.from_normal_coords(x))
-            assert np.max(np.abs(back - x)) < 1e-14 * max(1.0, np.linalg.norm(x))
-
-    def test_zero_vector(self):
-        p = sf.from_normal_coords(np.zeros(3))
-        assert p.r == 0.0 and p.theta == (0.0, 0.0)
-
-    def test_spherical_chart_bound(self):
-        with pytest.raises(GeometryError):
-            sf.from_normal_coords(np.array([3.0, 1.5]), form=SpaceForm.SPHERICAL)
-
 
 class TestRotate:
     """Quarter turns of the normal-coordinate chart, as the order-4 symmetry
@@ -254,3 +232,16 @@ class TestConstantsReference:
     def test_committed_reference_is_current(self):
         committed = Path(__file__).parent.parent / "docs" / "constants.json"
         assert json.loads(committed.read_text()) == sf.constants_reference()
+
+
+class TestPublicNames:
+    def test_every_all_entry_resolves(self):
+        # a stale __all__ entry breaks nothing but `from module import *`
+        modules = [importlib.import_module(f"spaceform_spectra.{info.name}")
+                   for info in pkgutil.iter_modules(spaceform_spectra.__path__)]
+        exporting = {m.__name__.rsplit(".", 1)[1]: m for m in modules
+                     if hasattr(m, "__all__")}
+        assert set(exporting) >= {"spaceform", "slsolver", "spectrum", "domains", "fem2d"}
+        for name, module in exporting.items():
+            missing = [entry for entry in module.__all__ if not hasattr(module, entry)]
+            assert not missing, (name, missing)

@@ -104,9 +104,9 @@ class TestAssemble:
         assert ordered[0].k == 0
 
     def test_validates_arguments(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(CutoffTooLowError):
             assemble(SpaceForm.EUCLIDEAN, 2, 1.0, 2.0, 1, 8)
-        with pytest.raises(ValueError):
+        with pytest.raises(CutoffTooLowError):
             assemble(SpaceForm.EUCLIDEAN, 2, 1.0, 2.0, 8, 1)
 
 

@@ -1,16 +1,17 @@
 """Batch front-end: radial solves, shell spectra, domain verification.
 
 Four subcommands map onto the library layers: ``sl`` (one radial
-eigenproblem), ``spectrum`` (assembled shell spectrum plus structural
-certification), ``verify`` (domain-vs-matched-shell comparison through
-the finite-element pipeline) and ``moments`` (symmetry orthogonality and
-Rayleigh-bound checks by quadrature).
+eigenproblem), ``spectrum`` (shell spectrum merged from its radial modes,
+plus structural certification), ``verify`` (domain-vs-matched-shell
+comparison through the finite-element pipeline) and ``moments`` (symmetry
+orthogonality and Rayleigh-bound checks by quadrature).
 
 Exit codes: 0 success, 2 invalid input (an unreadable input file or an
 unwritable output path included), 3 solver failure or truncation, 4 a
 verification check failed.  The subcommands raise; ``main`` alone turns an
 exception into an exit code and a stderr line.  Reports are JSON with
-sorted keys and no timestamps, so identical inputs produce identical bytes.
+sorted keys and no timestamps, so the same inputs on the same BLAS thread
+count produce identical bytes.
 """
 
 from __future__ import annotations
@@ -79,9 +80,10 @@ def _write_json(path: str, payload: dict) -> None:
 # sets them. Their argparse defaults are None, so a given flag is told apart
 # from an absent one.
 _DEFAULTS = {
-    "sl": {"bc": "neumann", "grid_points": 2048, "no_richardson": False},
+    "sl": {"bc": "neumann", "grid_points": SolverConfig.grid_points,
+           "no_richardson": False},
     "spectrum": {"kmax": 8, "jmax": 8, "count": 12, "certify": False,
-                 "grid_points": 2048},
+                 "grid_points": SolverConfig.grid_points},
     "verify": {"form": "all", "seed": 0, "levels": 3, "m": 8},
     "moments": {"form": "all", "seed": 0, "check": "both"},
 }
@@ -203,21 +205,17 @@ def cmd_sl(args, parser) -> int:
 
 def cmd_spectrum(args, parser) -> int:
     _require(args, parser, ("form", "n", "r1", "r2"))
-    form = SpaceForm(args.form)
-    n = args.n
-    r1, r2 = args.r1, args.r2
-    k_max, j_max = args.kmax, args.jmax
-    count = args.count
-    config = SolverConfig(grid_points=args.grid_points)
-    spec = spectrum.assemble(form, n, r1, r2, k_max, j_max, config)
-    values = spec.eigenvalues(count)
+    spec = spectrum.assemble(args.form, args.n, args.r1, args.r2, args.kmax, args.jmax,
+                             SolverConfig(grid_points=args.grid_points))
+    values = spec.eigenvalues(args.count)
 
-    print(f"# Neumann shell spectrum, form={form}, n={n}, "
-          f"interval=[{_fmt(r1)}, {_fmt(r2)}], certified below {_fmt(spec.complete_up_to)}")
+    print(f"# Neumann shell spectrum, form={spec.form}, n={spec.n}, "
+          f"interval=[{_fmt(spec.r1)}, {_fmt(spec.r2)}], "
+          f"certified below {_fmt(spec.complete_up_to)}")
     print(f"{'i':>3}  {'value':>18}  {'k':>3} {'j':>3} {'mult':>4}")
     i = 1
     for e in spec.entries:
-        if i > count:
+        if i > args.count:
             break
         print(f"{i:>3}  {_fmt(e.value):>18}  {e.k:>3} {e.j:>3} {e.multiplicity:>4}")
         i += e.multiplicity
@@ -226,8 +224,7 @@ def cmd_spectrum(args, parser) -> int:
                "first_values": values}
     passed = True
     if args.certify:
-        cert = spectrum.certify_lemmas(form, n, r1, r2, j_max=min(j_max, 5), config=config,
-                                       assembled=spec)
+        cert = spectrum.certify_lemmas(spec, j_max=min(args.jmax, 5))
         for check in cert.checks:
             status = "PASS" if check.passed else "FAIL"
             print(f"{check.name}: {status} (worst {_fmt(check.worst)}, "
@@ -256,6 +253,8 @@ def _parse_family(text: str) -> dict:
             out["s"] = value
         elif key == "count":
             out["count"] = int(value)
+            if out["count"] < 1:
+                raise ValueError(f"family count must be >= 1, got {value}")
         elif key == "amplitude":
             out["amplitude"] = float(value)
         else:

@@ -62,7 +62,6 @@ HOLE_FREE_INNER_RADIUS = 1e-3
 LEVEL0_RADIAL, LEVEL0_ANGULAR = 12, 48
 SHIFT = -0.1                 # shift-invert target below the spectrum
 TAU_FLOOR = 1e-4             # smallest verdict tolerance
-RADIAL_EIG_TOL = 1e-12       # eig_tol of the matched shell's radial solve
 
 
 class DegenerateDomainError(ValueError):
@@ -404,9 +403,9 @@ class TheoremVerdict:
 
     ``margins`` holds (mu_shell - mu_i(domain)) / mu_shell for each
     checked index; the verdict passes when every margin is >= -tau,
-    where tau folds the extrapolation residual and the radial solver
-    tolerance (floored at 1e-4) so discretization error cannot flip the
-    comparison.
+    where tau folds the extrapolation residual of the domain and the
+    matched shell's relative Richardson correction (floored at 1e-4) so
+    discretization error cannot flip the comparison.
     """
 
     spec_hash: str
@@ -461,17 +460,16 @@ def verify_theorem(spec: dm.DomainSpec, config: VerifyConfig | None = None) -> T
     vol = dm.volume(grid)
     r1, r2 = dm.matched_annulus(grid)
 
-    sl_config = SolverConfig(grid_points=2048, richardson=True,
-                             eig_tol=RADIAL_EIG_TOL, max_j=1)
-    mu_annulus = slsolver.solve(
-        SLProblem(spec.form, 2, 1, r1, r2), sl_config)[0].eigenvalue
+    (shell,) = slsolver.solve(SLProblem(spec.form, 2, 1, r1, r2), SolverConfig())
+    mu_annulus = shell.eigenvalue
 
     fem = solve_domain(spec, levels=config.levels, m=config.m)
 
     indices = (2, 3) if spec.symmetry_order is dm.SymmetryOrder.ORDER4 else (2,)
     best = fem.best()
     est = fem.est_rel_error or tuple(0.0 for _ in best)
-    tau = max(TAU_FLOOR, 3.0 * max(est[i - 1] for i in indices) + 10.0 * RADIAL_EIG_TOL)
+    radial = abs(shell.eigenvalue - shell.eigenvalue_grid) / shell.eigenvalue
+    tau = max(TAU_FLOOR, 3.0 * max(est[i - 1] for i in indices) + radial)
     margins = tuple((mu_annulus - best[i - 1]) / mu_annulus for i in indices)
     return TheoremVerdict(
         spec_hash=spec_hash(spec), form=spec.form, symmetry=spec.symmetry_order,

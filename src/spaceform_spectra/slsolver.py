@@ -26,7 +26,7 @@ point is k, so the bounded solution vanishes).
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from enum import Enum
 
 import numpy as np
@@ -62,6 +62,9 @@ class NoRootError(RuntimeError):
 
 class NearDegeneracyWarning(UserWarning):
     """Adjacent radial eigenvalues closer than the trust threshold."""
+
+
+DEGENERACY_GAP = 1e-9   # fine-grid eigenvalue gap that trips NearDegeneracyWarning
 
 
 class BoundaryCondition(str, Enum):
@@ -113,19 +116,15 @@ class SLProblem:
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Grid size, Richardson switch, tolerance and pair count of a radial solve.
+    """Grid size, Richardson switch and pair count of a radial solve.
 
-    ``eig_tol`` is the near-degeneracy threshold of ``solve`` and the
-    absolute tolerance handed to LAPACK ``stebz``.  Bisection cannot
-    resolve below about eps * ||T||, so on fine grids the raw values are
-    coarser than ``eig_tol`` (1.9e-9 for the constant mode on the shell
-    [1, 2] with 4,096 cells); the delivered accuracy comes from the
-    Rayleigh refinement.
+    These defaults are the pipeline's only radial settings.  There is no
+    tolerance: bisection runs at LAPACK's own (about eps * ||T||) and the
+    accuracy of the published values comes from the Rayleigh refinement.
     """
 
     grid_points: int = 2048
     richardson: bool = True
-    eig_tol: float = 1e-12
     max_j: int = 1
 
     def __post_init__(self):
@@ -133,8 +132,6 @@ class SolverConfig:
             raise ValueError("grid_points must be >= 64")
         if self.max_j < 1:
             raise ValueError("max_j must be >= 1")
-        if self.eig_tol <= 0:
-            raise ValueError("eig_tol must be positive")
 
 
 @dataclass(frozen=True)
@@ -243,25 +240,24 @@ def _pencil_rayleigh(system: TridiagonalSystem, u: np.ndarray) -> np.ndarray:
     return energy / np.einsum("i,ij->j", system.mass, u * u)
 
 
-def _eigen_tridiagonal(system: TridiagonalSystem, count: int, tol: float):
+def _eigen_tridiagonal(system: TridiagonalSystem, count: int):
     """Lowest ``count`` eigenpairs of the pencil via Sturm bisection.
 
-    ``tol`` is passed to ``stebz`` as its absolute tolerance, but
-    bisection locates eigenvalues only to about eps * |Gershgorin bound|,
-    which is too coarse for the smallest modes on fine grids; the returned
-    values are therefore refined to the Rayleigh quotient of the
-    inverse-iteration eigenvector, which is variationally accurate to
-    second order in the vector error.
+    ``stebz`` pins the indices at LAPACK's own tolerance, about
+    eps * |Gershgorin bound|, which is too coarse for the smallest modes
+    on fine grids; the returned values are therefore refined to the
+    Rayleigh quotient of the inverse-iteration eigenvector, which is
+    variationally accurate to second order in the vector error.
     """
     m = system.mass
     scale = 1.0 / np.sqrt(m)
     d = system.diag * scale**2
     e = system.offdiag * scale[:-1] * scale[1:]
-    count = min(count, d.size)
+    if count > d.size:
+        raise ValueError(f"{count} eigenpairs asked of {d.size} active nodes")
     try:
         vals, vecs = eigh_tridiagonal(
-            d, e, select="i", select_range=(0, count - 1),
-            lapack_driver="stebz", tol=tol)
+            d, e, select="i", select_range=(0, count - 1), lapack_driver="stebz")
     except LinAlgError as exc:  # pragma: no cover - LAPACK failure is exotic
         raise ConvergenceError(
             f"tridiagonal eigensolve failed: grid={system.grid.size - 1} "
@@ -320,15 +316,18 @@ def _finalize_vector(system: TridiagonalSystem, u_active: np.ndarray) -> np.ndar
 def solve(problem: SLProblem, config: SolverConfig | None = None) -> list[SLEigenpair]:
     """First ``config.max_j`` eigenpairs of the radial problem, in order.
 
-    Eigenvalues are extracted by bisection to ``config.eig_tol``; with
-    ``config.richardson`` the values from grids N and 2N are combined as
-    (4 mu_2N - mu_N)/3 and the eigenvectors are reported on the finer
-    grid.  The coarse grid N yields exactly ``max_j`` values; the fine grid
-    yields one more, a probe for the gap check: a gap between adjacent
-    fine-grid eigenvalues below 1000 * eig_tol trips a
-    NearDegeneracyWarning, because the continuum eigenvalues are simple
-    and a near-tie indicates discretization trouble.  The first j pairs
-    agree, to rounding, whatever ``max_j >= j`` was requested.
+    Bisection pins each index and the Rayleigh refinement supplies the
+    value; with ``config.richardson`` the values from grids N and 2N are
+    combined as (4 mu_2N - mu_N)/3, so ``eigenvalue - eigenvalue_grid``
+    is the Richardson correction (mu_2N - mu_N)/3, and the eigenvectors
+    are reported on the finer grid.  The coarse grid N yields exactly
+    ``max_j`` values; the fine grid yields one more, a probe for the gap
+    check: a gap between adjacent fine-grid eigenvalues below
+    ``DEGENERACY_GAP`` trips a NearDegeneracyWarning, because the
+    continuum eigenvalues are simple and a near-tie indicates
+    discretization trouble.  The first j pairs agree, to rounding,
+    whatever ``max_j >= j`` was requested.  Asking for more pairs than
+    the grid has active nodes is a ValueError.
     """
     config = config or SolverConfig()
     want = config.max_j
@@ -336,16 +335,16 @@ def solve(problem: SLProblem, config: SolverConfig | None = None) -> list[SLEige
 
     fine_N = config.grid_points * 2 if config.richardson else config.grid_points
     fine = discretize(problem, fine_N)
-    vals_fine, vecs_fine = _eigen_tridiagonal(fine, probe, config.eig_tol)
+    vals_fine, vecs_fine = _eigen_tridiagonal(fine, probe)
 
     published = vals_fine[:want].copy()
     if config.richardson:
         coarse = discretize(problem, config.grid_points)
-        vals_coarse, _ = _eigen_tridiagonal(coarse, want, config.eig_tol)
+        vals_coarse, _ = _eigen_tridiagonal(coarse, want)
         published += (published - vals_coarse) / 3.0
 
     gaps = np.diff(vals_fine)
-    if np.any(gaps <= 1e3 * config.eig_tol):
+    if np.any(gaps <= DEGENERACY_GAP):
         j_bad = int(np.argmin(gaps)) + 1
         warnings.warn(
             f"eigenvalue gap {gaps.min():.3e} below trust threshold near j={j_bad} "
@@ -406,29 +405,35 @@ def locate_b(pair: SLEigenpair) -> float:
 # Wire formats
 # ---------------------------------------------------------------------------
 
+# JSON type each typed wire key must carry: a JSON boolean is no integer or
+# number here.  form and bc are checked by their enums.
+_WIRE_TYPES = {"n": (int,), "k": (int,), "r1": (int, float), "r2": (int, float),
+               "grid_points": (int,), "max_j": (int,), "richardson": (bool,)}
+
+
 def problem_from_dict(data: dict) -> tuple[SLProblem, SolverConfig]:
     """Problem + solver settings from the wire dict.
 
     Recognized keys: form, n, k, r1, r2, bc, grid_points, max_j,
-    richardson, eig_tol.  Unknown keys are rejected.
+    richardson.  Unknown keys, and values of the wrong JSON kind, are
+    rejected; absent solver settings take the ``SolverConfig`` defaults.
     """
-    allowed = {"form", "n", "k", "r1", "r2", "bc", "grid_points", "max_j",
-               "richardson", "eig_tol"}
-    unknown = set(data) - allowed
+    unknown = set(data) - {"form", "bc", *_WIRE_TYPES}
     if unknown:
         raise ValueError(f"unknown problem keys: {sorted(unknown)}")
+    for key, types in _WIRE_TYPES.items():
+        if key in data and type(data[key]) not in types:
+            raise ValueError(f"problem key {key}={data[key]!r} must be "
+                             f"{' or '.join(t.__name__ for t in types)}")
     try:
         problem = SLProblem(
-            form=data["form"], n=int(data["n"]), k=int(data["k"]),
+            form=data["form"], n=data["n"], k=data["k"],
             r1=float(data["r1"]), r2=float(data["r2"]),
             bc=data.get("bc", "neumann"))
     except KeyError as exc:
         raise ValueError(f"missing problem key {exc}") from exc
-    config = SolverConfig(
-        grid_points=int(data.get("grid_points", 2048)),
-        richardson=bool(data.get("richardson", True)),
-        eig_tol=float(data.get("eig_tol", 1e-12)),
-        max_j=int(data.get("max_j", 1)))
+    config = SolverConfig(**{f.name: data[f.name] for f in fields(SolverConfig)
+                             if f.name in data})
     return problem, config
 
 
@@ -436,8 +441,7 @@ def problem_to_dict(problem: SLProblem, config: SolverConfig) -> dict:
     return {
         "form": str(problem.form), "n": problem.n, "k": problem.k,
         "r1": problem.r1, "r2": problem.r2, "bc": str(problem.bc),
-        "grid_points": config.grid_points, "max_j": config.max_j,
-        "richardson": config.richardson, "eig_tol": config.eig_tol,
+        **asdict(config),
     }
 
 

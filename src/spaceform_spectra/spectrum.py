@@ -2,20 +2,20 @@
 
 Every Neumann eigenvalue of the shell is some radial eigenvalue mu_{k,j}
 counted with the multiplicity of the degree-k spherical harmonics, so the
-spectrum is assembled by merging the mode solves over k and attaching
+spectrum is built by merging the mode solves over k and attaching
 dim H_k to each entry.  A finite enumeration over k <= k_max, j <= j_max
 is certified complete below an explicit cutoff: missed high-j values
 exceed the last computed value of their mode, and missed modes k > k_max
 obey mu_{k,1} > k(k+n-2)/sin_m(r2)^2 because the first eigenvalue equals
 the potential at an interior radius.
 
-``certify_lemmas`` re-derives the structural facts the assembly relies
-on (Neumann/Dirichlet bridge, strict interlacing in k, monotone lowest
-eigenfunctions and their pointwise comparison bound) and reports
-residuals at fixed tolerances.  Given the assembled spectrum it certifies
-the very Neumann pairs ``assemble`` solved, so a ``spectrum --certify``
-run solves each radial problem once; it adds only the Dirichlet modes
-k <= 4 that its checks compare against.
+``certify_lemmas`` re-derives, for a spectrum from ``assemble``, the
+structural facts the assembly relies on (Neumann/Dirichlet bridge, strict
+interlacing in k, monotone lowest eigenfunctions and their pointwise
+comparison bound) and reports residuals at fixed tolerances.  It
+certifies the very Neumann pairs ``assemble`` solved, so a ``spectrum
+--certify`` run solves each radial problem once; it adds only the
+Dirichlet modes k <= 4 that its checks compare against.
 """
 
 from __future__ import annotations
@@ -77,8 +77,9 @@ class AnnulusSpectrum:
     ``entries`` are sorted by value with (k, j) breaking ties; the list
     is complete below ``complete_up_to`` and entries above that cutoff
     have been dropped.  ``neumann_pairs`` maps each mode k to every
-    Neumann eigenpair ``assemble`` solved for it with ``solver_config``,
-    for ``certify_lemmas`` to reuse; neither field is part of the value
+    Neumann eigenpair ``assemble`` solved for it with ``solver_config``;
+    ``certify_lemmas`` reuses those pairs and solves anything else it
+    reads with the same config.  Neither field is part of the value
     (``to_dict``, equality, repr).
     """
 
@@ -93,7 +94,9 @@ class AnnulusSpectrum:
                                         compare=False, repr=False)
 
     def eigenvalues(self, count: int) -> list[float]:
-        """First ``count`` eigenvalues, each repeated with multiplicity."""
+        """First ``count`` >= 1 eigenvalues, each repeated with multiplicity."""
+        if count < 1:
+            raise ValueError(f"count must be >= 1, got {count}")
         flat: list[float] = []
         for e in self.entries:
             flat.extend([e.value] * e.multiplicity)
@@ -204,11 +207,8 @@ class LemmaCertification:
                 "passed": self.passed, "checks": [c.to_dict() for c in self.checks]}
 
 
-def certify_lemmas(form: SpaceForm, n: int, r1: float, r2: float,
-                   j_max: int = 4,
-                   config: SolverConfig | None = None,
-                   assembled: AnnulusSpectrum | None = None) -> LemmaCertification:
-    """Residual report for the structural facts behind the assembly.
+def certify_lemmas(shell: AnnulusSpectrum, j_max: int = 4) -> LemmaCertification:
+    """Residual report for the structural facts behind the assembly of ``shell``.
 
     Checks, at fixed tolerances:
 
@@ -226,33 +226,29 @@ def certify_lemmas(form: SpaceForm, n: int, r1: float, r2: float,
 
     The checks read Neumann modes k <= 5 (j_max + 1 pairs for k = 0,
     j_max for k = 1, min(j_max, 4) above) and Dirichlet modes k <= 4
-    (j_max pairs for k = 1, min(j_max, 4) otherwise); only those pairs
-    are solved.  A Neumann mode is taken from ``assembled`` instead when
-    it holds enough pairs of the same problem, solved with the same
-    ``grid_points``, ``richardson`` and ``eig_tol`` as ``config``.
+    (j_max pairs for k = 1, min(j_max, 4) otherwise).  A Neumann mode is
+    taken from ``shell.neumann_pairs`` when it holds enough pairs and is
+    solved otherwise; every solve uses ``shell.solver_config``, so the
+    report describes the shell ``assemble`` built.
 
     Failures are entries in the report, never exceptions.
     """
-    form = _as_form(form)
-    config = config or SolverConfig()
+    form, n, r1, r2 = shell.form, shell.n, shell.r1, shell.r2
     short = min(j_max, 4)          # interlacing and N/D ordering read j <= 4
     neumann_need = {0: j_max + 1, 1: j_max, 2: short, 3: short, 4: short, 5: short}
     dirichlet_need = {0: short, 1: j_max, 2: short, 3: short, 4: short}
 
-    neumann: dict = {}
+    def solved(k, bc, need):
+        return slsolver.solve(SLProblem(form, n, k, r1, r2, bc),
+                              replace(shell.solver_config, max_j=need))
+
+    neumann = {}
     for k, need in neumann_need.items():
-        problem = SLProblem(form, n, k, r1, r2, BoundaryCondition.NEUMANN)
-        cfg_n = replace(config, max_j=need)
-        pairs = assembled.neumann_pairs.get(k, ()) if assembled else ()
-        if not (len(pairs) >= need and pairs[0].problem == problem
-                and replace(assembled.solver_config, max_j=need) == cfg_n):
-            pairs = slsolver.solve(problem, cfg_n)
-        neumann[k] = pairs
-    dirichlet = {
-        k: slsolver.solve(SLProblem(form, n, k, r1, r2, BoundaryCondition.DIRICHLET),
-                          replace(config, max_j=need))
-        for k, need in dirichlet_need.items()
-    }
+        pairs = shell.neumann_pairs.get(k, ())
+        neumann[k] = (pairs if len(pairs) >= need
+                      else solved(k, BoundaryCondition.NEUMANN, need))
+    dirichlet = {k: solved(k, BoundaryCondition.DIRICHLET, need)
+                 for k, need in dirichlet_need.items()}
 
     checks = []
 

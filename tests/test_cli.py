@@ -1,5 +1,9 @@
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -49,6 +53,26 @@ class TestSlCommand:
                               "--r1", "1", "--r2", "2", "--max-j", "0"], capsys)
         assert code == 2
         assert "max_j" in err and out == ""
+
+    @pytest.mark.parametrize("richardson", [[], ["--no-richardson"]])
+    def test_more_pairs_than_grid_nodes_exit_2(self, capsys, richardson):
+        code, out, err = run(["sl", "--form", "euclidean", "--n", "2", "--k", "0",
+                              "--r1", "1", "--r2", "2", "--grid-points", "64",
+                              "--max-j", "200", *richardson], capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "active nodes" in err
+
+    @pytest.mark.parametrize("values", [{"k": 1.7}, {"richardson": "false"},
+                                        {"max_j": 2.9}, {"eig_tol": 1e-12}])
+    def test_problem_file_refuses_what_flags_refuse_exit_2(self, tmp_path, capsys,
+                                                           values):
+        problem = {"form": "euclidean", "n": 2, "k": 1, "r1": 1.0, "r2": 2.0,
+                   "grid_points": 64, **values}
+        path = tmp_path / "problem.json"
+        path.write_text(json.dumps(problem))
+        code, out, err = run(["sl", "--problem", str(path)], capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and next(iter(values)) in err
 
     def test_config_file_merge_and_override(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -165,6 +189,15 @@ class TestSpectrumCommand:
         assert code == 3
         assert "certified" in err
 
+    @pytest.mark.parametrize("count", ["0", "-1"])
+    def test_count_below_one_exit_2(self, tmp_path, capsys, count):
+        report = tmp_path / "s.json"
+        code, _, err = run(["spectrum", "--form", "euclidean", "--n", "2",
+                            "--r1", "1", "--r2", "2", "--grid-points", "64",
+                            "--count", count, "--json", str(report)], capsys)
+        assert code == 2
+        assert "count" in err and not report.exists()
+
     def test_unproductive_enumeration_exit_3(self, capsys):
         code, _, err = run(["spectrum", "--form", "euclidean", "--n", "2",
                             "--r1", "1", "--r2", "2", "--kmax", "1",
@@ -221,6 +254,11 @@ class TestVerifyCommand:
     def test_missing_source_exit_2(self, capsys):
         code, _, _ = run(["verify"], capsys)
         assert code == 2
+
+    def test_family_count_below_one_exit_2(self, capsys):
+        code, out, err = run(["verify", "--random-family", "s=4 count=0"], capsys)
+        assert code == 2
+        assert "count" in err and "summary" not in out
 
     def test_uncertifiable_resolution_exit_4(self, tmp_path, capsys):
         # one coarse level cannot bring the equality case within tau
@@ -286,6 +324,24 @@ class TestVerifyCommand:
         assert cli.main(args + ["--json", str(r2)]) == 0
         capsys.readouterr()
         assert r1.read_bytes() == r2.read_bytes()
+
+    def test_report_bytes_identical_across_interpreters(self, tmp_path):
+        # the promise is narrow: same inputs on the same BLAS thread count
+        src = str(Path(cli.__file__).resolve().parents[1])
+        reports = []
+        for hash_seed in ("1", "2"):
+            report = tmp_path / f"report_{hash_seed}.json"
+            env = {**os.environ, "PYTHONHASHSEED": hash_seed,
+                   "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
+                   "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
+                   "MKL_NUM_THREADS": "1"}
+            subprocess.run(
+                [sys.executable, "-m", "spaceform_spectra.cli", "verify",
+                 "--random-family", "s=4 count=1 amplitude=0.06", "--form", "euclidean",
+                 "--seed", "9", "--levels", "2", "--json", str(report)],
+                env=env, check=True, capture_output=True, timeout=300)
+            reports.append(report.read_bytes())
+        assert reports[0] == reports[1]
 
 
 class TestMomentsCommand:

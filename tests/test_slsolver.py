@@ -50,6 +50,13 @@ class TestProblemValidation:
         with pytest.raises(ValueError):
             SolverConfig(max_j=0)
 
+    @pytest.mark.parametrize("richardson", [True, False])
+    def test_more_pairs_than_active_nodes(self, richardson):
+        # 64 cells: 65 nodes on the coarse grid, 129 on the fine one
+        config = SolverConfig(grid_points=64, richardson=richardson, max_j=200)
+        with pytest.raises(ValueError, match="active nodes"):
+            solve(SLProblem("euclidean", 2, 0, 1.0, 2.0), config)
+
 
 class TestDiscretize:
     def test_annulus_constant_mode_is_null(self):
@@ -59,7 +66,7 @@ class TestDiscretize:
         ku[:-1] += system.offdiag
         ku[1:] += system.offdiag
         assert np.max(np.abs(ku)) < 1e-12
-        vals, _ = sl._eigen_tridiagonal(system, 1, 1e-12)
+        vals, _ = sl._eigen_tridiagonal(system, 1)
         assert abs(vals[0]) < 1e-12
 
     def test_origin_condition_for_positive_modes(self):
@@ -307,6 +314,20 @@ class TestWireFormats:
         back_problem, back_config = sl.problem_from_dict(json.loads(json.dumps(data)))
         assert back_problem == problem
         assert back_config == config
+
+    def test_absent_settings_take_solver_defaults(self):
+        _, config = sl.problem_from_dict({"form": "euclidean", "n": 2, "k": 0,
+                                          "r1": 0.0, "r2": 1.0})
+        assert config == SolverConfig()
+
+    @pytest.mark.parametrize("values", [{"k": 1.7}, {"k": True}, {"r2": "1"},
+                                        {"r1": False}, {"richardson": "false"},
+                                        {"richardson": 1}, {"max_j": 2.9},
+                                        {"grid_points": "512"}])
+    def test_rejects_values_of_the_wrong_json_kind(self, values):
+        data = {"form": "euclidean", "n": 2, "k": 0, "r1": 0.0, "r2": 1.0, **values}
+        with pytest.raises(ValueError, match=next(iter(values))):
+            sl.problem_from_dict(data)
 
     def test_rejects_unknown_keys(self):
         with pytest.raises(ValueError):

@@ -82,6 +82,11 @@ class TestAssemble:
             assert v < bound
         assert all(e.value < spec.complete_up_to for e in spec.entries)
 
+    @pytest.mark.parametrize("count", [0, -1])
+    def test_count_below_one_refused(self, euclid_annulus, count):
+        with pytest.raises(ValueError, match="count"):
+            euclid_annulus.eigenvalues(count)
+
     def test_cutoff_error_when_truncated(self):
         spec = assemble(SpaceForm.EUCLIDEAN, 2, 1.0, 2.0, 2, 2,
                         SolverConfig(grid_points=256))
@@ -135,8 +140,8 @@ class TestCertifyLemmas:
         (SpaceForm.SPHERICAL, 2, 0.2, 1.4),
     ])
     def test_all_checks_pass_on_annuli(self, form, n, r1, r2):
-        report = certify_lemmas(form, n, r1, r2, j_max=4,
-                                config=SolverConfig(grid_points=1024))
+        shell = assemble(form, n, r1, r2, 5, 5, SolverConfig(grid_points=1024))
+        report = certify_lemmas(shell, j_max=4)
         assert report.passed
         names = {c.name for c in report.checks}
         assert names == {
@@ -148,8 +153,9 @@ class TestCertifyLemmas:
         assert bridge.worst < 1e-6
 
     def test_ball_skips_annulus_only_checks(self):
-        report = certify_lemmas(SpaceForm.EUCLIDEAN, 2, 0.0, 1.0, j_max=3,
-                                config=SolverConfig(grid_points=512))
+        shell = assemble(SpaceForm.EUCLIDEAN, 2, 0.0, 1.0, 5, 4,
+                         SolverConfig(grid_points=512))
+        report = certify_lemmas(shell, j_max=3)
         assert report.passed
         names = {c.name for c in report.checks}
         assert "lowest_pair_interior_radius" not in names
@@ -161,10 +167,11 @@ class TestCertifyLemmas:
         (SpaceForm.SPHERICAL, 3, 0.0, 1.2),
     ])
     def test_assembled_pairs_certify_like_a_fresh_solve(self, form, n, r1, r2):
+        # the (2, 2) shell holds too few pairs for any Neumann mode the checks
+        # read, so it re-solves them all and stands in for a fresh solve
         config = SolverConfig(grid_points=1024)
-        spec = assemble(form, n, r1, r2, 8, 8, config)
-        reused = certify_lemmas(form, n, r1, r2, j_max=5, config=config, assembled=spec)
-        fresh = certify_lemmas(form, n, r1, r2, j_max=5, config=config)
+        reused = certify_lemmas(assemble(form, n, r1, r2, 8, 8, config), j_max=5)
+        fresh = certify_lemmas(assemble(form, n, r1, r2, 2, 2, config), j_max=5)
         assert [c.name for c in reused.checks] == [c.name for c in fresh.checks]
         for a, b in zip(reused.checks, fresh.checks):
             assert a.passed == b.passed
@@ -178,30 +185,26 @@ class TestCertifyLemmas:
         real_solve = spectrum.slsolver.solve
 
         def counting_solve(problem, cfg):
-            solved.append((str(problem.bc), problem.k))
+            solved.append((str(problem.bc), problem.k, cfg.grid_points))
             return real_solve(problem, cfg)
 
         monkeypatch.setattr(spectrum.slsolver, "solve", counting_solve)
 
-        def neumann_solves(**kwargs):
+        def neumann_solves(shell):
             solved.clear()
-            certify_lemmas(form, n, r1, r2, j_max=3, config=config, **kwargs)
-            return sorted(k for bc, k in solved if bc == "neumann")
+            certify_lemmas(shell, j_max=3)
+            # every solve runs on the shell's own grid
+            assert {grid for _, _, grid in solved} == {256}
+            return sorted(k for bc, k, _ in solved if bc == "neumann")
 
         # modes k <= 3 only; then j_max = 3, one pair short for the bridge's k = 0
-        few_modes = assemble(form, n, r1, r2, 3, 4, config)
-        assert neumann_solves(assembled=few_modes) == [4, 5]
-        few_pairs = assemble(form, n, r1, r2, 8, 3, config)
-        assert neumann_solves(assembled=few_pairs) == [0]
-        other_grid = assemble(form, n, r1, r2, 8, 8, SolverConfig(grid_points=512))
-        assert neumann_solves(assembled=other_grid) == [0, 1, 2, 3, 4, 5]
-        other_shell = assemble(form, n, r1, 1.6, 8, 8, config)
-        assert neumann_solves(assembled=other_shell) == [0, 1, 2, 3, 4, 5]
-        assert neumann_solves() == [0, 1, 2, 3, 4, 5]
+        assert neumann_solves(assemble(form, n, r1, r2, 3, 4, config)) == [4, 5]
+        assert neumann_solves(assemble(form, n, r1, r2, 8, 3, config)) == [0]
 
     def test_json_payload(self):
-        report = certify_lemmas(SpaceForm.EUCLIDEAN, 2, 0.5, 1.5, j_max=3,
-                                config=SolverConfig(grid_points=512))
+        shell = assemble(SpaceForm.EUCLIDEAN, 2, 0.5, 1.5, 5, 4,
+                         SolverConfig(grid_points=512))
+        report = certify_lemmas(shell, j_max=3)
         blob = json.loads(json.dumps(report.to_dict(), sort_keys=True))
         assert blob["passed"] is True
         assert all("worst" in c for c in blob["checks"])

@@ -504,7 +504,9 @@ def build_parser() -> argparse.ArgumentParser:
                       help="e.g. 's=4 count=5 amplitude=0.1'")
     p_vf.add_argument("--form", choices=["all"] + [f.value for f in SpaceForm])
     p_vf.add_argument("--seed", type=int)
-    p_vf.add_argument("--levels", type=int)
+    p_vf.add_argument("--levels", type=int,
+                      help="finest refinement level; a run stops below it once "
+                           "its verdict is decided")
     p_vf.add_argument("--m", type=int)
     p_vf.add_argument("--config")
     p_vf.add_argument("--json", help="write the full report here")

@@ -25,6 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 from scipy import optimize
@@ -406,6 +407,11 @@ class QuadratureGrid:
         return QuadratureGrid(spec=spec, weight=weight, radius=radius,
                               coords=coords.reshape(spec.n, radius.size))
 
+    @cached_property
+    def inner_infimum(self) -> float:
+        """``inner_infimum(spec)`` of the grid's domain, computed once per grid."""
+        return inner_infimum(self.spec)
+
 
 def volume(grid: QuadratureGrid) -> float:
     """Domain volume: the metric weight integrated over the whole grid."""
@@ -461,7 +467,7 @@ def matched_annulus(grid: QuadratureGrid) -> tuple[float, float]:
     """Comparison shell radii: r1 = inf rho_in (0 without a hole) and the
     outer radius that matches the volume of the grid's domain."""
     spec = grid.spec
-    r1 = inner_infimum(spec)
+    r1 = grid.inner_infimum
     r2 = match_outer_radius(spec.form, spec.n, r1, volume(grid))
     return r1, r2
 
@@ -512,7 +518,7 @@ def rayleigh_gk(grid: QuadratureGrid, pair: SLEigenpair) -> float:
         raise ValueError("pair and domain live on different spaces")
 
     if spec.has_hole:
-        inf_in = inner_infimum(spec)
+        inf_in = grid.inner_infimum
         if problem.r1 > inf_in + 1e-9:
             raise VolumeMismatchError(
                 f"inner ball radius {problem.r1:.12g} pokes out of the hole "

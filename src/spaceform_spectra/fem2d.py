@@ -9,15 +9,37 @@ only needs the scalar weights sin_m(r) (mass, radial stiffness) and
 rule; curved boundaries are resolved exactly along mesh rays and the
 domain symmetry is exact on the vertex set.  Every quad splits the same
 way into two triangles, so assembly computes each triangle type's element
-entries as (n_radial, n_angular) arrays and sums them straight into the
+entries as (n_radial, width) arrays and sums them straight into the
 seven-point stencil of every vertex, with no per-triangle index triples.
+Only the wedge of rays that the domain's rotation symmetry (order 4, 2 or
+1) turns onto the whole mesh is integrated.
 
-Eigenvalues come from shift-invert Lanczos on the pencil (K, M) at every
-level, the coarsest included.  The shifted matrix K - SHIFT*M is
-symmetric positive definite, so it is factored once per level under a
+Eigenvalues come from shift-invert Lanczos on the pencil (K, M), one
+symmetry sector at a time: the rotation commutes with K and M, so the
+eigenfunctions split by the phase omega (a root of unity of the order)
+the rotation puts on them, and each sector is a problem on the wedge
+alone, a quarter or half of the unknowns, with its wrap-around couplings
+multiplied by omega.  The shifted sector matrix K - SHIFT*M is Hermitian
+positive definite.  Up to DIRECT_MAX_UNKNOWNS it is factored once under a
 symmetric minimum-degree ordering (multiple minimum degree on the pattern
 of A^T + A; J. W. H. Liu, ACM TOMS 11, 1985), which cuts the LU fill of
 SuperLU's default column ordering by more than 40 % on the polar mesh.
+Larger sectors, the finest levels, are inverted by conjugate gradients,
+preconditioned by the same operator with its coefficients averaged over
+the rays: that average is diagonalised by the Fourier transform along
+the rays into tridiagonal systems across the rings, so the solve needs
+memory linear in the unknowns where the LU fill would set the run's peak.
+
+``verify_theorem`` solves its levels one at a time and stops at the first
+level below the cap that decides the verdict: every checked margin is at
+least STOP_MARGIN * tau, or one is at most -STOP_MARGIN * tau, and every
+checked index's observed order lies in ORDER_BAND, so the Richardson
+estimate behind tau can be trusted (the grid-convergence practice of
+Roache, Verification and Validation in Computational Science and
+Engineering, 1998).  An observed order needs three levels, so a ladder of
+three or more levels that starts at level l >= 1 first solves the probe
+level l - 1.  A run that reaches the cap reports the values a fixed ladder
+gives, with the probe level in front of its history.
 
 Hole-free domains keep the chart away from its r = 0 degeneracy with a
 small artificial inner circle (natural boundary condition, radius 1e-3);
@@ -31,10 +53,12 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sparse
 import scipy.sparse.linalg as sparse_linalg
+from scipy.linalg import lapack
 
 from . import domains as dm
 from . import slsolver
@@ -47,6 +71,7 @@ __all__ = [
     "PolarMesh",
     "FemSystem",
     "FemEigenResult",
+    "LevelSolve",
     "VerifyConfig",
     "TheoremVerdict",
     "generate_mesh",
@@ -54,6 +79,7 @@ __all__ = [
     "eigensolve",
     "solve_domain",
     "verify_theorem",
+    "verdict_decided",
 ]
 
 HOLE_FREE_INNER_RADIUS = 1e-3
@@ -62,6 +88,10 @@ HOLE_FREE_INNER_RADIUS = 1e-3
 LEVEL0_RADIAL, LEVEL0_ANGULAR = 12, 48
 SHIFT = -0.1                 # shift-invert target below the spectrum
 TAU_FLOOR = 1e-4             # smallest verdict tolerance
+STOP_MARGIN = 2.0            # margins beyond this many tau decide a verdict
+ORDER_BAND = (1.5, 2.5)      # observed orders under which Richardson is trusted
+DIRECT_MAX_UNKNOWNS = 5000   # larger symmetry sectors are inverted by CG, not LU
+CG_RTOL, CG_MAXITER = 1e-12, 200   # stopping rule of those CG solves
 
 
 class DegenerateDomainError(ValueError):
@@ -93,6 +123,11 @@ class PolarMesh:
     @property
     def n_vertices(self) -> int:
         return self.vertices.shape[0]
+
+    @property
+    def level(self) -> int:
+        """Refinement level: n_radial is LEVEL0_RADIAL * 2**level."""
+        return (self.n_radial // LEVEL0_RADIAL).bit_length() - 1
 
     @property
     def chart_h(self) -> float:
@@ -134,13 +169,45 @@ def generate_mesh(spec: dm.DomainSpec, level: int) -> PolarMesh:
 
 @dataclass(frozen=True)
 class FemSystem:
+    """Stiffness and mass of a mesh, kept as stencil coefficients on one wedge.
+
+    The domain, and with it the mesh, is invariant under the rotation by
+    2 pi / ``order`` (4 for quarter-turn symmetry, 2 for half-turn or
+    central symmetry, 1 without), so every vertex has the coefficients of
+    its image among the first n_angular / order rays, the wedge.  The sums
+    are ``_stencil_sums`` arrays over the wedge.  ``sector(k)`` restricts
+    K - SHIFT*M and M to the functions the rotation multiplies by
+    exp(2 pi i k / order); ``stiffness`` and ``mass`` build the full matrices.
+    """
+
     mesh: PolarMesh
-    stiffness: sparse.csr_matrix
-    mass: sparse.csr_matrix
+    order: int
+    stiffness_sums: tuple
+    mass_sums: tuple
 
     @property
     def n_unknowns(self) -> int:
-        return self.stiffness.shape[0]
+        return self.mesh.n_vertices
+
+    def sector(self, k: int) -> tuple[sparse.csr_matrix, sparse.csr_matrix]:
+        """K - SHIFT*M and M on the wedge, for the functions of phase omega_k.
+
+        omega_k = exp(2 pi i k / order) is the factor the rotation puts on
+        them; a neighbour across the wedge's last ray is ray 0 turned once,
+        so its slot takes omega_k (and conj(omega_k) across ray 0).  Real
+        for omega_k = +-1, complex Hermitian otherwise.
+        """
+        omega = (1.0, 1j, -1.0, -1j)[4 * k // self.order % 4]
+        shifted = tuple(a - SHIFT * b for a, b in zip(self.stiffness_sums, self.mass_sums))
+        return _stencil_matrix(shifted, omega), _stencil_matrix(self.mass_sums, omega)
+
+    @property
+    def stiffness(self) -> sparse.csr_matrix:
+        return _stencil_matrix(tuple(np.tile(a, (1, self.order)) for a in self.stiffness_sums))
+
+    @property
+    def mass(self) -> sparse.csr_matrix:
+        return _stencil_matrix(tuple(np.tile(a, (1, self.order)) for a in self.mass_sums))
 
 
 # barycentric values at the three edge midpoints
@@ -203,11 +270,18 @@ def _stencil_sums(t1: dict, t2: dict):
     return vertex, radial, angular, diagonal
 
 
-def _stencil_matrix(sums, columns: np.ndarray, valid: np.ndarray,
-                    indptr: np.ndarray) -> sparse.csr_matrix:
-    """Symmetric CSR matrix from ``_stencil_sums``, on the stencil pattern."""
+def _stencil_matrix(sums, omega: complex = 1.0) -> sparse.csr_matrix:
+    """Hermitian CSR matrix from ``_stencil_sums``, on the stencil pattern.
+
+    The sums cover ``width`` rays; the neighbour past the last ray is ray 0
+    turned once, and its slot is multiplied by ``omega`` (by conj(omega)
+    across ray 0).  With the sums of all rays and omega = 1 this is the
+    periodic matrix of the whole mesh.
+    """
     vertex, radial, angular, diagonal = sums
-    values = np.zeros(valid.shape)  # slots in _STENCIL order
+    n_rings, width = vertex.shape
+    values = np.zeros((n_rings, width, len(_STENCIL)),
+                      dtype=complex if isinstance(omega, complex) else float)
     values[:, :, 0] = vertex
     values[1:, :, 1] = radial
     values[:-1, :, 2] = radial
@@ -215,9 +289,20 @@ def _stencil_matrix(sums, columns: np.ndarray, valid: np.ndarray,
     values[:, :, 4] = angular
     values[1:, :, 5] = np.roll(diagonal, 1, axis=1)
     values[:-1, :, 6] = diagonal
+
+    # vertex (i, j) is row i * width + j; slots off the mesh are dropped
+    di, dj = (np.array(d, dtype=np.int32) for d in zip(*_STENCIL))
+    rows = np.arange(n_rings, dtype=np.int32)[:, None, None] + di
+    cols = np.arange(width, dtype=np.int32)[None, :, None] + dj
+    valid = np.broadcast_to((rows >= 0) & (rows < n_rings), values.shape)
+    if omega != 1.0:
+        turns = np.broadcast_to(cols // width, values.shape)
+        values[turns > 0] *= omega
+        values[turns < 0] *= np.conj(omega)
+    indptr = np.zeros(n_rings * width + 1, dtype=np.int32)
+    np.cumsum(valid.sum(axis=2, dtype=np.int32).ravel(), out=indptr[1:])
     n = indptr.size - 1
-    # sort_indices works in place, so the matrix gets its own index arrays
-    matrix = sparse.csr_matrix((values[valid], columns.copy(), indptr.copy()),
+    matrix = sparse.csr_matrix((values[valid], (rows * width + cols % width)[valid], indptr),
                                shape=(n, n))
     matrix.sort_indices()
     return matrix
@@ -232,49 +317,50 @@ def assemble(mesh: PolarMesh) -> FemSystem:
     mid-edge rule.  Neumann conditions are natural: no boundary terms.
 
     The mesh is structured, so the element entries of each of the two
-    triangle types are (n_radial, n_angular) arrays and sum directly into
+    triangle types are (n_radial, width) arrays and sum directly into
     every vertex's seven stencil coefficients (itself, two radial, two
-    angular and two quad-diagonal neighbours); K and M are built from
-    those, with no duplicate entries to sum.
+    angular and two quad-diagonal neighbours).  Only the quads of the
+    wedge of the domain's rotation symmetry are integrated; the rest of
+    the mesh is its turned copies (see ``FemSystem``).
     """
     form = mesh.spec.form
-    n_radial, n_angular = mesh.n_radial, mesh.n_angular
-    r = mesh.vertices[:, 0].reshape(n_radial + 1, n_angular)
-    theta = mesh.vertices[:n_angular, 1]
-    # quad corners; theta unwraps across 2 pi in the last angular column
+    order = dm.fourier_order(mesh.spec.symmetry_order)
+    width = mesh.n_angular // order
+    r = mesh.vertices[:, 0].reshape(mesh.n_radial + 1, mesh.n_angular)[:, :width]
+    theta = mesh.vertices[:width, 1]
+    # quad corners; the rotation maps ray `width` onto ray 0 at angle 2 pi / order
     r_a, r_c = r[:-1], r[1:]
     r_b, r_d = np.roll(r_a, -1, axis=1), np.roll(r_c, -1, axis=1)
-    t_a, t_b = theta, np.append(theta[1:], 2 * math.pi)
+    t_a, t_b = theta, np.append(theta[1:], 2 * math.pi / order)
     k1, m1 = _element_entries(form, (r_a, r_c, r_d), (t_a, t_a, t_b))  # T1 = [a, c, d]
     k2, m2 = _element_entries(form, (r_a, r_d, r_b), (t_a, t_b, t_b))  # T2 = [a, d, b]
+    return FemSystem(mesh=mesh, order=order, stiffness_sums=_stencil_sums(k1, k2),
+                     mass_sums=_stencil_sums(m1, m2))
 
-    # vertex (i, j) is row i * n_angular + j; slots off the mesh are dropped
-    n = mesh.n_vertices
-    di, dj = (np.array(d, dtype=np.int32) for d in zip(*_STENCIL))
-    rows = np.arange(n_radial + 1, dtype=np.int32)[:, None, None] + di
-    cols = np.arange(n_angular, dtype=np.int32)[None, :, None] + dj
-    valid = np.broadcast_to((rows >= 0) & (rows <= n_radial),
-                            (n_radial + 1, n_angular, len(_STENCIL)))
-    columns = (rows * n_angular + cols % n_angular)[valid]
-    indptr = np.zeros(n + 1, dtype=np.int32)
-    np.cumsum(valid.sum(axis=2, dtype=np.int32).ravel(), out=indptr[1:])
 
-    stiffness = _stencil_matrix(_stencil_sums(k1, k2), columns, valid, indptr)
-    mass = _stencil_matrix(_stencil_sums(m1, m2), columns, valid, indptr)
-    return FemSystem(mesh=mesh, stiffness=stiffness, mass=mass)
+class LevelSolve(NamedTuple):
+    """Eigenvalues of one refinement level and the residual they passed."""
+
+    n_unknowns: int
+    h: float
+    eigenvalues: tuple
+    level: int
+    residual: float
 
 
 @dataclass(frozen=True)
 class FemEigenResult:
     """Lowest eigenvalues with the refinement history behind them.
 
+    ``levels`` holds one LevelSolve per solved level, coarsest first;
     ``eigenvalues`` are the finest-level values; ``extrapolated`` removes
     the leading O(h^2) term from the last two levels; ``est_rel_error``
     is |extrapolated - finest| / extrapolated (absolute for the zero
-    mode); ``observed_order`` is the log2 ratio of successive corrections
-    when three or more levels are available, None for the constant mode
-    (whose corrections are rounding noise) and wherever the ratio is not
-    finite.
+    mode); ``observed_order`` is the log2 ratio of the last two
+    corrections when three or more levels are available, None for the
+    constant mode (whose corrections are rounding noise) and wherever the
+    ratio is not finite.  All of these read only the last three levels,
+    so a history with a coarser level in front gives the same values.
     """
 
     levels: tuple
@@ -284,13 +370,38 @@ class FemEigenResult:
     observed_order: tuple | None
     max_residual: float
 
+    @classmethod
+    def from_levels(cls, levels) -> "FemEigenResult":
+        """Richardson step over a nonempty refinement history of LevelSolves."""
+        finest = np.array(levels[-1].eigenvalues)
+        extrapolated = est = order = None
+        if len(levels) >= 2:
+            coarse = np.array(levels[-2].eigenvalues)
+            extra = finest + (finest - coarse) / 3.0
+            scale = np.abs(extra)
+            scale[0] = 1.0  # the constant mode's error is absolute
+            est = tuple(float(x) for x in np.abs(extra - finest) / scale)
+            extrapolated = tuple(float(x) for x in extra)
+        if len(levels) >= 3:
+            prev = np.array(levels[-3].eigenvalues)
+            num = np.abs(prev - coarse)
+            den = np.abs(coarse - finest)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                slopes = np.log2(num / den)
+            # the constant mode's corrections are rounding noise
+            order = (None,) + tuple(float(s) if np.isfinite(s) else None for s in slopes[1:])
+        return cls(levels=tuple(levels), eigenvalues=tuple(float(v) for v in finest),
+                   extrapolated=extrapolated, est_rel_error=est, observed_order=order,
+                   max_residual=max(solve.residual for solve in levels))
+
     def best(self) -> tuple:
         return self.extrapolated if self.extrapolated is not None else self.eigenvalues
 
     def to_dict(self) -> dict:
         return {
-            "levels": [{"n_unknowns": n, "h": h, "eigenvalues": list(vals)}
-                       for (n, h, vals) in self.levels],
+            "levels": [{"level": solve.level, "n_unknowns": solve.n_unknowns,
+                        "h": solve.h, "eigenvalues": list(solve.eigenvalues)}
+                       for solve in self.levels],
             "eigenvalues": list(self.eigenvalues),
             "extrapolated": list(self.extrapolated) if self.extrapolated else None,
             "est_rel_error": list(self.est_rel_error) if self.est_rel_error else None,
@@ -299,50 +410,136 @@ class FemEigenResult:
         }
 
 
-def _solve_one(system: FemSystem, m: int) -> tuple[np.ndarray, float]:
-    K, M = system.stiffness, system.mass
-    n = system.n_unknowns
-    if m >= n:
-        raise ValueError("need m well below the number of unknowns")
-    # K - SHIFT*M is symmetric positive definite: a symmetric minimum-degree
-    # ordering of its pattern fills far less than the column ordering eigsh
-    # would otherwise pick
-    lu = sparse_linalg.splu((K - SHIFT * M).tocsc(), permc_spec="MMD_AT_PLUS_A",
-                            options={"SymmetricMode": True})
-    op_inv = sparse_linalg.LinearOperator((n, n), matvec=lu.solve, dtype=K.dtype)
-    # a fixed start vector keeps ARPACK deterministic; it must not be
-    # invariant under the mesh rotations, or it is orthogonal up to rounding
-    # to every eigenvector outside the invariant sector (the mu_2 pair
-    # included), and Lanczos finds those only from rounding noise
-    v0 = 1.0 + np.arange(n) / n
-    vals, vecs = sparse_linalg.eigsh(K, k=m, M=M, sigma=SHIFT, which="LM", v0=v0,
-                                     OPinv=op_inv)
-    order = np.argsort(vals)
-    vals, vecs = vals[order], vecs[:, order]
+def _lu_inverse(A):
+    """Apply A^-1 through one sparse LU of the Hermitian positive definite A."""
+    # a symmetric minimum-degree ordering of the pattern fills far less than
+    # the column ordering eigsh would otherwise pick
+    return sparse_linalg.splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A",
+                              options={"SymmetricMode": True}).solve
 
-    ku = K @ vecs
+
+def _averaged_inverse(system: FemSystem, k: int):
+    """Apply the inverse of sector k's K - SHIFT*M with every stencil
+    coefficient replaced by its mean over the wedge's rays.
+
+    The averaged operator commutes with the turn by one ray, so the Fourier
+    transform along the rays splits it into one Hermitian tridiagonal
+    system across the rings per wavenumber kappa_q = (phi + 2 pi q) / width,
+    where phi = 2 pi k / order is the phase the sector gains over the wedge.
+    """
+    vertex, radial, angular, diagonal = (
+        np.mean(a, axis=1) - SHIFT * np.mean(b, axis=1)
+        for a, b in zip(system.stiffness_sums, system.mass_sums))
+    n_rings, width = system.stiffness_sums[0].shape
+    phi = 2 * math.pi * k / system.order
+    kappa = (phi + 2 * math.pi * np.arange(width)) / width
+    # unknown q * n_rings + i is ring i at wavenumber q: one tridiagonal
+    # matrix whose sub-diagonal vanishes between wavenumbers
+    main = vertex[None, :] + 2 * angular[None, :] * np.cos(kappa)[:, None]
+    sub = np.zeros((width, n_rings), dtype=complex)
+    sub[:, :-1] = radial[None, :] + diagonal[None, :] * np.exp(-1j * kappa)[:, None]
+    main, sub, info = lapack.zpttrf(main.ravel(), sub.ravel()[:-1])
+    if info != 0:
+        raise FemConvergenceError("averaged sector operator is not positive definite")
+    twist = np.exp(1j * phi * np.arange(width) / width)[:, None]
+    real = phi % math.pi == 0
+
+    def apply(b):
+        spectrum = np.fft.fft(b.reshape(n_rings, width).T * twist.conj(), axis=0)
+        x, _ = lapack.zpttrs(main, sub, spectrum.reshape(-1, 1), lower=1)
+        x = (np.fft.ifft(x.reshape(width, n_rings), axis=0) * twist).T.ravel()
+        return x.real if real else x
+    return apply
+
+
+def _cg_inverse(A, preconditioner):
+    """Apply A^-1 by conjugate gradients to relative residual CG_RTOL."""
+    n = A.shape[0]
+    pre = sparse_linalg.LinearOperator((n, n), matvec=preconditioner, dtype=A.dtype)
+
+    def solve(b):
+        x, info = sparse_linalg.cg(A, b, rtol=CG_RTOL, atol=0.0, M=pre,
+                                   maxiter=CG_MAXITER)
+        if info != 0:
+            raise FemConvergenceError(
+                f"conjugate gradients missed {CG_RTOL:g} in {CG_MAXITER} steps at {n} unknowns")
+        return x
+    return solve
+
+
+def _sector_eigs(system: FemSystem, k: int, count: int) -> tuple[np.ndarray, float]:
+    """Lowest ``count`` eigenvalues of sector k's pencil (K, M) and their
+    worst relative residual, by shift-invert Lanczos about SHIFT.
+
+    K - SHIFT*M is Hermitian positive definite.  Up to DIRECT_MAX_UNKNOWNS
+    it is inverted through a sparse LU; above, the LU fill would dominate
+    the peak memory of the level, and conjugate gradients preconditioned by
+    ``_averaged_inverse`` invert it in memory linear in the unknowns.
+    """
+    A, M = system.sector(k)
+    n = A.shape[0]
+    if count >= n - 1:
+        raise ValueError("need m well below the number of unknowns")
+    inverse = (_lu_inverse(A) if n <= DIRECT_MAX_UNKNOWNS
+               else _cg_inverse(A, _averaged_inverse(system, k)))
+    # in shift-invert mode ARPACK applies only OPinv (and M); its first
+    # argument just gives the shape.  A fixed start vector keeps it
+    # deterministic; it varies along the rays, so no turn of a round
+    # domain's mesh leaves it invariant and hides eigenvectors from it
+    v0 = (1.0 + np.arange(n) / n).astype(A.dtype)
+    if np.iscomplexobj(A.data):
+        # eigsh hands a complex pencil to eigs, whose driver then keeps M in a
+        # reference cycle that outlives the call; shift-inverting M^-1 K
+        # itself, (M^-1 K - SHIFT)^-1 = (K - SHIFT*M)^-1 M, leaves none
+        op_inv = sparse_linalg.LinearOperator((n, n), matvec=lambda x: inverse(M @ x),
+                                              dtype=A.dtype)
+        vals, vecs = sparse_linalg.eigs(op_inv, k=count, sigma=SHIFT, which="LM", v0=v0,
+                                        OPinv=op_inv)
+        vals = vals.real
+    else:
+        op_inv = sparse_linalg.LinearOperator((n, n), matvec=inverse, dtype=A.dtype)
+        vals, vecs = sparse_linalg.eigsh(op_inv, k=count, M=M, sigma=SHIFT, which="LM",
+                                         v0=v0, OPinv=op_inv)
     mu_ = M @ vecs
+    ku = A @ vecs + SHIFT * mu_
     resid = np.linalg.norm(ku - vals[None, :] * mu_, axis=0)
     scale = np.maximum(np.linalg.norm(ku, axis=0),
                        np.abs(vals).max() * np.linalg.norm(mu_, axis=0))
-    rel = float(np.max(resid / scale))
+    return vals, float(np.max(resid / scale))
+
+
+def _solve_level(system: FemSystem, m: int) -> LevelSolve:
+    # the eigenfunctions split by their phase under the symmetry rotation;
+    # each sector is solved on the wedge alone, and a complex sector stands
+    # for its conjugate too, which has the same eigenvalues
+    n = system.n_unknowns
+    if m >= n:
+        raise ValueError("need m well below the number of unknowns")
+    found, rel = [], 0.0
+    for k in range(system.order // 2 + 1):
+        copies = 1 if 4 * k // system.order % 2 == 0 else 2
+        vals, residual = _sector_eigs(system, k, -(-m // copies))
+        found += [float(v) for v in vals for _ in range(copies)]
+        rel = max(rel, residual)
+    vals = np.sort(found)[:m]
     if rel > 1e-9:
         raise FemConvergenceError(
             f"eigen residual {rel:.3e} above 1e-9 at {n} unknowns")
     if abs(vals[0]) > 1e-6 * max(1.0, abs(vals[1])):
         raise FemConvergenceError(
             f"constant mode came out at {vals[0]:.3e}; assembly is suspect")
-    return vals, rel
+    return LevelSolve(n_unknowns=n, h=system.mesh.chart_h,
+                      eigenvalues=tuple(float(v) for v in vals),
+                      level=system.mesh.level, residual=rel)
 
 
 def eigensolve(systems, m: int = 8) -> FemEigenResult:
     """Smallest ``m`` eigenvalues of one system or a refinement sequence.
 
-    Every system goes through shift-invert Lanczos with a fixed start
-    vector, applying the inverse through one sparse LU factorization of
-    K - SHIFT*M under a symmetric minimum-degree ordering.  With several
+    Every system is solved one symmetry sector at a time by shift-invert
+    Lanczos with a fixed start vector (``_sector_eigs``).  With several
     levels the last two are Richardson-combined assuming second-order
-    convergence.
+    convergence (``FemEigenResult.from_levels``).
     """
     if m < 2:
         raise ValueError("ask for at least two eigenvalues")
@@ -350,39 +547,11 @@ def eigensolve(systems, m: int = 8) -> FemEigenResult:
         systems = [systems]
     if not systems:
         raise ValueError("no systems given")
-    history = []
-    max_resid = 0.0
-    for system in systems:
-        vals, resid = _solve_one(system, m)
-        max_resid = max(max_resid, resid)
-        history.append((system.n_unknowns, system.mesh.chart_h, tuple(float(v) for v in vals)))
-
-    finest = np.array(history[-1][2])
-    extrapolated = est = order = None
-    if len(history) >= 2:
-        coarse = np.array(history[-2][2])
-        extra = finest + (finest - coarse) / 3.0
-        scale = np.abs(extra)
-        scale[0] = 1.0  # the constant mode's error is absolute
-        est = tuple(float(x) for x in np.abs(extra - finest) / scale)
-        extrapolated = tuple(float(x) for x in extra)
-    if len(history) >= 3:
-        prev = np.array(history[-3][2])
-        coarse = np.array(history[-2][2])
-        num = np.abs(prev - coarse)
-        den = np.abs(coarse - finest)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            slopes = np.log2(num / den)
-        # the constant mode's corrections are rounding noise
-        order = (None,) + tuple(float(s) if np.isfinite(s) else None for s in slopes[1:])
-    return FemEigenResult(levels=tuple(history),
-                          eigenvalues=tuple(float(v) for v in finest),
-                          extrapolated=extrapolated, est_rel_error=est,
-                          observed_order=order, max_residual=max_resid)
+    return FemEigenResult.from_levels([_solve_level(system, m) for system in systems])
 
 
 def solve_domain(spec: dm.DomainSpec, levels=(1, 2, 3), m: int = 8) -> FemEigenResult:
-    """Mesh, assemble and eigensolve the domain across refinement levels."""
+    """Mesh, assemble and eigensolve the domain on every one of ``levels``."""
     systems = [assemble(generate_mesh(spec, lv)) for lv in levels]
     return eigensolve(systems, m=m)
 
@@ -393,6 +562,15 @@ def solve_domain(spec: dm.DomainSpec, levels=(1, 2, 3), m: int = 8) -> FemEigenR
 
 @dataclass(frozen=True)
 class VerifyConfig:
+    """Refinement ladder and eigenvalue count of ``verify_theorem``.
+
+    ``levels`` are ascending refinement levels; the last is the cap, the
+    finest level a run may solve.  A run stops below the cap once its
+    verdict is decided, and a ladder of three or more levels starting at
+    l >= 1 is led by the probe level l - 1 (see ``verify_theorem``).
+    Ladders of one or two levels are solved in full.
+    """
+
     levels: tuple = (1, 2, 3)
     m: int = 8
 
@@ -441,20 +619,51 @@ def spec_hash(spec: dm.DomainSpec) -> str:
     return hashlib.sha256(payload).hexdigest()[:16]
 
 
+def verdict_decided(margins, tau: float, orders) -> bool:
+    """Whether refining further could no longer change the verdict.
+
+    True when every margin is >= STOP_MARGIN * tau or some margin is
+    <= -STOP_MARGIN * tau, and every observed order of the checked
+    indices (None when unknown) lies in ORDER_BAND, so the Richardson
+    estimate behind tau can be trusted.
+    """
+    low, high = ORDER_BAND
+    trusted = all(order is not None and low <= order <= high for order in orders)
+    return trusted and (all(margin >= STOP_MARGIN * tau for margin in margins)
+                        or any(margin <= -STOP_MARGIN * tau for margin in margins))
+
+
+def _ladder(levels: tuple) -> tuple:
+    """``levels`` led by the probe level below them when an observed order
+    needs it: three or more levels starting at level 1 or above."""
+    if len(levels) >= 3 and levels[0] >= 1:
+        return (levels[0] - 1, *levels)
+    return tuple(levels)
+
+
 def verify_theorem(spec: dm.DomainSpec, config: VerifyConfig | None = None) -> TheoremVerdict:
     """Check mu_i(domain) <= mu_2(matched shell) for the symmetry-given indices.
 
     Pipeline: quadrature volume -> matched shell radii -> lowest mode-1
     eigenvalue of the shell (radial solve) -> FEM eigenvalues of the
-    domain across refinement levels -> margins against tau.  Quarter-turn
-    symmetry checks indices 2 and 3; half-turn or central symmetry checks
-    index 2 only.
+    domain, one refinement level at a time -> margins against tau.
+    Quarter-turn symmetry checks indices 2 and 3; half-turn or central
+    symmetry checks index 2 only.
+
+    Levels are solved coarsest first, each once, up to the cap
+    ``config.levels[-1]``; after each level below the cap the run stops
+    if ``verdict_decided`` holds for the margins, tau and observed
+    orders so far.  A ladder of three or more levels starting at l >= 1
+    first solves level l - 1, so the stop test can already read an
+    observed order once level l + 1 is solved.
     """
     config = config or VerifyConfig()
     if spec.n != 2:
         raise ValueError("end-to-end verification runs on planar domains")
     if spec.symmetry_order is dm.SymmetryOrder.NONE:
         raise dm.SymmetryError("the comparison needs a declared symmetry class")
+    if not config.levels:
+        raise ValueError("no refinement levels given")
 
     grid = dm.QuadratureGrid.for_spec(spec)
     vol = dm.volume(grid)
@@ -462,15 +671,21 @@ def verify_theorem(spec: dm.DomainSpec, config: VerifyConfig | None = None) -> T
 
     (shell,) = slsolver.solve(SLProblem(spec.form, 2, 1, r1, r2), SolverConfig())
     mu_annulus = shell.eigenvalue
-
-    fem = solve_domain(spec, levels=config.levels, m=config.m)
-
-    indices = (2, 3) if spec.symmetry_order is dm.SymmetryOrder.ORDER4 else (2,)
-    best = fem.best()
-    est = fem.est_rel_error or tuple(0.0 for _ in best)
     radial = abs(shell.eigenvalue - shell.eigenvalue_grid) / shell.eigenvalue
-    tau = max(TAU_FLOOR, 3.0 * max(est[i - 1] for i in indices) + radial)
-    margins = tuple((mu_annulus - best[i - 1]) / mu_annulus for i in indices)
+    indices = (2, 3) if spec.symmetry_order is dm.SymmetryOrder.ORDER4 else (2,)
+
+    history = []
+    for level in _ladder(config.levels):
+        history += eigensolve(assemble(generate_mesh(spec, level)), m=config.m).levels
+        fem = FemEigenResult.from_levels(history)
+        best = fem.best()
+        est = fem.est_rel_error or tuple(0.0 for _ in best)
+        tau = max(TAU_FLOOR, 3.0 * max(est[i - 1] for i in indices) + radial)
+        margins = tuple((mu_annulus - best[i - 1]) / mu_annulus for i in indices)
+        orders = tuple(fem.observed_order[i - 1] if fem.observed_order else None
+                       for i in indices)
+        if verdict_decided(margins, tau, orders):
+            break
     return TheoremVerdict(
         spec_hash=spec_hash(spec), form=spec.form, symmetry=spec.symmetry_order,
         r1=r1, r2=r2, volume=vol, mu_annulus=mu_annulus, fem=fem,
@@ -488,9 +703,9 @@ def convergence_table(result: FemEigenResult, label: str = "") -> str:
     m = len(result.eigenvalues)
     lines = [f"# {label}".rstrip(),
              "# h  n_unknowns  " + "  ".join(f"mu_{i + 1}" for i in range(m))]
-    for n_unknowns, h, vals in result.levels:
-        lines.append("  ".join([f"{h:.12g}", str(n_unknowns)]
-                               + [f"{v:.12g}" for v in vals]))
+    for solve in result.levels:
+        lines.append("  ".join([f"{solve.h:.12g}", str(solve.n_unknowns)]
+                               + [f"{v:.12g}" for v in solve.eigenvalues]))
     if result.extrapolated is not None:
         lines.append("# extrapolated:  " + "  ".join(f"{v:.12g}" for v in result.extrapolated))
     return "\n".join(lines) + "\n"

@@ -260,6 +260,19 @@ class TestVerifyCommand:
         assert code == 2
         assert "count" in err and "summary" not in out
 
+    def test_report_names_the_solved_levels(self, tmp_path, capsys):
+        report = tmp_path / "report.json"
+        code, _, _ = run(["verify", "--random-family", "s=4 count=1 amplitude=0.08",
+                          "--form", "hyperbolic", "--seed", "5", "--levels", "3",
+                          "--json", str(report)], capsys)
+        assert code == 0
+        levels = json.loads(report.read_text())["domains"][0]["fem"]["levels"]
+        # the probe level 0, then levels up to the cap 3 until the verdict is decided
+        assert [entry["level"] for entry in levels] == list(range(len(levels)))
+        assert 3 <= len(levels) <= 4
+        assert all(set(entry) == {"level", "n_unknowns", "h", "eigenvalues"}
+                   for entry in levels)
+
     def test_uncertifiable_resolution_exit_4(self, tmp_path, capsys):
         # one coarse level cannot bring the equality case within tau
         spec = DomainSpec.exact_annulus("euclidean", 2, 1.0, 2.0)
@@ -365,6 +378,19 @@ class TestMomentsCommand:
         assert len(checks) == 3
         for c in checks:
             assert abs(c["margin"]) < 1e-7
+
+    def test_inner_infimum_once_per_domain(self, capsys, monkeypatch):
+        # matched_annulus and the three rayleigh_gk calls of a domain share
+        # its grid, which finds inf rho_in once
+        calls = []
+        original = dm.inner_infimum
+        monkeypatch.setattr(dm, "inner_infimum",
+                            lambda spec: calls.append(spec) or original(spec))
+        code, _, _ = run(["moments", "--random-family", "s=4 count=5 amplitude=0.08",
+                          "--form", "all", "--seed", "2026", "--check", "rayleigh"],
+                         capsys)
+        assert code == 0
+        assert len(calls) == 15
 
     def test_bad_family_string_exit_2(self, capsys):
         code, _, err = run(["moments", "--random-family", "s=7 count=1"], capsys)

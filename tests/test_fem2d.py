@@ -15,6 +15,7 @@ from spaceform_spectra.fem2d import (
     eigensolve,
     generate_mesh,
     solve_domain,
+    verdict_decided,
     verify_theorem,
 )
 from spaceform_spectra.slsolver import SLProblem, SolverConfig
@@ -23,6 +24,14 @@ from spaceform_spectra.spaceform import SpaceForm, sin_m
 import oracles
 
 ANNULUS = DomainSpec.exact_annulus("euclidean", 2, 1.0, 2.0)
+ORDER4_SHELL = DomainSpec("euclidean", 2, SymmetryOrder.ORDER4,
+                          FourierProfile(1.25, ((4, 0.06, -0.04),)),
+                          FourierProfile(0.55, ((4, 0.02, 0.02),)))
+ORDER4_DISK = DomainSpec("spherical", 2, SymmetryOrder.ORDER4,
+                         FourierProfile(1.1, ((4, 0.05, 0.03),)))
+HALF_TURN_SHELL = DomainSpec("hyperbolic", 2, SymmetryOrder.ORDER2,
+                             FourierProfile(1.3, ((2, 0.08, 0.03),)),
+                             FourierProfile(0.5, ((2, 0.02, 0.0),)))
 
 
 @pytest.fixture(scope="module")
@@ -279,6 +288,7 @@ class TestEigensolve:
                                 FourierProfile(1.1, ((4, 0.04, -0.03),))), 1, id="spec1"),
         pytest.param(DomainSpec.exact_annulus("euclidean", 2, 0.0, 1.0), 0,
                      id="disk-level0"),
+        pytest.param(HALF_TURN_SHELL, 1, id="half-turn"),
     ])
     def test_sparse_path_matches_dense(self, spec, level):
         system = assemble(generate_mesh(spec, level))
@@ -355,3 +365,123 @@ class TestVerifyTheorem:
         assert len(cols) == 2 + len(disk_result.eigenvalues)
         float(cols[0])  # h parses as a number
         assert lines[-1].startswith("# extrapolated:")
+
+
+@pytest.fixture
+def solved(monkeypatch):
+    """Levels meshed and levels eigensolved while the test runs."""
+    record = {"meshed": [], "solved": []}
+    generate, solve_level = fem2d.generate_mesh, fem2d._solve_level
+
+    def meshing(spec, level):
+        record["meshed"].append(level)
+        return generate(spec, level)
+
+    def solving(system, m):
+        record["solved"].append(system.mesh.level)
+        return solve_level(system, m)
+
+    monkeypatch.setattr(fem2d, "generate_mesh", meshing)
+    monkeypatch.setattr(fem2d, "_solve_level", solving)
+    return record
+
+
+class TestStopRule:
+    def test_clear_pass_stops_at_level_two(self, solved):
+        verdict = verify_theorem(ORDER4_SHELL)
+        assert solved["meshed"] == [0, 1, 2]
+        assert solved["solved"] == [0, 1, 2]
+        assert [entry["level"] for entry in verdict.fem.to_dict()["levels"]] == [0, 1, 2]
+        assert verdict.passed
+        assert min(verdict.margins) >= fem2d.STOP_MARGIN * verdict.tau
+        low, high = fem2d.ORDER_BAND
+        assert all(low <= verdict.fem.observed_order[i - 1] <= high
+                   for i in verdict.checked_indices)
+
+    def test_threshold_case_reaches_the_cap(self, solved, annulus_result):
+        # margin about 0: no level below the cap decides the equality case,
+        # and the cap reports what the fixed ladder 1, 2, 3 gives
+        verdict = verify_theorem(ANNULUS)
+        assert solved["meshed"] == [0, 1, 2, 3]
+        assert solved["solved"] == [0, 1, 2, 3]
+        fem, fixed = verdict.fem, annulus_result
+        assert fem.levels[1:] == fixed.levels
+        assert fem.extrapolated == fixed.extrapolated
+        assert fem.est_rel_error == fixed.est_rel_error
+        assert fem.observed_order == fixed.observed_order
+
+        (shell,) = slsolver.solve(SLProblem("euclidean", 2, 1, verdict.r1, verdict.r2),
+                                  SolverConfig())
+        radial = abs(shell.eigenvalue - shell.eigenvalue_grid) / shell.eigenvalue
+        tau = max(fem2d.TAU_FLOOR, 3.0 * max(fixed.est_rel_error[1:3]) + radial)
+        margins = tuple((shell.eigenvalue - fixed.extrapolated[i]) / shell.eigenvalue
+                        for i in (1, 2))
+        assert verdict.tau == tau
+        assert verdict.margins == margins
+
+    def test_short_ladder_solves_no_probe_level(self, solved):
+        verdict = verify_theorem(ORDER4_SHELL, VerifyConfig(levels=(1, 2), m=4))
+        assert solved["meshed"] == [1, 2]
+        assert solved["solved"] == [1, 2]
+        assert [solve.level for solve in verdict.fem.levels] == [1, 2]
+
+    @pytest.mark.parametrize("margins, orders, decided", [
+        ((2.0, 3.0), (2.0, 2.0), True),
+        ((-2.0, 3.0), (2.0, 2.0), True),
+        ((1.9, 3.0), (2.0, 2.0), False),
+        ((-1.9, 3.0), (2.0, 2.0), False),
+        ((3.0, 3.0), (1.4, 2.0), False),
+        ((3.0, 3.0), (2.0, 2.6), False),
+        ((3.0, 3.0), (2.0, None), False),
+        ((-3.0,), (None,), False),
+    ])
+    def test_stop_predicate(self, margins, orders, decided):
+        tau = 1e-3
+        assert verdict_decided(tuple(m * tau for m in margins), tau, orders) is decided
+
+
+class TestSymmetrySectors:
+    @pytest.mark.parametrize("spec", [ORDER4_SHELL, ORDER4_DISK, HALF_TURN_SHELL],
+                             ids=["order4-shell", "order4-hole-free", "half-turn"])
+    def test_conjugate_gradient_path_matches_lu(self, spec, monkeypatch):
+        system = assemble(generate_mesh(spec, 1))
+        factored = eigensolve(system)
+        monkeypatch.setattr(fem2d, "DIRECT_MAX_UNKNOWNS", 0)
+        iterated = eigensolve(system)
+        assert iterated.max_residual <= 1e-10
+        ref = np.array(factored.eigenvalues)
+        got = np.array(iterated.eigenvalues)
+        assert np.max(np.abs(got - ref) / np.maximum(np.abs(ref), 1.0)) <= 1e-10
+
+    def test_averaged_inverse_is_exact_on_a_round_shell(self):
+        # every ray of a round shell carries the same coefficients
+        system = assemble(generate_mesh(ANNULUS, 1))
+        rng = np.random.default_rng(0)
+        for k in range(system.order // 2 + 1):
+            shifted, _ = system.sector(k)
+            b = rng.normal(size=shifted.shape[0]).astype(shifted.dtype)
+            x = fem2d._averaged_inverse(system, k)(b)
+            assert np.linalg.norm(shifted @ x - b) <= 1e-10 * np.linalg.norm(b)
+
+    @pytest.mark.parametrize("spec", [ORDER4_DISK, HALF_TURN_SHELL],
+                             ids=["order4-hole-free", "half-turn"])
+    def test_fine_level_is_not_factorized(self, spec, monkeypatch):
+        # level 3: every sector is above DIRECT_MAX_UNKNOWNS, so no sparse LU
+        # is made and the eigensolve's arrays stay within twice the bytes of
+        # the full K and M (the LU of one quarter-turn sector alone would
+        # take about twice as much)
+        system = assemble(generate_mesh(spec, 3))
+        full = sum(array.nbytes for matrix in (system.stiffness, system.mass)
+                   for array in (matrix.data, matrix.indices, matrix.indptr))
+        factorized = []
+        monkeypatch.setattr(fem2d.sparse_linalg, "splu",
+                            lambda *args, **kwargs: factorized.append(args))
+        tracemalloc.start()
+        try:
+            result = eigensolve(system)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert factorized == []
+        assert peak < 2 * full
+        assert result.max_residual <= 1e-10

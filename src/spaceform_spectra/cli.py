@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
+import itertools
 import json
 import os
 import sys
@@ -74,6 +75,13 @@ def _write_json(path: str, payload: dict) -> None:
     with open(path, "w") as fh:
         json.dump(payload, fh, sort_keys=True, indent=2)
         fh.write("\n")
+
+
+def _write_csv(path: str, header: list, rows) -> None:
+    """Comma-separated ``header`` then ``rows``; a float is written as its repr."""
+    with open(path, "w") as fh:
+        for row in [header, *rows]:
+            fh.write(",".join(map(str, row)) + "\n")
 
 
 # Flag values a subcommand uses when neither the command line nor --config
@@ -188,14 +196,8 @@ def cmd_sl(args, parser) -> int:
         }
         _write_json(_place(args, args.json), payload)
     if args.csv:
-        grid = pairs[0].grid
-        header = "r," + ",".join(f"u_j{p.j}" for p in pairs)
-        rows = [header]
-        for idx in range(grid.size):
-            rows.append(",".join([repr(float(grid[idx]))]
-                                 + [repr(float(p.values[idx])) for p in pairs]))
-        with open(_place(args, args.csv), "w") as fh:
-            fh.write("\n".join(rows) + "\n")
+        _write_csv(_place(args, args.csv), ["r"] + [f"u_j{p.j}" for p in pairs],
+                   np.column_stack([pairs[0].grid] + [p.values for p in pairs]).tolist())
     return EXIT_OK
 
 
@@ -213,12 +215,11 @@ def cmd_spectrum(args, parser) -> int:
           f"interval=[{_fmt(spec.r1)}, {_fmt(spec.r2)}], "
           f"certified below {_fmt(spec.complete_up_to)}")
     print(f"{'i':>3}  {'value':>18}  {'k':>3} {'j':>3} {'mult':>4}")
-    i = 1
-    for e in spec.entries:
-        if i > args.count:
-            break
-        print(f"{i:>3}  {_fmt(e.value):>18}  {e.k:>3} {e.j:>3} {e.multiplicity:>4}")
-        i += e.multiplicity
+    # i, the running index of an entry's first copy, ascends with the entries
+    starts = itertools.accumulate((e.multiplicity for e in spec.entries), initial=1)
+    rows = [(i, e.value, e.k, e.j, e.multiplicity) for i, e in zip(starts, spec.entries)]
+    for i, value, k, j, mult in (row for row in rows if row[0] <= args.count):
+        print(f"{i:>3}  {_fmt(value):>18}  {k:>3} {j:>3} {mult:>4}")
 
     payload = {"schema_version": 1, "spectrum": spec.to_dict(),
                "first_values": values}
@@ -234,8 +235,7 @@ def cmd_spectrum(args, parser) -> int:
     if args.json:
         _write_json(_place(args, args.json), payload)
     if args.csv:
-        with open(_place(args, args.csv), "w") as fh:
-            fh.write(spec.to_csv())
+        _write_csv(_place(args, args.csv), ["i", "value", "k", "j", "multiplicity"], rows)
     return EXIT_OK if passed else EXIT_FAIL
 
 

@@ -31,7 +31,7 @@ import numpy as np
 from scipy import optimize
 from scipy.interpolate import CubicSpline
 
-from .slsolver import BoundaryCondition, SLEigenpair
+from .slsolver import BoundaryCondition, SLEigenpair, check_wire_kinds
 from .spaceform import (
     GeometryError,
     HEMISPHERE_RADIUS,
@@ -622,6 +622,10 @@ def random_family(seed: int, form, n: int = 2,
 
 SCHEMA_VERSION = 1
 
+# JSON type each key of a domain, its profiles and their harmonics must carry
+_WIRE_TYPES = {"form": (str,), "n": (int,), "symmetry_order": (str,),
+               "base": (int, float), "m": (int,), "a": (int, float), "b": (int, float)}
+
 
 def spec_to_dict(spec: DomainSpec) -> dict:
     if spec.n != 2 or not isinstance(spec.rho_out, FourierProfile):
@@ -644,19 +648,22 @@ def spec_to_dict(spec: DomainSpec) -> dict:
 def spec_from_dict(data: dict) -> DomainSpec:
     """Planar Fourier domain from the wire dict.
 
-    Harmonics whose frequency is not a multiple of the declared symmetry
-    order are rejected outright; everything else goes through the same
-    validation as programmatic construction.
+    Values of the wrong JSON kind, and harmonics whose frequency is not a
+    multiple of the declared symmetry order, are rejected outright; the
+    rest goes through the same validation as programmatic construction.
     """
-    if int(data.get("n", 2)) != 2:
+    check_wire_kinds(data, _WIRE_TYPES, "spec")
+    if data.get("n", 2) != 2:
         raise ValueError("the JSON schema covers n = 2; build 3D specs programmatically")
     symmetry = SymmetryOrder(data["symmetry_order"])
     step = fourier_order(symmetry)
 
     def parse_profile(blob, label) -> FourierProfile:
+        check_wire_kinds(blob, _WIRE_TYPES, label)
         harmonics = []
         for h in blob.get("harmonics", []):
-            m = int(h["m"])
+            check_wire_kinds(h, _WIRE_TYPES, f"{label} harmonic")
+            m = h["m"]
             if m % step:
                 raise ValueError(
                     f"{label} harmonic m={m} incompatible with {symmetry} symmetry "

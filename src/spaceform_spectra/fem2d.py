@@ -52,7 +52,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -398,16 +398,10 @@ class FemEigenResult:
         return self.extrapolated if self.extrapolated is not None else self.eigenvalues
 
     def to_dict(self) -> dict:
-        return {
-            "levels": [{"level": solve.level, "n_unknowns": solve.n_unknowns,
-                        "h": solve.h, "eigenvalues": list(solve.eigenvalues)}
-                       for solve in self.levels],
-            "eigenvalues": list(self.eigenvalues),
-            "extrapolated": list(self.extrapolated) if self.extrapolated else None,
-            "est_rel_error": list(self.est_rel_error) if self.est_rel_error else None,
-            "observed_order": list(self.observed_order) if self.observed_order else None,
-            "max_residual": self.max_residual,
-        }
+        # a level's residual enters the report only through max_residual
+        levels = [{key: value for key, value in solve._asdict().items() if key != "residual"}
+                  for solve in self.levels]
+        return {**asdict(self), "levels": levels}
 
 
 def _lu_inverse(A):
@@ -550,8 +544,17 @@ def eigensolve(systems, m: int = 8) -> FemEigenResult:
     return FemEigenResult.from_levels([_solve_level(system, m) for system in systems])
 
 
+def _check_ladder(levels) -> None:
+    """Refuse a ladder other than one or more consecutive levels >= 0: the
+    Richardson step takes each level to halve h."""
+    if not levels or levels[0] < 0 or tuple(levels) != tuple(range(levels[0], levels[-1] + 1)):
+        raise ValueError(f"refinement levels {tuple(levels)} must be one or more "
+                         "consecutive levels >= 0")
+
+
 def solve_domain(spec: dm.DomainSpec, levels=(1, 2, 3), m: int = 8) -> FemEigenResult:
     """Mesh, assemble and eigensolve the domain on every one of ``levels``."""
+    _check_ladder(levels)
     systems = [assemble(generate_mesh(spec, lv)) for lv in levels]
     return eigensolve(systems, m=m)
 
@@ -564,15 +567,20 @@ def solve_domain(spec: dm.DomainSpec, levels=(1, 2, 3), m: int = 8) -> FemEigenR
 class VerifyConfig:
     """Refinement ladder and eigenvalue count of ``verify_theorem``.
 
-    ``levels`` are ascending refinement levels; the last is the cap, the
-    finest level a run may solve.  A run stops below the cap once its
-    verdict is decided, and a ladder of three or more levels starting at
-    l >= 1 is led by the probe level l - 1 (see ``verify_theorem``).
-    Ladders of one or two levels are solved in full.
+    ``levels`` are consecutive ascending refinement levels >= 0; the last is
+    the cap, the finest level a run may solve.  A run stops below the cap
+    once its verdict is decided, and a ladder of three or more levels
+    starting at l >= 1 is led by the probe level l - 1 (see
+    ``verify_theorem``).  Ladders of one or two levels are solved in full.
     """
 
     levels: tuple = (1, 2, 3)
     m: int = 8
+
+    def __post_init__(self):
+        _check_ladder(self.levels)
+        if self.m < 2:
+            raise ValueError(f"m={self.m}: ask for at least two eigenvalues")
 
 
 @dataclass(frozen=True)
@@ -662,8 +670,9 @@ def verify_theorem(spec: dm.DomainSpec, config: VerifyConfig | None = None) -> T
         raise ValueError("end-to-end verification runs on planar domains")
     if spec.symmetry_order is dm.SymmetryOrder.NONE:
         raise dm.SymmetryError("the comparison needs a declared symmetry class")
-    if not config.levels:
-        raise ValueError("no refinement levels given")
+    indices = (2, 3) if spec.symmetry_order is dm.SymmetryOrder.ORDER4 else (2,)
+    if config.m < indices[-1]:
+        raise ValueError(f"m={config.m} is below the largest checked index {indices[-1]}")
 
     grid = dm.QuadratureGrid.for_spec(spec)
     vol = dm.volume(grid)
@@ -672,7 +681,6 @@ def verify_theorem(spec: dm.DomainSpec, config: VerifyConfig | None = None) -> T
     (shell,) = slsolver.solve(SLProblem(spec.form, 2, 1, r1, r2), SolverConfig())
     mu_annulus = shell.eigenvalue
     radial = abs(shell.eigenvalue - shell.eigenvalue_grid) / shell.eigenvalue
-    indices = (2, 3) if spec.symmetry_order is dm.SymmetryOrder.ORDER4 else (2,)
 
     history = []
     for level in _ladder(config.levels):

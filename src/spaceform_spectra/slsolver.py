@@ -46,6 +46,7 @@ __all__ = [
     "discretize",
     "solve",
     "locate_b",
+    "check_wire_kinds",
     "problem_from_dict",
     "problem_to_dict",
     "pairs_to_dicts",
@@ -405,10 +406,19 @@ def locate_b(pair: SLEigenpair) -> float:
 # Wire formats
 # ---------------------------------------------------------------------------
 
-# JSON type each typed wire key must carry: a JSON boolean is no integer or
-# number here.  form and bc are checked by their enums.
+# JSON type each typed problem key must carry.  form and bc are checked by
+# their enums.
 _WIRE_TYPES = {"n": (int,), "k": (int,), "r1": (int, float), "r2": (int, float),
                "grid_points": (int,), "max_j": (int,), "richardson": (bool,)}
+
+
+def check_wire_kinds(data: dict, kinds: dict, what: str) -> None:
+    """Refuse a present key whose value's exact type (a JSON boolean is no
+    integer or number) is not among its ``kinds``."""
+    for key, types in kinds.items():
+        if key in data and type(data[key]) not in types:
+            raise ValueError(f"{what} key {key}={data[key]!r} must be "
+                             f"{' or '.join(t.__name__ for t in types)}")
 
 
 def problem_from_dict(data: dict) -> tuple[SLProblem, SolverConfig]:
@@ -421,10 +431,7 @@ def problem_from_dict(data: dict) -> tuple[SLProblem, SolverConfig]:
     unknown = set(data) - {"form", "bc", *_WIRE_TYPES}
     if unknown:
         raise ValueError(f"unknown problem keys: {sorted(unknown)}")
-    for key, types in _WIRE_TYPES.items():
-        if key in data and type(data[key]) not in types:
-            raise ValueError(f"problem key {key}={data[key]!r} must be "
-                             f"{' or '.join(t.__name__ for t in types)}")
+    check_wire_kinds(data, _WIRE_TYPES, "problem")
     try:
         problem = SLProblem(
             form=data["form"], n=data["n"], k=data["k"],

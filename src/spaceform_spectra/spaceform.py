@@ -13,7 +13,6 @@ sense; nothing here mutates shared state.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -34,7 +33,6 @@ __all__ = [
     "match_outer_radius",
     "to_normal_coords",
     "constants_reference",
-    "write_constants_reference",
 ]
 
 HEMISPHERE_RADIUS = math.pi / 2
@@ -278,9 +276,3 @@ def constants_reference(max_n: int = 10) -> dict:
         "pi": math.pi,
         "unit_sphere_area": {str(n): unit_sphere_area(n) for n in range(2, max_n + 1)},
     }
-
-
-def write_constants_reference(path, max_n: int = 10) -> None:
-    with open(path, "w") as fh:
-        json.dump(constants_reference(max_n), fh, indent=2, sort_keys=True)
-        fh.write("\n")

@@ -20,10 +20,8 @@ Dirichlet modes k <= 4 that its checks compare against.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -116,16 +114,6 @@ class AnnulusSpectrum:
             ],
         }
 
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["i", "value", "k", "j", "multiplicity"])
-        i = 1
-        for e in self.entries:
-            writer.writerow([i, repr(e.value), e.k, e.j, e.multiplicity])
-            i += e.multiplicity
-        return buf.getvalue()
-
 
 def assemble(form: SpaceForm, n: int, r1: float, r2: float,
              k_max: int, j_max: int,
@@ -184,11 +172,6 @@ class LemmaCheck:
     description: str
     detail: dict = field(default_factory=dict)
 
-    def to_dict(self) -> dict:
-        return {"name": self.name, "passed": self.passed, "worst": self.worst,
-                "tolerance": self.tolerance, "description": self.description,
-                "detail": self.detail}
-
 
 @dataclass(frozen=True)
 class LemmaCertification:
@@ -203,8 +186,7 @@ class LemmaCertification:
         return all(c.passed for c in self.checks)
 
     def to_dict(self) -> dict:
-        return {"form": str(self.form), "n": self.n, "r1": self.r1, "r2": self.r2,
-                "passed": self.passed, "checks": [c.to_dict() for c in self.checks]}
+        return {**asdict(self), "passed": self.passed}
 
 
 def certify_lemmas(shell: AnnulusSpectrum, j_max: int = 4) -> LemmaCertification:

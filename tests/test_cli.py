@@ -182,6 +182,22 @@ class TestSpectrumCommand:
         assert json.loads(report.read_text())["certification"]["passed"] is False
         assert table.read_text().splitlines()[0] == "i,value,k,j,multiplicity"
 
+    def test_csv_shape(self, tmp_path, capsys):
+        table = tmp_path / "s.csv"
+        code, _, _ = run(["spectrum", "--form", "euclidean", "--n", "2",
+                          "--r1", "1", "--r2", "2", "--grid-points", "1024",
+                          "--csv", str(table)], capsys)
+        assert code == 0
+        lines = table.read_text().strip().split("\n")
+        assert lines[0] == "i,value,k,j,multiplicity"
+        first = lines[1].split(",")
+        assert first[0] == "1" and float(first[1]) == 0.0
+        # running index advances by multiplicity
+        second = lines[2].split(",")
+        assert second[0] == "2" and second[4] == "2"
+        third = lines[3].split(",")
+        assert third[0] == "4"
+
     def test_truncation_exit_3(self, capsys):
         code, _, err = run(["spectrum", "--form", "euclidean", "--n", "2",
                             "--r1", "1", "--r2", "2", "--kmax", "2", "--jmax", "2",
@@ -250,6 +266,42 @@ class TestVerifyCommand:
         code, _, err = run(["verify", "--spec", str(path)], capsys)
         assert code == 2
         assert "incompatible" in err
+
+    @pytest.mark.parametrize("path,value", [
+        (("rho_out", "harmonics", 0, "m"), 4.9),
+        (("n",), 2.7),
+        (("rho_out", "base"), "1.2"),
+        (("rho_out", "harmonics", 0, "a"), True),
+    ], ids=["m-float", "n-float", "base-string", "a-boolean"])
+    def test_spec_value_of_wrong_kind_exit_2(self, tmp_path, capsys, path, value):
+        data = {"form": "euclidean", "n": 2, "symmetry_order": "order4",
+                "rho_out": {"base": 1.0, "harmonics": [{"m": 4, "a": 0.02, "b": 0.0}]},
+                "rho_in": {"base": 0.4, "harmonics": []}}
+        *parents, key = path
+        target = data
+        for step in parents:
+            target = target[step]
+        target[key] = value
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(data))
+        code, out, err = run(["verify", "--spec", str(spec), "--levels", "1"], capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and f"key {key}=" in err
+
+    @pytest.mark.parametrize("levels", ["0", "-2"])
+    def test_levels_below_one_exit_2(self, capsys, levels):
+        code, out, err = run(["verify", "--random-family", "s=4 count=1",
+                              "--form", "euclidean", "--levels", levels], capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and "levels" in err
+
+    def test_m_below_checked_index_exit_2(self, capsys):
+        # a quarter-turn domain checks mu_2 and mu_3
+        code, out, err = run(["verify", "--random-family", "s=4 count=1",
+                              "--form", "euclidean", "--levels", "1", "--m", "2"], capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("error on domain 1:") and "m=2" in err
+        assert "Traceback" not in err
 
     def test_missing_source_exit_2(self, capsys):
         code, _, _ = run(["verify"], capsys)

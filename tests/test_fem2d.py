@@ -337,6 +337,34 @@ class TestVerifyTheorem:
         verdict = verify_theorem(spec, VerifyConfig(levels=(1,), m=4))
         assert not verdict.passed
 
+    @pytest.mark.parametrize("levels,m,accepted", [
+        ((1, 2, 3), 8, True),
+        ((0,), 2, True),
+        ((3, 4), 4, True),
+        ((), 8, False),
+        ((-1, 0), 8, False),
+        ((1, 3), 8, False),
+        ((2, 1), 8, False),
+        ((1, 1), 8, False),
+        ((1, 2), 1, False),
+    ])
+    def test_config_refuses_what_it_cannot_run(self, levels, m, accepted):
+        # the Richardson step takes each level of the ladder to halve h
+        if accepted:
+            assert VerifyConfig(levels=levels, m=m).levels == levels
+        else:
+            with pytest.raises(ValueError):
+                VerifyConfig(levels=levels, m=m)
+
+    def test_solve_domain_refuses_a_gapped_ladder(self):
+        with pytest.raises(ValueError, match="consecutive"):
+            solve_domain(ANNULUS, levels=(1, 3), m=4)
+
+    def test_m_below_a_checked_index_is_refused(self):
+        # quarter-turn symmetry checks mu_3
+        with pytest.raises(ValueError, match="m=2"):
+            verify_theorem(ORDER4_SHELL, VerifyConfig(levels=(1,), m=2))
+
     def test_requires_symmetry_class(self):
         spec = DomainSpec("euclidean", 2, SymmetryOrder.NONE,
                           FourierProfile(1.0, ((1, 0.03, 0.0),)))

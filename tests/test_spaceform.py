@@ -222,13 +222,6 @@ class TestConstantsReference:
         assert table["unit_sphere_area"]["3"] == pytest.approx(4 * math.pi, rel=1e-13)
         assert table["unit_sphere_area"]["4"] == pytest.approx(2 * math.pi**2, rel=1e-13)
 
-    def test_written_file(self, tmp_path):
-        path = tmp_path / "constants.json"
-        sf.write_constants_reference(path)
-        data = json.loads(path.read_text())
-        assert data["pi"] == math.pi
-        assert set(data["unit_sphere_area"]) == {str(n) for n in range(2, 11)}
-
     def test_committed_reference_is_current(self):
         committed = Path(__file__).parent.parent / "docs" / "constants.json"
         assert json.loads(committed.read_text()) == sf.constants_reference()

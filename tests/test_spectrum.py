@@ -116,17 +116,6 @@ class TestAssemble:
 
 
 class TestSerialization:
-    def test_csv_shape(self, euclid_annulus):
-        lines = euclid_annulus.to_csv().strip().split("\n")
-        assert lines[0] == "i,value,k,j,multiplicity"
-        first = lines[1].split(",")
-        assert first[0] == "1" and float(first[1]) == 0.0
-        # running index advances by multiplicity
-        second = lines[2].split(",")
-        assert second[0] == "2" and second[4] == "2"
-        third = lines[3].split(",")
-        assert third[0] == "4"
-
     def test_dict_round_trip(self, euclid_annulus):
         blob = json.loads(json.dumps(euclid_annulus.to_dict()))
         assert blob["form"] == "euclidean"

@@ -314,7 +314,9 @@ def cmd_verify(args, parser) -> int:
         failures += 0 if verdict.passed else 1
         print(f"[{idx}/{len(specs)}] {verdict.spec_hash} {status}  form={verdict.form} "
               f"sym={verdict.symmetry}  mu2(shell)={_fmt(verdict.mu_annulus)}  "
-              f"min_margin={_fmt(min(verdict.margins))}  tau={_fmt(verdict.tau)}")
+              f"min_margin={_fmt(min(verdict.margins))}  tau={_fmt(verdict.tau)}"
+              + ("  (no error estimate: one level)"
+                 if verdict.fem.est_rel_error is None else ""))
         entry = verdict.to_dict()
         entry["spec"] = dm.spec_to_dict(spec)
         results.append(entry)
@@ -506,7 +508,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_vf.add_argument("--seed", type=int)
     p_vf.add_argument("--levels", type=int,
                       help="finest refinement level; a run stops below it once "
-                           "its verdict is decided")
+                           "its verdict is decided, and one level cannot PASS")
     p_vf.add_argument("--m", type=int)
     p_vf.add_argument("--config")
     p_vf.add_argument("--json", help="write the full report here")

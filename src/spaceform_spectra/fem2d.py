@@ -591,7 +591,9 @@ class TheoremVerdict:
     checked index; the verdict passes when every margin is >= -tau,
     where tau folds the extrapolation residual of the domain and the
     matched shell's relative Richardson correction (floored at 1e-4) so
-    discretization error cannot flip the comparison.
+    discretization error cannot flip the comparison.  A single level
+    gives no error estimate (``fem.est_rel_error`` is None), so its tau
+    is the bare floor and the verdict fails.
     """
 
     spec_hash: str
@@ -698,7 +700,8 @@ def verify_theorem(spec: dm.DomainSpec, config: VerifyConfig | None = None) -> T
         spec_hash=spec_hash(spec), form=spec.form, symmetry=spec.symmetry_order,
         r1=r1, r2=r2, volume=vol, mu_annulus=mu_annulus, fem=fem,
         checked_indices=indices, margins=margins, tau=tau,
-        passed=all(margin >= -tau for margin in margins))
+        passed=(fem.est_rel_error is not None
+                and all(margin >= -tau for margin in margins)))
 
 
 def convergence_table(result: FemEigenResult, label: str = "") -> str:

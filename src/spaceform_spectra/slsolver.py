@@ -12,10 +12,19 @@ weight w = sin_m^{n-1} and potential V = k(k+n-2)/sin_m^2.
 Discretization is a flux-form central difference on a uniform grid:
 half-node weights carry the fluxes, the mass is the trapezoid rule, and
 the resulting symmetric tridiagonal pencil is reduced to standard form
-by the diagonal mass.  Eigenvalues come from Sturm-sequence bisection
-(LAPACK stebz) so the index j is unambiguous; eigenvectors come from
-inverse iteration (stein).  Optional Richardson extrapolation across
-grids N and 2N removes the leading O(h^2) error term.
+by the diagonal mass, a Jacobi matrix (negative off-diagonals).  Only a
+coarse base grid is solved by Sturm-sequence bisection (LAPACK stebz),
+so the index j is unambiguous, with eigenvectors from stein.  The pairs
+then climb to grid N and, for Richardson, 2N: each vector is
+interpolated linearly onto the next grid and refined by fixed-shift
+inverse iteration (LAPACK gtsv; Parlett, The Symmetric Eigenvalue
+Problem, 1980, ch. 4), shifted by its value on the previous grid.  The
+j-th eigenvector of a Jacobi matrix has exactly j - 1 sign changes
+(Gantmacher and Krein, Oscillation Matrices and Kernels, 1950), so that
+count certifies each climbed index; a grid whose count fails is bisected
+instead.  Every value is the Rayleigh quotient of its vector, summed in
+flux form.  Optional Richardson extrapolation across grids N and 2N
+removes the leading O(h^2) error term.
 
 At r1 = 0 there is no inner boundary: mode k = 0 gets a natural zero-flux
 condition with an exact control-volume mass for the origin cell, while
@@ -31,6 +40,7 @@ from enum import Enum
 
 import numpy as np
 from scipy.linalg import LinAlgError, eigh_tridiagonal
+from scipy.linalg.lapack import dgtsv
 
 from .spaceform import GeometryError, SpaceForm, _as_form, _gl_rule, sin_m
 
@@ -241,19 +251,31 @@ def _pencil_rayleigh(system: TridiagonalSystem, u: np.ndarray) -> np.ndarray:
     return energy / np.einsum("i,ij->j", system.mass, u * u)
 
 
+def _standard_form(system: TridiagonalSystem):
+    """Diagonal and off-diagonal of the mass-scaled pencil, and the scale.
+
+    With u = scale * y and scale = M^{-1/2}, the pencil K u = mu M u becomes
+    the Jacobi matrix scale K scale y = mu y, whose off-diagonals are
+    negative.
+    """
+    scale = 1.0 / np.sqrt(system.mass)
+    d = system.diag * scale**2
+    e = system.offdiag * scale[:-1] * scale[1:]
+    return d, e, scale
+
+
 def _eigen_tridiagonal(system: TridiagonalSystem, count: int):
     """Lowest ``count`` eigenpairs of the pencil via Sturm bisection.
 
-    ``stebz`` pins the indices at LAPACK's own tolerance, about
-    eps * |Gershgorin bound|, which is too coarse for the smallest modes
-    on fine grids; the returned values are therefore refined to the
-    Rayleigh quotient of the inverse-iteration eigenvector, which is
-    variationally accurate to second order in the vector error.
+    ``solve`` bisects only its base grid, and a finer grid whose climbed
+    vectors fail the oscillation count.  ``stebz`` pins the indices at
+    LAPACK's own tolerance, about eps * |Gershgorin bound|, which is too
+    coarse for the smallest modes on fine grids; the returned values are
+    therefore refined to the Rayleigh quotient of the ``stein`` inverse-
+    iteration eigenvector, which is variationally accurate to second
+    order in the vector error.
     """
-    m = system.mass
-    scale = 1.0 / np.sqrt(m)
-    d = system.diag * scale**2
-    e = system.offdiag * scale[:-1] * scale[1:]
+    d, e, scale = _standard_form(system)
     if count > d.size:
         raise ValueError(f"{count} eigenpairs asked of {d.size} active nodes")
     try:
@@ -269,6 +291,57 @@ def _eigen_tridiagonal(system: TridiagonalSystem, count: int):
     if np.any(np.diff(refined) < 0):  # pragma: no cover - would signal a defect
         raise ConvergenceError("Rayleigh refinement broke the eigenvalue ordering")
     return refined, u
+
+
+def _sign_changes(v: np.ndarray) -> int:
+    """Strict sign changes of the samples above 1e-9 of the largest one."""
+    inner = v[np.abs(v) > 1e-9 * np.max(np.abs(v))]
+    signs = np.sign(inner)
+    return int(np.sum(signs[1:] * signs[:-1] < 0))
+
+
+def _inverse_iteration(d: np.ndarray, e: np.ndarray, shift: float,
+                       y: np.ndarray, steps: int) -> np.ndarray:
+    """``steps`` fixed-shift inverse-iteration steps from y on the Jacobi
+    matrix (d, e) shifted by ``shift``, each solved by LAPACK ``gtsv``.
+
+    An exactly zero pivot means the shift is an eigenvalue to working
+    precision, so the current vector is kept.
+    """
+    y = y[:, None]
+    for _ in range(steps):
+        _, _, _, x, info = dgtsv(e, d - shift, e, y)
+        if info > 0:
+            break
+        y = x / np.linalg.norm(x)
+    return y[:, 0]
+
+
+def _climb(coarse: TridiagonalSystem, values: np.ndarray, u: np.ndarray,
+           fine: TridiagonalSystem, steps: int):
+    """Eigenpairs on ``fine`` from the pairs (values, u) of ``coarse``.
+
+    Each coarse vector is interpolated linearly onto ``fine`` and takes
+    ``steps`` inverse-iteration steps shifted by its coarse value.  The
+    j-th eigenvector of a Jacobi matrix with negative off-diagonals has
+    exactly j - 1 sign changes (discrete Sturm oscillation), so that count
+    certifies every index; if one fails, ``fine`` is bisected instead.
+    """
+    d, e, scale = _standard_form(fine)
+    # fine active node = coarse node i plus the fraction frac of a cell
+    t = (fine.grid[fine.active_start:fine.active_stop] - coarse.grid[0]) / coarse.h
+    i = np.minimum(t.astype(int), coarse.grid.size - 2)
+    frac = t - i
+    # one row per vector: the loop touches grid-sized arrays only
+    rows = np.empty((values.size, d.size))
+    for j, row in enumerate(rows):
+        full = coarse.embed(u[:, j])
+        lo = full[i]
+        start = (lo + (full[i + 1] - lo) * frac) / scale
+        row[:] = _inverse_iteration(d, e, values[j], start, steps) * scale
+        if _sign_changes(row) != j:
+            return _eigen_tridiagonal(fine, values.size)
+    return _pencil_rayleigh(fine, rows.T), rows.T
 
 
 @dataclass(frozen=True)
@@ -296,10 +369,7 @@ class SLEigenpair:
 
     def sign_changes(self) -> int:
         """Strict interior sign changes of the eigenfunction samples."""
-        v = self.values
-        inner = v[np.abs(v) > 1e-9 * np.max(np.abs(v))]
-        signs = np.sign(inner)
-        return int(np.sum(signs[1:] * signs[:-1] < 0))
+        return _sign_changes(self.values)
 
 
 def _finalize_vector(system: TridiagonalSystem, u_active: np.ndarray) -> np.ndarray:
@@ -317,39 +387,56 @@ def _finalize_vector(system: TridiagonalSystem, u_active: np.ndarray) -> np.ndar
 def solve(problem: SLProblem, config: SolverConfig | None = None) -> list[SLEigenpair]:
     """First ``config.max_j`` eigenpairs of the radial problem, in order.
 
-    Bisection pins each index and the Rayleigh refinement supplies the
-    value; with ``config.richardson`` the values from grids N and 2N are
-    combined as (4 mu_2N - mu_N)/3, so ``eigenvalue - eigenvalue_grid``
-    is the Richardson correction (mu_2N - mu_N)/3, and the eigenvectors
-    are reported on the finer grid.  The coarse grid N yields exactly
-    ``max_j`` values; the fine grid yields one more, a probe for the gap
-    check: a gap between adjacent fine-grid eigenvalues below
-    ``DEGENERACY_GAP`` trips a NearDegeneracyWarning, because the
+    Only a base grid of min(N, max(N // 8, 32 * probe)) cells is bisected
+    (``_eigen_tridiagonal``); its pairs then climb to grid N and, with
+    ``config.richardson``, to 2N (``_climb``: interpolation, then 3
+    inverse-iteration steps on N and 2 on 2N, each index certified by its
+    sign-change count, the grid bisected if one fails).  Each grid's
+    values are the Rayleigh quotients of its vectors.  With Richardson
+    the values from grids N and 2N are combined as (4 mu_2N - mu_N)/3, so
+    ``eigenvalue - eigenvalue_grid`` is the Richardson correction
+    (mu_2N - mu_N)/3, and the eigenvectors are reported on the finer
+    grid.  Grid N needs ``max_j`` pairs and the finest grid one more, a
+    probe for the gap check: a gap between adjacent fine-grid eigenvalues
+    below ``DEGENERACY_GAP`` trips a NearDegeneracyWarning, because the
     continuum eigenvalues are simple and a near-tie indicates
     discretization trouble.  The first j pairs agree, to rounding,
-    whatever ``max_j >= j`` was requested.  Asking for more pairs than
-    the grid has active nodes is a ValueError.
+    whatever ``max_j >= j`` was requested.  Asking for more pairs than a
+    grid has active nodes is a ValueError.
     """
     config = config or SolverConfig()
     want = config.max_j
     probe = want + 1  # one extra on the fine grid for the simplicity gap check
+    N = config.grid_points
+    ladder = [(N, want), (2 * N, probe)] if config.richardson else [(N, probe)]
+    base = min(N, max(N // 8, 32 * probe))
+    if base < N:
+        ladder.insert(0, (base, probe))
 
-    fine_N = config.grid_points * 2 if config.richardson else config.grid_points
-    fine = discretize(problem, fine_N)
-    vals_fine, vecs_fine = _eigen_tridiagonal(fine, probe)
+    solved = []   # (system, values, vectors) per grid of the ladder
+    for cells, need in ladder:
+        system = discretize(problem, cells)
+        # carry the probe through every grid that holds it
+        count = probe if system.diag.size >= probe else need
+        if not solved or solved[-1][2].shape[1] < count:
+            vals, vecs = _eigen_tridiagonal(system, count)
+        else:
+            coarse, coarse_vals, coarse_vecs = solved[-1]
+            vals, vecs = _climb(coarse, coarse_vals[:count], coarse_vecs[:, :count],
+                                system, 3 if cells == N else 2)
+        solved.append((system, vals, vecs))
 
+    fine, vals_fine, vecs_fine = solved[-1]
     published = vals_fine[:want].copy()
     if config.richardson:
-        coarse = discretize(problem, config.grid_points)
-        vals_coarse, _ = _eigen_tridiagonal(coarse, want)
-        published += (published - vals_coarse) / 3.0
+        published += (published - solved[-2][1][:want]) / 3.0
 
     gaps = np.diff(vals_fine)
     if np.any(gaps <= DEGENERACY_GAP):
         j_bad = int(np.argmin(gaps)) + 1
         warnings.warn(
             f"eigenvalue gap {gaps.min():.3e} below trust threshold near j={j_bad} "
-            f"(k={problem.k}, bc={problem.bc}, grid={fine_N})",
+            f"(k={problem.k}, bc={problem.bc}, grid={fine.grid.size - 1})",
             NearDegeneracyWarning)
 
     pairs = []

@@ -333,6 +333,19 @@ class TestVerifyCommand:
         assert code == 4
         assert "FAIL" in out
 
+    def test_one_level_without_error_estimate_exit_4(self, tmp_path, capsys):
+        # every margin clears the 1e-4 floor, but one level estimates no error
+        report = tmp_path / "report.json"
+        code, out, _ = run(["verify", "--random-family", "s=4 count=5 amplitude=0.08",
+                            "--form", "euclidean", "--seed", "0", "--levels", "1",
+                            "--json", str(report)], capsys)
+        assert code == 4
+        domains = json.loads(report.read_text())["domains"]
+        assert all(d["fem"]["est_rel_error"] is None and d["verdict"] == "FAIL"
+                   and min(d["margins"]) > d["tau"] for d in domains)
+        assert out.count("FAIL") == 5 and out.count("(no error estimate: one level)") == 5
+        assert "summary: 0/5 PASS" in out
+
     def test_out_dir_and_plot_data(self, tmp_path, capsys):
         spec = DomainSpec.exact_annulus("euclidean", 2, 1.0, 2.0)
         path = write_spec(tmp_path, spec)

@@ -57,6 +57,21 @@ class TestProblemValidation:
         with pytest.raises(ValueError, match="active nodes"):
             solve(SLProblem("euclidean", 2, 0, 1.0, 2.0), config)
 
+    @pytest.mark.parametrize("richardson,max_j,solves", [
+        (True, 63, True), (True, 64, False), (False, 62, True), (False, 63, False)])
+    def test_pair_counts_grids_n_and_2n_hold(self, richardson, max_j, solves):
+        # Dirichlet, 64 cells: 63 active nodes on grid N, 127 on 2N.  N holds
+        # max_j pairs with Richardson and max_j + 1 without; the base grid
+        # in front of N must not refuse a count those grids accept.
+        config = SolverConfig(grid_points=64, richardson=richardson, max_j=max_j)
+        problem = SLProblem("euclidean", 2, 0, 1.0, 2.0, "dirichlet")
+        if solves:
+            pairs = solve(problem, config)
+            assert [p.sign_changes() for p in pairs] == list(range(max_j))
+        else:
+            with pytest.raises(ValueError, match="active nodes"):
+                solve(problem, config)
+
 
 class TestDiscretize:
     def test_annulus_constant_mode_is_null(self):
@@ -131,6 +146,69 @@ class TestSolveAgainstClosedForms:
             lam = solve(SLProblem("euclidean", 2, k, 0.0, 1.0, "dirichlet"),
                         SolverConfig(grid_points=1024, max_j=1))[0].eigenvalue
             assert lam == pytest.approx(oracles.first_bessel_zero(k) ** 2, rel=1e-7)
+
+
+def bisection_reference(problem, config):
+    """Published values and eigenvectors of full-grid bisection:
+    ``_eigen_tridiagonal`` on grids N and 2N, Richardson by hand."""
+    N = config.grid_points
+    fine = discretize(problem, 2 * N)
+    vals_fine, vecs_fine = sl._eigen_tridiagonal(fine, config.max_j + 1)
+    vals_coarse, _ = sl._eigen_tridiagonal(discretize(problem, N), config.max_j)
+    vals = vals_fine[:config.max_j]
+    published = vals + (vals - vals_coarse) / 3.0
+    return published, [sl._finalize_vector(fine, vecs_fine[:, j])
+                       for j in range(config.max_j)]
+
+
+def assert_matches_bisection(problem, pairs, config):
+    published, vectors = bisection_reference(problem, config)
+    for p, value, vector in zip(pairs, published, vectors):
+        if problem.k == 0 and problem.bc is sl.BoundaryCondition.NEUMANN and p.j == 1:
+            assert abs(p.eigenvalue) < 1e-8 and abs(value) < 1e-8   # the constant
+        else:
+            assert p.eigenvalue == pytest.approx(value, rel=1e-12)
+        assert np.max(np.abs(p.values - vector)) < 1e-8
+        assert p.sign_changes() == p.j - 1
+
+
+class TestClimbFromBaseGrid:
+    # solve bisects only a base grid and climbs to N and 2N by inverse
+    # iteration; its pairs must be those of bisection on N and 2N
+    @pytest.mark.parametrize("form", list(SpaceForm))
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_agrees_with_full_grid_bisection(self, form, n):
+        config = SolverConfig(max_j=8)
+        for r1, r2 in ((0.4, 1.3), (0.0, 1.1)):
+            for bc in ("neumann", "dirichlet"):
+                for k in range(9):
+                    problem = SLProblem(form, n, k, r1, r2, bc)
+                    assert_matches_bisection(problem, solve(problem, config), config)
+
+    def test_wrong_index_falls_back_to_bisection(self, monkeypatch):
+        # a climbed vector with the wrong sign-change count is not published
+        def alternating(d, e, shift, y, steps):
+            return np.where(np.arange(d.size) % 2 == 0, 1.0, -1.0)
+
+        monkeypatch.setattr(sl, "_inverse_iteration", alternating)
+        problem = SLProblem("hyperbolic", 3, 2, 0.5, 1.5)
+        config = SolverConfig(max_j=4)
+        published, _ = bisection_reference(problem, config)
+        assert [p.eigenvalue for p in solve(problem, config)] == pytest.approx(
+            published, rel=1e-12)
+
+    def test_exactly_singular_shift_keeps_the_vector(self):
+        # the path-graph Laplacian: shift 0 is an eigenvalue and gtsv meets
+        # an exactly zero pivot
+        d, e = np.array([1.0, 2.0, 1.0]), np.array([-1.0, -1.0])
+        start = np.array([0.3, 0.5, 0.7])
+        assert np.array_equal(sl._inverse_iteration(d, e, 0.0, start, 3), start)
+
+    def test_constant_mode_of_a_spherical_shell(self):
+        # the seed-5 shell, whose constant mode meets an exactly zero pivot
+        problem = SLProblem("spherical", 3, 0, 0.4997528345195214, 1.3607004791547166)
+        config = SolverConfig(max_j=8)
+        assert_matches_bisection(problem, solve(problem, config), config)
 
 
 class TestPrefixStability:

@@ -20,15 +20,17 @@ eigenfunctions split by the phase omega (a root of unity of the order)
 the rotation puts on them, and each sector is a problem on the wedge
 alone, a quarter or half of the unknowns, with its wrap-around couplings
 multiplied by omega.  The shifted sector matrix K - SHIFT*M is Hermitian
-positive definite.  Up to DIRECT_MAX_UNKNOWNS it is factored once under a
-symmetric minimum-degree ordering (multiple minimum degree on the pattern
-of A^T + A; J. W. H. Liu, ACM TOMS 11, 1985), which cuts the LU fill of
-SuperLU's default column ordering by more than 40 % on the polar mesh.
-Larger sectors, the finest levels, are inverted by conjugate gradients,
-preconditioned by the same operator with its coefficients averaged over
-the rays: that average is diagonalised by the Fourier transform along
-the rays into tridiagonal systems across the rings, so the solve needs
-memory linear in the unknowns where the LU fill would set the run's peak.
+positive definite, and in ring-major order (vertex (i, j) is row
+i * width + j) a band matrix: every stencil coupling, the wrap-arounds
+across the wedge's edge included, lies within width + 1 of the diagonal.
+Up to DIRECT_MAX_UNKNOWNS it is factored once by banded Cholesky (LAPACK
+?pbtrf) in that order, which needs no fill-reducing permutation because
+the factor fills only the band.  Larger sectors, the finest levels, are
+inverted by conjugate gradients, preconditioned by the same operator with
+its coefficients averaged over the rays: that average is diagonalised by
+the Fourier transform along the rays into tridiagonal systems across the
+rings, so the solve needs memory linear in the unknowns, where the band
+of the factor, width + 2 numbers per unknown, would set the run's peak.
 
 ``verify_theorem`` solves its levels one at a time and stops at the first
 level below the cap that decides the verdict: every checked margin is at
@@ -90,7 +92,7 @@ SHIFT = -0.1                 # shift-invert target below the spectrum
 TAU_FLOOR = 1e-4             # smallest verdict tolerance
 STOP_MARGIN = 2.0            # margins beyond this many tau decide a verdict
 ORDER_BAND = (1.5, 2.5)      # observed orders under which Richardson is trusted
-DIRECT_MAX_UNKNOWNS = 5000   # larger symmetry sectors are inverted by CG, not LU
+DIRECT_MAX_UNKNOWNS = 5000   # larger symmetry sectors are inverted by CG, not Cholesky
 CG_RTOL, CG_MAXITER = 1e-12, 200   # stopping rule of those CG solves
 
 
@@ -404,12 +406,42 @@ class FemEigenResult:
         return {**asdict(self), "levels": levels}
 
 
-def _lu_inverse(A):
-    """Apply A^-1 through one sparse LU of the Hermitian positive definite A."""
-    # a symmetric minimum-degree ordering of the pattern fills far less than
-    # the column ordering eigsh would otherwise pick
-    return sparse_linalg.splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A",
-                              options={"SymmetricMode": True}).solve
+def _upper_band(A: sparse.csr_matrix) -> np.ndarray:
+    """Upper band of the Hermitian CSR matrix A in LAPACK storage: entry
+    (i, j), i <= j, sits at [bandwidth + i - j, j].  The half-bandwidth is
+    the largest col - row of A's pattern."""
+    rows = np.repeat(np.arange(A.shape[0]), np.diff(A.indptr))
+    offset = A.indices - rows
+    upper = offset >= 0
+    bandwidth = int(offset.max())
+    band = np.zeros((bandwidth + 1, A.shape[0]), dtype=A.dtype, order="F")
+    band[bandwidth - offset[upper], A.indices[upper]] = A.data[upper]
+    return band
+
+
+def _cholesky_inverse(A: sparse.csr_matrix):
+    """Apply A^-1 through one banded Cholesky factor of the Hermitian
+    positive definite A (LAPACK ?pbtrf, then ?pbtrs per solve).
+
+    A sector's ring-major order is already a band of half-width width + 1,
+    the wrap-arounds across the wedge's edge included (offset width - 1,
+    or 1 on the diagonal edge), and the factor fills nothing outside it.
+    """
+    band = _upper_band(A)
+    pbtrf, pbtrs = lapack.get_lapack_funcs(("pbtrf", "pbtrs"), (band,))
+    factor, info = pbtrf(band, lower=0, overwrite_ab=1)
+    if info != 0:
+        raise FemConvergenceError(f"banded Cholesky failed (info {info}) "
+                                  f"at {A.shape[0]} unknowns")
+
+    def solve(b):
+        # pbtrs is called directly: cho_solve_banded would re-validate the
+        # factor on every one of ARPACK's solves
+        x, info = pbtrs(factor, b, lower=0)
+        if info != 0:
+            raise FemConvergenceError(f"banded Cholesky solve failed (info {info})")
+        return x
+    return solve
 
 
 def _averaged_inverse(system: FemSystem, k: int):
@@ -466,15 +498,16 @@ def _sector_eigs(system: FemSystem, k: int, count: int) -> tuple[np.ndarray, flo
     worst relative residual, by shift-invert Lanczos about SHIFT.
 
     K - SHIFT*M is Hermitian positive definite.  Up to DIRECT_MAX_UNKNOWNS
-    it is inverted through a sparse LU; above, the LU fill would dominate
-    the peak memory of the level, and conjugate gradients preconditioned by
+    it is inverted through its banded Cholesky factor; above, the band,
+    which grows like the unknowns to the power 3/2, would dominate the peak
+    memory of the level, and conjugate gradients preconditioned by
     ``_averaged_inverse`` invert it in memory linear in the unknowns.
     """
     A, M = system.sector(k)
     n = A.shape[0]
     if count >= n - 1:
         raise ValueError("need m well below the number of unknowns")
-    inverse = (_lu_inverse(A) if n <= DIRECT_MAX_UNKNOWNS
+    inverse = (_cholesky_inverse(A) if n <= DIRECT_MAX_UNKNOWNS
                else _cg_inverse(A, _averaged_inverse(system, k)))
     # in shift-invert mode ARPACK applies only OPinv (and M); its first
     # argument just gives the shape.  A fixed start vector keeps it

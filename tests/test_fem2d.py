@@ -4,12 +4,14 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as sparse_linalg
 
 from spaceform_spectra import domains as dm
 from spaceform_spectra import fem2d, slsolver, spectrum
 from spaceform_spectra.domains import DomainSpec, FourierProfile, SymmetryOrder
 from spaceform_spectra.fem2d import (
     DegenerateDomainError,
+    FemConvergenceError,
     VerifyConfig,
     assemble,
     eigensolve,
@@ -491,18 +493,52 @@ class TestSymmetrySectors:
             x = fem2d._averaged_inverse(system, k)(b)
             assert np.linalg.norm(shifted @ x - b) <= 1e-10 * np.linalg.norm(b)
 
+    @pytest.mark.parametrize("level", [0, 1, 2])
+    @pytest.mark.parametrize("spec", [ORDER4_SHELL, ORDER4_DISK, HALF_TURN_SHELL],
+                             ids=["order4-shell", "order4-hole-free", "half-turn"])
+    def test_banded_cholesky_solves_every_direct_sector(self, spec, level):
+        # ring-major order puts every coupling, the wrap-arounds included,
+        # within width + 1 of the diagonal, for the real phases +-1 and the
+        # complex phase i alike
+        system = assemble(generate_mesh(spec, level))
+        width = system.mesh.n_angular // system.order
+        rng = np.random.default_rng(level)
+        dtypes = set()
+        for k in range(system.order // 2 + 1):
+            shifted, _ = system.sector(k)
+            n = shifted.shape[0]
+            assert n <= fem2d.DIRECT_MAX_UNKNOWNS
+            assert fem2d._upper_band(shifted).shape[0] - 1 == width + 1
+            b = rng.normal(size=n)
+            if np.iscomplexobj(shifted.data):
+                b = b + 1j * rng.normal(size=n)
+            x = fem2d._cholesky_inverse(shifted)(b)
+            # normwise backward error: the constant-mode sector has ||x|| up
+            # to 1e3 ||b||, so a bound on ||b|| alone would measure its
+            # conditioning, not the factor
+            scale = sparse_linalg.norm(shifted, 1) * np.linalg.norm(x) + np.linalg.norm(b)
+            assert np.linalg.norm(shifted @ x - b) <= 1e-14 * scale
+            dtypes.add(shifted.dtype.kind)
+        assert dtypes == ({"f", "c"} if system.order == 4 else {"f"})
+
+    def test_banded_cholesky_refuses_a_matrix_that_is_not_positive_definite(self):
+        shifted, _ = assemble(generate_mesh(ORDER4_SHELL, 0)).sector(0)
+        solve = None
+        with pytest.raises(FemConvergenceError):
+            solve = fem2d._cholesky_inverse(-shifted)
+        assert solve is None
+
     @pytest.mark.parametrize("spec", [ORDER4_DISK, HALF_TURN_SHELL],
                              ids=["order4-hole-free", "half-turn"])
     def test_fine_level_is_not_factorized(self, spec, monkeypatch):
-        # level 3: every sector is above DIRECT_MAX_UNKNOWNS, so no sparse LU
+        # level 3: every sector is above DIRECT_MAX_UNKNOWNS, so no factor
         # is made and the eigensolve's arrays stay within twice the bytes of
-        # the full K and M (the LU of one quarter-turn sector alone would
-        # take about twice as much)
+        # the full K and M (the banded factors would take them past it)
         system = assemble(generate_mesh(spec, 3))
         full = sum(array.nbytes for matrix in (system.stiffness, system.mass)
                    for array in (matrix.data, matrix.indices, matrix.indptr))
         factorized = []
-        monkeypatch.setattr(fem2d.sparse_linalg, "splu",
+        monkeypatch.setattr(fem2d, "_cholesky_inverse",
                             lambda *args, **kwargs: factorized.append(args))
         tracemalloc.start()
         try:

@@ -84,26 +84,6 @@ def _write_csv(path: str, header: list, rows) -> None:
             fh.write(",".join(map(str, row)) + "\n")
 
 
-# Flag values a subcommand uses when neither the command line nor --config
-# sets them. Their argparse defaults are None, so a given flag is told apart
-# from an absent one.
-_DEFAULTS = {
-    "sl": {"bc": "neumann", "grid_points": SolverConfig.grid_points,
-           "no_richardson": False},
-    "spectrum": {"kmax": 8, "jmax": 8, "count": 12, "certify": False,
-                 "grid_points": SolverConfig.grid_points},
-    "verify": {"form": "all", "seed": 0, "levels": 3, "m": 8},
-    "moments": {"form": "all", "seed": 0, "check": "both"},
-}
-
-
-def _flag_actions(parser: argparse.ArgumentParser, command: str) -> dict:
-    """Flag name -> argparse action, for ``command`` and the top-level flags."""
-    (subparsers,) = (a for a in parser._actions
-                     if isinstance(a, argparse._SubParsersAction))
-    return {a.dest: a for p in (parser, subparsers.choices[command]) for a in p._actions}
-
-
 def _config_value(action: argparse.Action, value):
     """A --config value, checked and converted as its flag would be.
 
@@ -129,26 +109,33 @@ def _config_value(action: argparse.Action, value):
     return converted
 
 
-def _merge_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> None:
-    """Fill flags left at None: flag > --config file > ``_DEFAULTS``.
+def _parse_args(parser: argparse.ArgumentParser, argv) -> argparse.Namespace:
+    """Parse ``argv``; with --config, its values become the flags' defaults.
 
-    A config key that names no flag of the subcommand, or a value its
-    flag would refuse on the command line, is invalid input.
+    The file's values are checked as their flags would check them, then set
+    as defaults on the parser that owns each flag (``--out`` on the
+    top-level one) and ``argv`` is parsed again, so a flag on the command
+    line beats the file and the file beats the flag's own default.  A key
+    that names no flag of the subcommand is invalid input.
     """
-    file_values = _load_json(args.config) if args.config else {}
+    args = parser.parse_args(argv)
+    if args.config is None:
+        return args
+    file_values = _load_json(args.config)
     if not isinstance(file_values, dict):
         raise ValueError("--config must hold a JSON object of flag values")
-    flags = set(vars(args)) - {"command", "func", "config"}
-    unknown = sorted(set(file_values) - flags)
+    (subparsers,) = (a for a in parser._actions
+                     if isinstance(a, argparse._SubParsersAction))
+    owners = {a.dest: (p, a) for p in (parser, subparsers.choices[args.command])
+              for a in p._actions if a.dest in vars(args)}
+    del owners["command"], owners["config"]
+    unknown = sorted(set(file_values) - set(owners))
     if unknown:
         raise ValueError(f"unknown config keys for {args.command}: {', '.join(unknown)}")
-    actions = _flag_actions(parser, args.command)
-    file_values = {key: _config_value(actions[key], value)
-                   for key, value in file_values.items()}
-    defaults = _DEFAULTS[args.command]
-    for key in flags:
-        if getattr(args, key) is None:
-            setattr(args, key, file_values.get(key, defaults.get(key)))
+    for key, value in file_values.items():
+        owner, action = owners[key]
+        owner.set_defaults(**{key: _config_value(action, value)})
+    return parser.parse_args(argv)
 
 
 def _require(args, parser, names) -> None:
@@ -244,27 +231,31 @@ def cmd_spectrum(args, parser) -> int:
 # ---------------------------------------------------------------------------
 
 def _parse_family(text: str) -> dict:
-    out = {"s": 4, "count": 5, "amplitude": 0.08}
+    """The keyword arguments of ``domains.random_family`` that ``text`` sets."""
+    out = {}
     for token in text.replace(",", " ").split():
         key, _, value = token.partition("=")
         if not value:
             raise ValueError(f"malformed family token {token!r} (expected key=value)")
         if key == "s":
-            out["s"] = value
+            out["symmetry"] = value
         elif key == "count":
             out["count"] = int(value)
             if out["count"] < 1:
                 raise ValueError(f"family count must be >= 1, got {value}")
         elif key == "amplitude":
             out["amplitude"] = float(value)
+            if not np.isfinite(out["amplitude"]):
+                raise ValueError(f"family amplitude must be finite, got {value}")
         else:
             raise ValueError(f"unknown family key {key!r}")
     sym_map = {"4": dm.SymmetryOrder.ORDER4, "2": dm.SymmetryOrder.ORDER2,
                "central": dm.SymmetryOrder.CENTRAL, "none": dm.SymmetryOrder.NONE}
-    try:
-        out["symmetry"] = sym_map[str(out.pop("s"))]
-    except KeyError as exc:
-        raise ValueError("family s must be one of 4, 2, central, none") from exc
+    if "symmetry" in out:
+        try:
+            out["symmetry"] = sym_map[out["symmetry"]]
+        except KeyError as exc:
+            raise ValueError("family s must be one of 4, 2, central, none") from exc
     return out
 
 
@@ -277,9 +268,7 @@ def _collect_specs(args) -> list[dm.DomainSpec]:
     seed = args.seed
     specs: list[dm.DomainSpec] = []
     for offset, form in enumerate(forms):
-        specs.extend(dm.random_family(
-            seed + offset, form, n=2, symmetry=family["symmetry"],
-            count=family["count"], amplitude=family["amplitude"]))
+        specs.extend(dm.random_family(seed + offset, form, n=2, **family))
     return specs
 
 
@@ -464,7 +453,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="sfs",
         description="Spectra of balls, shells and symmetric perturbed shells "
                     "in the three constant-curvature space forms.")
-    parser.add_argument("--out", default=None,
+    parser.add_argument("--out",
                         help="directory for report artifacts (relative paths land here)")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -475,10 +464,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_sl.add_argument("--k", type=int)
     p_sl.add_argument("--r1", type=float)
     p_sl.add_argument("--r2", type=float)
-    p_sl.add_argument("--bc", choices=["neumann", "dirichlet"])
+    p_sl.add_argument("--bc", choices=["neumann", "dirichlet"], default=str(SLProblem.bc))
     p_sl.add_argument("--max-j", dest="max_j", type=int)
-    p_sl.add_argument("--grid-points", dest="grid_points", type=int)
-    p_sl.add_argument("--no-richardson", action="store_true", default=None)
+    p_sl.add_argument("--grid-points", dest="grid_points", type=int,
+                      default=SolverConfig.grid_points)
+    p_sl.add_argument("--no-richardson", action="store_true",
+                      default=not SolverConfig.richardson)
     p_sl.add_argument("--config", help="JSON file with default flag values")
     p_sl.add_argument("--json", help="write the eigenpairs to this JSON file")
     p_sl.add_argument("--csv", help="write (r, u_j) samples to this CSV file")
@@ -489,12 +480,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_sp.add_argument("--n", type=int)
     p_sp.add_argument("--r1", type=float)
     p_sp.add_argument("--r2", type=float)
-    p_sp.add_argument("--kmax", type=int)
-    p_sp.add_argument("--jmax", type=int)
-    p_sp.add_argument("--count", type=int, help="certified eigenvalues to report")
-    p_sp.add_argument("--certify", action="store_true", default=None,
+    p_sp.add_argument("--kmax", type=int, default=8)
+    p_sp.add_argument("--jmax", type=int, default=8)
+    p_sp.add_argument("--count", type=int, default=12, help="certified eigenvalues to report")
+    p_sp.add_argument("--certify", action="store_true",
                       help="append the structural certification report")
-    p_sp.add_argument("--grid-points", dest="grid_points", type=int)
+    p_sp.add_argument("--grid-points", dest="grid_points", type=int,
+                      default=SolverConfig.grid_points)
     p_sp.add_argument("--config")
     p_sp.add_argument("--json")
     p_sp.add_argument("--csv")
@@ -504,12 +496,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_vf.add_argument("--spec", help="domain JSON file")
     p_vf.add_argument("--random-family", dest="random_family",
                       help="e.g. 's=4 count=5 amplitude=0.1'")
-    p_vf.add_argument("--form", choices=["all"] + [f.value for f in SpaceForm])
-    p_vf.add_argument("--seed", type=int)
-    p_vf.add_argument("--levels", type=int,
+    p_vf.add_argument("--form", choices=["all"] + [f.value for f in SpaceForm],
+                      default="all")
+    p_vf.add_argument("--seed", type=int, default=0)
+    p_vf.add_argument("--levels", type=int, default=fem2d.VerifyConfig.levels[-1],
                       help="finest refinement level; a run stops below it once "
                            "its verdict is decided, and one level cannot PASS")
-    p_vf.add_argument("--m", type=int)
+    p_vf.add_argument("--m", type=int, default=fem2d.VerifyConfig.m)
     p_vf.add_argument("--config")
     p_vf.add_argument("--json", help="write the full report here")
     p_vf.add_argument("--plot-data", dest="plot_data",
@@ -519,9 +512,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_mo = sub.add_parser("moments", help="symmetry orthogonality / Rayleigh checks")
     p_mo.add_argument("--spec")
     p_mo.add_argument("--random-family", dest="random_family")
-    p_mo.add_argument("--form", choices=["all"] + [f.value for f in SpaceForm])
-    p_mo.add_argument("--seed", type=int)
-    p_mo.add_argument("--check", choices=["orthogonality", "rayleigh", "both"])
+    p_mo.add_argument("--form", choices=["all"] + [f.value for f in SpaceForm],
+                      default="all")
+    p_mo.add_argument("--seed", type=int, default=0)
+    p_mo.add_argument("--check", choices=["orthogonality", "rayleigh", "both"],
+                      default="both")
     p_mo.add_argument("--config")
     p_mo.add_argument("--json")
     p_mo.set_defaults(func=cmd_moments)
@@ -531,8 +526,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        _merge_config(args, parser)
+        args = _parse_args(parser, argv)
         return args.func(args, parser)
     except SystemExit as exc:  # argparse, also parser.error inside a command
         return int(exc.code or 0)

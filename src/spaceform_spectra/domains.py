@@ -244,10 +244,9 @@ def _angular_sample(n: int, count: int) -> np.ndarray:
 class DomainSpec:
     """Star-shaped domain between rho_in and rho_out with declared symmetry.
 
-    Validation at construction: positive boundaries with rho_in strictly
-    inside rho_out, the spherical hemisphere bound, and the declared
-    symmetry to 1e-12 on a dense angular sample.  ``skip_validation``
-    exists for deliberately broken inputs in negative-control tests.
+    Validation at construction: finite, positive boundaries with rho_in
+    strictly inside rho_out, the spherical hemisphere bound, and the
+    declared symmetry to 1e-12 on a dense angular sample.
     """
 
     form: SpaceForm
@@ -255,15 +254,13 @@ class DomainSpec:
     symmetry_order: SymmetryOrder
     rho_out: object
     rho_in: object = None
-    skip_validation: bool = field(default=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "form", _as_form(self.form))
         object.__setattr__(self, "symmetry_order", SymmetryOrder(self.symmetry_order))
         if self.n not in (2, 3):
             raise ValueError("quadrature-backed domains support n in {2, 3}")
-        if not self.skip_validation:
-            _validate_spec(self)
+        _validate_spec(self)
 
     @property
     def has_hole(self) -> bool:
@@ -285,20 +282,26 @@ class DomainSpec:
 SYMMETRY_TOLERANCE = 1e-12
 
 
+def _boundary_samples(profile, omega: np.ndarray, label: str) -> np.ndarray:
+    """``profile`` on the sample ``omega``, refused unless finite and positive."""
+    rho = profile.evaluate(omega)
+    if not np.all(np.isfinite(rho)):
+        raise ValueError(f"{label} boundary must be finite")
+    if not np.all(rho > 0):
+        raise ValueError(f"{label} boundary must be strictly positive")
+    return rho
+
+
 def _validate_spec(spec: DomainSpec) -> None:
     omega = _angular_sample(spec.n, 4096 if spec.n == 2 else 8192)
-    rho_out = spec.rho_out.evaluate(omega)
-    if np.any(rho_out <= 0):
-        raise ValueError("outer boundary must be strictly positive")
+    rho_out = _boundary_samples(spec.rho_out, omega, "outer")
     if spec.form is SpaceForm.SPHERICAL and np.max(rho_out) > HEMISPHERE_RADIUS + 1e-12:
         raise GeometryError(
             "domain leaves the closed hemisphere: sup rho_out = "
             f"{np.max(rho_out):.6g} > pi/2")
     if spec.rho_in is not None:
-        rho_in = spec.rho_in.evaluate(omega)
-        if np.any(rho_in <= 0):
-            raise ValueError("inner boundary must be strictly positive")
-        if np.any(rho_out - rho_in <= 0):
+        rho_in = _boundary_samples(spec.rho_in, omega, "inner")
+        if not np.all(rho_out - rho_in > 0):
             raise ValueError("inner boundary must stay strictly inside the outer one")
     scale = max(1.0, float(np.max(np.abs(rho_out))))
     for gen in symmetry_generators(spec.n, spec.symmetry_order):
@@ -307,7 +310,7 @@ def _validate_spec(spec: DomainSpec) -> None:
             if profile is None:
                 continue
             err = float(np.max(np.abs(profile.evaluate(mapped) - profile.evaluate(omega))))
-            if err > SYMMETRY_TOLERANCE * scale:
+            if not err <= SYMMETRY_TOLERANCE * scale:  # a NaN err fails too
                 raise SymmetryError(
                     f"declared {spec.symmetry_order} symmetry violated by {err:.3e} "
                     "on the angular sample")

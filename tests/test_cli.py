@@ -1,6 +1,8 @@
 import dataclasses
 import json
+import math
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -288,6 +290,28 @@ class TestVerifyCommand:
         assert code == 2 and out == ""
         assert err.startswith("error:") and f"key {key}=" in err
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf], ids=["nan", "infinity"])
+    @pytest.mark.parametrize("where", ["base", "a", "amplitude"])
+    def test_non_finite_value_exit_2(self, tmp_path, capsys, where, value):
+        # JSON's NaN and Infinity, and a family's amplitude=nan or inf
+        if where == "amplitude":
+            argv, named = ["--random-family", f"s=4 count=1 amplitude={value}"], "amplitude"
+        else:
+            outer = {"base": 1.0, "harmonics": [{"m": 4, "a": 0.02, "b": 0.0}]}
+            if where == "base":
+                outer["base"] = value
+            else:
+                outer["harmonics"][0]["a"] = value
+            spec = tmp_path / "spec.json"
+            spec.write_text(json.dumps({"form": "euclidean", "n": 2,
+                                        "symmetry_order": "order4", "rho_out": outer}))
+            argv, named = ["--spec", str(spec)], "outer boundary"
+        code, out, err = run(["verify", *argv, "--form", "euclidean", "--levels", "1"],
+                             capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and named in err and "must be finite" in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("levels", ["0", "-2"])
     def test_levels_below_one_exit_2(self, capsys, levels):
         code, out, err = run(["verify", "--random-family", "s=4 count=1",
@@ -462,16 +486,74 @@ class TestMomentsCommand:
         assert code == 2
 
     def test_asymmetric_spec_detected_exit_4(self, tmp_path, capsys, monkeypatch):
-        # bypass the constructor check to make sure the quadrature itself
-        # flags the broken symmetry downstream
-        spec = DomainSpec("euclidean", 2, SymmetryOrder.ORDER4,
-                          FourierProfile(1.0, ((1, 0.05, 0.0),)),
-                          skip_validation=True)
+        # declare quarter-turn symmetry on a valid asymmetric domain after the
+        # constructor's check, so the quadrature itself must flag it downstream
+        spec = DomainSpec("euclidean", 2, SymmetryOrder.NONE,
+                          FourierProfile(1.0, ((1, 0.05, 0.0),)))
+        object.__setattr__(spec, "symmetry_order", SymmetryOrder.ORDER4)
         monkeypatch.setattr(cli, "_collect_specs", lambda args: [spec])
         code, out, _ = run(["moments", "--random-family", "ignored",
                             "--check", "orthogonality"], capsys)
         assert code == 4
         assert "FAIL" in out
+
+
+class TestFlagDefaults:
+    """With no flag and no --config, a setting the library has is the library's."""
+
+    def test_verify_reads_verify_config(self, tmp_path, capsys):
+        # acceptance domain 1, decided at level 2
+        path = write_spec(tmp_path, dm.random_family(2026, "euclidean", count=1)[0])
+        report = tmp_path / "report.json"
+        code, _, _ = run(["verify", "--spec", str(path), "--json", str(report)], capsys)
+        assert code == 0
+        params = json.loads(report.read_text())["params"]
+        assert params["m"] == fem2d.VerifyConfig.m
+        assert params["levels"] == fem2d.VerifyConfig.levels[-1]
+
+    def test_sl_reads_solver_config_and_problem(self, tmp_path, capsys):
+        report = tmp_path / "pairs.json"
+        code, _, _ = run(["sl", "--form", "euclidean", "--n", "2", "--k", "0",
+                          "--r1", "1", "--r2", "2", "--json", str(report)], capsys)
+        assert code == 0
+        problem = json.loads(report.read_text())["problem"]
+        assert problem["grid_points"] == slsolver.SolverConfig.grid_points
+        assert problem["richardson"] == slsolver.SolverConfig.richardson
+        assert problem["bc"] == str(slsolver.SLProblem.bc)
+
+    def test_family_reads_random_family(self, tmp_path, capsys):
+        hashes = []
+        for family in ("s=4", "s=4 count=5 amplitude=0.08"):
+            report = tmp_path / "report.json"
+            run(["verify", "--random-family", family, "--form", "euclidean",
+                 "--levels", "1", "--json", str(report)], capsys)
+            hashes.append([d["spec_hash"] for d in json.loads(report.read_text())["domains"]])
+        assert len(hashes[0]) == 5 and hashes[0] == hashes[1]
+
+
+def readme_commands() -> list[str]:
+    """Every ``sfs`` line of the README's code blocks, with ``\\`` continuations joined."""
+    commands, fenced, pending = [], False, ""
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    for line in readme.read_text().splitlines():
+        if line.startswith("```"):
+            fenced = not fenced
+        elif fenced:
+            line = pending + line.strip()
+            pending = line[:-1] if line.endswith("\\") else ""
+            if not pending and line.startswith("sfs "):
+                commands.append(line)
+    return commands
+
+
+def test_readme_command_lines_parse():
+    commands = readme_commands()
+    assert len(commands) >= 5
+    for line in commands:
+        try:
+            cli.build_parser().parse_args(shlex.split(line)[1:])
+        except SystemExit:
+            pytest.fail(f"README command line no longer parses: {line}")
 
 
 class TestExitMapping:

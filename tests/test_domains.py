@@ -54,12 +54,6 @@ class TestSpecValidation:
             DomainSpec("euclidean", 2, SymmetryOrder.NONE,
                        FourierProfile(1.0), FourierProfile(1.1))
 
-    def test_override_flag_skips_the_check(self):
-        spec = DomainSpec("euclidean", 2, SymmetryOrder.ORDER4,
-                          FourierProfile(1.2, ((1, 0.05, 0.0),)),
-                          skip_validation=True)
-        assert spec.symmetry_order is SymmetryOrder.ORDER4
-
     def test_sphere_profile_symmetries(self):
         DomainSpec("hyperbolic", 3, SymmetryOrder.ORDER4,
                    SphereProfile(1.1, (("quartic_axes", 0.05),)))

@@ -473,7 +473,7 @@ class TestStopRule:
 class TestSymmetrySectors:
     @pytest.mark.parametrize("spec", [ORDER4_SHELL, ORDER4_DISK, HALF_TURN_SHELL],
                              ids=["order4-shell", "order4-hole-free", "half-turn"])
-    def test_conjugate_gradient_path_matches_lu(self, spec, monkeypatch):
+    def test_conjugate_gradient_path_matches_cholesky(self, spec, monkeypatch):
         system = assemble(generate_mesh(spec, 1))
         factored = eigensolve(system)
         monkeypatch.setattr(fem2d, "DIRECT_MAX_UNKNOWNS", 0)

@@ -14,21 +14,27 @@ seven-point stencil of every vertex, with no per-triangle index triples.
 Only the wedge of rays that the domain's rotation symmetry (order 4, 2 or
 1) turns onto the whole mesh is integrated.
 
-Eigenvalues come from shift-invert Lanczos on the pencil (K, M), one
-symmetry sector at a time: the rotation commutes with K and M, so the
-eigenfunctions split by the phase omega (a root of unity of the order)
-the rotation puts on them, and each sector is a problem on the wedge
-alone, a quarter or half of the unknowns, with its wrap-around couplings
-multiplied by omega.  The shifted sector matrix K - SHIFT*M is Hermitian
-positive definite, and in ring-major order (vertex (i, j) is row
-i * width + j) a band matrix: every stencil coupling, the wrap-arounds
-across the wedge's edge included, lies within width + 1 of the diagonal.
-Up to DIRECT_MAX_UNKNOWNS it is factored once by banded Cholesky (LAPACK
-?pbtrf) in that order, which needs no fill-reducing permutation because
-the factor fills only the band.  Larger sectors, the finest levels, are
-inverted by conjugate gradients, preconditioned by the same operator with
-its coefficients averaged over the rays: that average is diagonalised by
-the Fourier transform along the rays into tridiagonal systems across the
+Eigenvalues come from Lanczos on the spectral transformation of the
+pencil (K, M) about SHIFT, one symmetry sector at a time: the rotation
+commutes with K and M, so the eigenfunctions split by the phase omega (a
+root of unity of the order) the rotation puts on them, and each sector is
+a problem on the wedge alone, a quarter or half of the unknowns, with its
+wrap-around couplings multiplied by omega.  The lowest m eigenvalues split
+about evenly over the phases, so each sector is first asked for
+ceil(m / order) + 1 of them, and asked again for all of the lowest m it
+could hold only when its last value lies below the m-th merged one.  The
+shifted sector matrix K - SHIFT*M is Hermitian positive definite, and in
+ring-major order (vertex (i, j) is row i * width + j) a band matrix: every
+stencil coupling, the wrap-arounds across the wedge's edge included, lies
+within width + 1 of the diagonal.  Up to DIRECT_MAX_UNKNOWNS it is
+factored once, K - SHIFT*M = U^H U, by banded Cholesky (LAPACK ?pbtrf) in
+that order, which needs no fill-reducing permutation because the factor
+fills only the band, and Lanczos runs on the standard Hermitian form
+U^-H M U^-1 (Ericsson and Ruhe, Math. Comp. 35, 1980).  Larger sectors,
+the finest levels, are inverted by conjugate gradients in ARPACK's
+shift-invert mode, preconditioned by the same operator with its
+coefficients averaged over the rays: that average is diagonalised by the
+Fourier transform along the rays into tridiagonal systems across the
 rings, so the solve needs memory linear in the unknowns, where the band
 of the factor, width + 2 numbers per unknown, would set the run's peak.
 
@@ -88,7 +94,7 @@ HOLE_FREE_INNER_RADIUS = 1e-3
 # level-0 mesh; the angular count is a multiple of 16 at every level, so the
 # quarter-turn symmetry of a domain is exact on the vertex set
 LEVEL0_RADIAL, LEVEL0_ANGULAR = 12, 48
-SHIFT = -0.1                 # shift-invert target below the spectrum
+SHIFT = -0.1                 # spectral-transformation shift below the spectrum
 TAU_FLOOR = 1e-4             # smallest verdict tolerance
 STOP_MARGIN = 2.0            # margins beyond this many tau decide a verdict
 ORDER_BAND = (1.5, 2.5)      # observed orders under which Richardson is trusted
@@ -419,29 +425,21 @@ def _upper_band(A: sparse.csr_matrix) -> np.ndarray:
     return band
 
 
-def _cholesky_inverse(A: sparse.csr_matrix):
-    """Apply A^-1 through one banded Cholesky factor of the Hermitian
-    positive definite A (LAPACK ?pbtrf, then ?pbtrs per solve).
+def _cholesky_factor(A: sparse.csr_matrix) -> np.ndarray:
+    """Upper banded Cholesky factor U of the Hermitian positive definite
+    A = U^H U (LAPACK ?pbtrf), in the band storage of ``_upper_band``.
 
     A sector's ring-major order is already a band of half-width width + 1,
     the wrap-arounds across the wedge's edge included (offset width - 1,
     or 1 on the diagonal edge), and the factor fills nothing outside it.
     """
     band = _upper_band(A)
-    pbtrf, pbtrs = lapack.get_lapack_funcs(("pbtrf", "pbtrs"), (band,))
+    pbtrf = lapack.get_lapack_funcs("pbtrf", (band,))
     factor, info = pbtrf(band, lower=0, overwrite_ab=1)
     if info != 0:
         raise FemConvergenceError(f"banded Cholesky failed (info {info}) "
                                   f"at {A.shape[0]} unknowns")
-
-    def solve(b):
-        # pbtrs is called directly: cho_solve_banded would re-validate the
-        # factor on every one of ARPACK's solves
-        x, info = pbtrs(factor, b, lower=0)
-        if info != 0:
-            raise FemConvergenceError(f"banded Cholesky solve failed (info {info})")
-        return x
-    return solve
+    return factor
 
 
 def _averaged_inverse(system: FemSystem, k: int):
@@ -495,38 +493,58 @@ def _cg_inverse(A, preconditioner):
 
 def _sector_eigs(system: FemSystem, k: int, count: int) -> tuple[np.ndarray, float]:
     """Lowest ``count`` eigenvalues of sector k's pencil (K, M) and their
-    worst relative residual, by shift-invert Lanczos about SHIFT.
+    worst relative residual, by Lanczos on the spectral transformation
+    about SHIFT (Ericsson and Ruhe, Math. Comp. 35, 1980).
 
-    K - SHIFT*M is Hermitian positive definite.  Up to DIRECT_MAX_UNKNOWNS
-    it is inverted through its banded Cholesky factor; above, the band,
+    A = K - SHIFT*M is Hermitian positive definite.  Up to
+    DIRECT_MAX_UNKNOWNS it is factored once, A = U^H U, by banded Cholesky,
+    and Lanczos runs on the standard Hermitian form U^-H M U^-1: its
+    largest eigenvalues theta = 1 / (mu - SHIFT) belong to y = U x, at two
+    triangular band solves and one product with M a step.  Above, the band,
     which grows like the unknowns to the power 3/2, would dominate the peak
     memory of the level, and conjugate gradients preconditioned by
-    ``_averaged_inverse`` invert it in memory linear in the unknowns.
+    ``_averaged_inverse`` apply A^-1 in ARPACK's shift-invert mode instead.
     """
     A, M = system.sector(k)
     n = A.shape[0]
     if count >= n - 1:
         raise ValueError("need m well below the number of unknowns")
-    inverse = (_cholesky_inverse(A) if n <= DIRECT_MAX_UNKNOWNS
-               else _cg_inverse(A, _averaged_inverse(system, k)))
-    # in shift-invert mode ARPACK applies only OPinv (and M); its first
-    # argument just gives the shape.  A fixed start vector keeps it
-    # deterministic; it varies along the rays, so no turn of a round
-    # domain's mesh leaves it invariant and hides eigenvectors from it
+    # a fixed start vector keeps ARPACK deterministic; it varies along the
+    # rays, so no turn of a round domain's mesh leaves it invariant and
+    # hides eigenvectors from it
     v0 = (1.0 + np.arange(n) / n).astype(A.dtype)
-    if np.iscomplexobj(A.data):
-        # eigsh hands a complex pencil to eigs, whose driver then keeps M in a
-        # reference cycle that outlives the call; shift-inverting M^-1 K
-        # itself, (M^-1 K - SHIFT)^-1 = (K - SHIFT*M)^-1 M, leaves none
-        op_inv = sparse_linalg.LinearOperator((n, n), matvec=lambda x: inverse(M @ x),
-                                              dtype=A.dtype)
-        vals, vecs = sparse_linalg.eigs(op_inv, k=count, sigma=SHIFT, which="LM", v0=v0,
-                                        OPinv=op_inv)
-        vals = vals.real
+    if n <= DIRECT_MAX_UNKNOWNS:
+        factor = _cholesky_factor(A)
+        tbtrs = lapack.get_lapack_funcs("tbtrs", (factor,))
+
+        def triangular(b, trans):
+            # U^-1 b for trans "N", U^-H b for "C"
+            x, info = tbtrs(factor, b, trans=trans)
+            if info != 0:
+                raise FemConvergenceError(f"banded triangular solve failed (info {info})")
+            return x
+        # a complex operator goes from eigsh to eigs in standard mode
+        op = sparse_linalg.LinearOperator(
+            (n, n), matvec=lambda y: triangular(M @ triangular(y, "N"), "C"), dtype=A.dtype)
+        theta, vecs = sparse_linalg.eigsh(op, k=count, which="LM", v0=v0)
+        vals, vecs = SHIFT + 1.0 / theta, triangular(vecs, "N")
     else:
-        op_inv = sparse_linalg.LinearOperator((n, n), matvec=inverse, dtype=A.dtype)
-        vals, vecs = sparse_linalg.eigsh(op_inv, k=count, M=M, sigma=SHIFT, which="LM",
-                                         v0=v0, OPinv=op_inv)
+        inverse = _cg_inverse(A, _averaged_inverse(system, k))
+        # in shift-invert mode ARPACK applies only OPinv (and M); its first
+        # argument just gives the shape
+        if np.iscomplexobj(A.data):
+            # eigsh hands a complex pencil to eigs, whose driver then keeps M
+            # in a reference cycle that outlives the call; shift-inverting
+            # M^-1 K itself, (M^-1 K - SHIFT)^-1 = (K - SHIFT*M)^-1 M, leaves none
+            op_inv = sparse_linalg.LinearOperator((n, n), matvec=lambda x: inverse(M @ x),
+                                                  dtype=A.dtype)
+            vals, vecs = sparse_linalg.eigs(op_inv, k=count, sigma=SHIFT, which="LM",
+                                            v0=v0, OPinv=op_inv)
+            vals = vals.real
+        else:
+            op_inv = sparse_linalg.LinearOperator((n, n), matvec=inverse, dtype=A.dtype)
+            vals, vecs = sparse_linalg.eigsh(op_inv, k=count, M=M, sigma=SHIFT, which="LM",
+                                             v0=v0, OPinv=op_inv)
     mu_ = M @ vecs
     ku = A @ vecs + SHIFT * mu_
     resid = np.linalg.norm(ku - vals[None, :] * mu_, axis=0)
@@ -542,13 +560,26 @@ def _solve_level(system: FemSystem, m: int) -> LevelSolve:
     n = system.n_unknowns
     if m >= n:
         raise ValueError("need m well below the number of unknowns")
-    found, rel = [], 0.0
-    for k in range(system.order // 2 + 1):
-        copies = 1 if 4 * k // system.order % 2 == 0 else 2
-        vals, residual = _sector_eigs(system, k, -(-m // copies))
-        found += [float(v) for v in vals for _ in range(copies)]
-        rel = max(rel, residual)
-    vals = np.sort(found)[:m]
+    sectors = range(system.order // 2 + 1)
+    copies = [1 if 4 * k // system.order % 2 == 0 else 2 for k in sectors]
+
+    def merged(solved):
+        return np.sort([float(v) for (vals, _), c in zip(solved, copies)
+                        for v in vals for _ in range(c)])
+    # the lowest m split about evenly over the phases, so each sector first
+    # asks for its share and one more.  Whatever a sector leaves out lies at
+    # or above its last value; one whose last value is below the m-th merged
+    # value may hide some of the lowest m, and is solved again for all of
+    # them it could hold
+    full = [-(-m // c) for c in copies]
+    solved = [_sector_eigs(system, k, min(full[k], -(-m // system.order) + 1))
+              for k in sectors]
+    mth = merged(solved)[m - 1]
+    solved = [_sector_eigs(system, k, full[k])
+              if len(vals) < full[k] and vals.max() < mth else (vals, residual)
+              for k, (vals, residual) in zip(sectors, solved)]
+    vals = merged(solved)[:m]
+    rel = max(residual for _, residual in solved)
     if rel > 1e-9:
         raise FemConvergenceError(
             f"eigen residual {rel:.3e} above 1e-9 at {n} unknowns")
@@ -563,8 +594,10 @@ def _solve_level(system: FemSystem, m: int) -> LevelSolve:
 def eigensolve(systems, m: int = 8) -> FemEigenResult:
     """Smallest ``m`` eigenvalues of one system or a refinement sequence.
 
-    Every system is solved one symmetry sector at a time by shift-invert
-    Lanczos with a fixed start vector (``_sector_eigs``).  With several
+    Every system is solved one symmetry sector at a time by Lanczos on the
+    spectral transformation about SHIFT, with a fixed start vector; each
+    sector is asked only for the eigenvalues that can reach the lowest m
+    (``_solve_level``, ``_sector_eigs``).  With several
     levels the last two are Richardson-combined assuming second-order
     convergence (``FemEigenResult.from_levels``).
     """

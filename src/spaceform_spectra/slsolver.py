@@ -110,6 +110,8 @@ class SLProblem:
             raise ValueError("dimension n must be >= 2")
         if self.k < 0:
             raise ValueError("mode index k must be >= 0")
+        if not np.isfinite([self.r1, self.r2]).all():
+            raise ValueError(f"radii r1 and r2 must be finite, got [{self.r1}, {self.r2}]")
         if self.r1 < 0 or not self.r2 > self.r1:
             raise ValueError(f"need 0 <= r1 < r2, got [{self.r1}, {self.r2}]")
         if self.form is SpaceForm.SPHERICAL and self.r2 > np.pi / 2 + 1e-12:

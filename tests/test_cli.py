@@ -5,6 +5,7 @@ import os
 import shlex
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -49,6 +50,18 @@ class TestSlCommand:
         code, _, err = run(["sl", "--form", "euclidean", "--n", "2", "--k", "0",
                             "--r1", "2", "--r2", "1"], capsys)
         assert code == 2
+
+    @pytest.mark.parametrize("command", [["sl", "--k", "0"], ["spectrum"]],
+                             ids=["sl", "spectrum"])
+    def test_infinite_radius_exit_2(self, capsys, command):
+        # refused before any grid is built, so numpy warns of nothing
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run([*command, "--form", "euclidean", "--n", "2",
+                                  "--r1", "1", "--r2", "inf"], capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "r2" in err and "must be finite" in err
+        assert caught == []
 
     def test_max_j_zero_exit_2(self, capsys):
         code, out, err = run(["sl", "--form", "euclidean", "--n", "2", "--k", "0",

@@ -4,6 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse.linalg as sparse_linalg
 
 from spaceform_spectra import domains as dm
@@ -512,7 +513,7 @@ class TestSymmetrySectors:
             b = rng.normal(size=n)
             if np.iscomplexobj(shifted.data):
                 b = b + 1j * rng.normal(size=n)
-            x = fem2d._cholesky_inverse(shifted)(b)
+            x = scipy.linalg.cho_solve_banded((fem2d._cholesky_factor(shifted), False), b)
             # normwise backward error: the constant-mode sector has ||x|| up
             # to 1e3 ||b||, so a bound on ||b|| alone would measure its
             # conditioning, not the factor
@@ -523,10 +524,10 @@ class TestSymmetrySectors:
 
     def test_banded_cholesky_refuses_a_matrix_that_is_not_positive_definite(self):
         shifted, _ = assemble(generate_mesh(ORDER4_SHELL, 0)).sector(0)
-        solve = None
+        factor = None
         with pytest.raises(FemConvergenceError):
-            solve = fem2d._cholesky_inverse(-shifted)
-        assert solve is None
+            factor = fem2d._cholesky_factor(-shifted)
+        assert factor is None
 
     @pytest.mark.parametrize("spec", [ORDER4_DISK, HALF_TURN_SHELL],
                              ids=["order4-hole-free", "half-turn"])
@@ -538,7 +539,7 @@ class TestSymmetrySectors:
         full = sum(array.nbytes for matrix in (system.stiffness, system.mass)
                    for array in (matrix.data, matrix.indices, matrix.indptr))
         factorized = []
-        monkeypatch.setattr(fem2d, "_cholesky_inverse",
+        monkeypatch.setattr(fem2d, "_cholesky_factor",
                             lambda *args, **kwargs: factorized.append(args))
         tracemalloc.start()
         try:
@@ -549,3 +550,80 @@ class TestSymmetrySectors:
         assert factorized == []
         assert peak < 2 * full
         assert result.max_residual <= 1e-10
+
+    @pytest.mark.parametrize("spec", [ORDER4_DISK, HALF_TURN_SHELL],
+                             ids=["order4-hole-free", "half-turn"])
+    def test_direct_level_factors_each_sector_once(self, spec, monkeypatch):
+        # the positive control of the test above: the same hook sees every
+        # factor the direct path makes
+        system = assemble(generate_mesh(spec, 2))
+        factor, sizes = fem2d._cholesky_factor, []
+
+        def recording(A):
+            sizes.append(A.shape[0])
+            return factor(A)
+
+        monkeypatch.setattr(fem2d, "_cholesky_factor", recording)
+        eigensolve(system)
+        assert len(sizes) == system.order // 2 + 1 == (3 if system.order == 4 else 2)
+        assert max(sizes) <= fem2d.DIRECT_MAX_UNKNOWNS
+
+    @pytest.mark.parametrize("k", [0, 1], ids=["real", "complex"])
+    def test_standard_form_matches_dense_oracle(self, k):
+        # Lanczos on U^-H M U^-1 against the dense shift-invert of the
+        # sector's own pencil
+        system = assemble(generate_mesh(ORDER4_SHELL, 1))
+        shifted, mass = system.sector(k)
+        assert np.iscomplexobj(shifted.data) == (k == 1)
+        vals, residual = fem2d._sector_eigs(system, k, 6)
+        ref = oracles.dense_shift_invert(shifted + fem2d.SHIFT * mass, mass, 6, fem2d.SHIFT)
+        scale = np.maximum(np.abs(ref), 1.0)   # absolute for the constant mode
+        assert np.max(np.abs(np.sort(vals) - ref) / scale) <= 1e-12
+        assert residual <= 1e-9
+
+
+def full_count_solve(system, m):
+    """``_solve_level`` with every sector asked for all of the lowest m it
+    can hold: m for a real phase, ceil(m / 2) for a complex one, which
+    stands for its conjugate too."""
+    sector_eigs = fem2d._sector_eigs
+
+    def full(system, k, count):
+        copies = 2 if np.iscomplexobj(system.sector(k)[0].data) else 1
+        return sector_eigs(system, k, -(-m // copies))
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(fem2d, "_sector_eigs", full)
+        return fem2d._solve_level(system, m)
+
+
+class TestSectorCounts:
+    @pytest.mark.parametrize("level", [0, 1])
+    @pytest.mark.parametrize("spec", [ORDER4_SHELL, ORDER4_DISK, HALF_TURN_SHELL],
+                             ids=["order4-shell", "order4-hole-free", "half-turn"])
+    def test_short_counts_give_the_full_count_values(self, spec, level):
+        system = assemble(generate_mesh(spec, level))
+        got = np.array(fem2d._solve_level(system, 8).eigenvalues)
+        ref = np.array(full_count_solve(system, 8).eigenvalues)
+        scale = np.maximum(np.abs(ref), 1.0)   # absolute for the constant mode
+        assert np.max(np.abs(got - ref) / scale) <= 1e-12
+
+    def test_sector_ending_below_the_mth_value_is_solved_again(self, monkeypatch):
+        # the real sector 0 first returns its lowest value alone, which lies
+        # below the 8th merged one, so the values past it could be among the
+        # lowest 8: it is solved again at its full count
+        system = assemble(generate_mesh(ORDER4_SHELL, 1))
+        sector_eigs, calls = fem2d._sector_eigs, []
+
+        def truncated(system, k, count):
+            calls.append((k, count))
+            vals, residual = sector_eigs(system, k, count)
+            return (np.sort(vals)[:1], residual) if calls == [(0, 3)] else (vals, residual)
+
+        monkeypatch.setattr(fem2d, "_sector_eigs", truncated)
+        got = fem2d._solve_level(system, 8)
+        assert calls == [(0, 3), (1, 3), (2, 3), (0, 8)]
+        monkeypatch.undo()
+        ref = np.array(full_count_solve(system, 8).eigenvalues)
+        scale = np.maximum(np.abs(ref), 1.0)
+        assert np.max(np.abs(np.array(got.eigenvalues) - ref) / scale) <= 1e-12

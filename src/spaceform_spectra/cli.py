@@ -6,10 +6,11 @@ plus structural certification), ``verify`` (domain-vs-matched-shell
 comparison through the finite-element pipeline) and ``moments`` (symmetry
 orthogonality and Rayleigh-bound checks by quadrature).
 
-Exit codes: 0 success, 2 invalid input (an unreadable input file or an
-unwritable output path included), 3 solver failure or truncation, 4 a
-verification check failed.  The subcommands raise; ``main`` alone turns an
-exception into an exit code and a stderr line.  Reports are JSON with
+Exit codes: 0 success, 2 invalid input (an unreadable input file, any
+malformed JSON input, a wrong shape included, and an unwritable output
+path), 3 solver failure or truncation, 4 a verification check failed.  The
+subcommands raise; ``main`` alone turns an exception into an exit code and
+a stderr line.  Reports are JSON with
 sorted keys and no timestamps, so the same inputs on the same BLAS thread
 count produce identical bytes.
 """
@@ -37,8 +38,7 @@ EXIT_SOLVER = 3
 EXIT_FAIL = 4
 
 _INVALID_ERRORS = (ValueError, GeometryError, dm.SymmetryError,
-                   UnattainableVolumeError, KeyError, OSError,
-                   json.JSONDecodeError)
+                   UnattainableVolumeError, OSError, json.JSONDecodeError)
 _SOLVER_ERRORS = (slsolver.ConvergenceError, fem2d.FemConvergenceError,
                   spectrum.CutoffTooLowError)
 
@@ -85,18 +85,14 @@ def _write_csv(path: str, header: list, rows) -> None:
 
 
 def _config_value(action: argparse.Action, value):
-    """A --config value, checked and converted as its flag would be.
+    """A --config value converted as its flag would convert it.
 
-    A switch takes a JSON boolean.  Any other flag takes a JSON string or
-    number, whose command-line spelling goes through the flag's ``type``
-    and ``choices``, so ``2.9`` is refused where ``--max-j 2.9`` is.
+    A number's command-line spelling goes through the flag's ``type`` and
+    ``choices``, so ``2.9`` is refused where ``--max-j 2.9`` is; a switch
+    keeps its boolean.
     """
-    if isinstance(action, argparse._StoreTrueAction):
-        if not isinstance(value, bool):
-            raise ValueError(f"config {action.dest}={value!r} must be true or false")
+    if isinstance(value, bool):
         return value
-    if isinstance(value, bool) or not isinstance(value, (str, int, float)):
-        raise ValueError(f"config {action.dest}={value!r} must be a string or a number")
     spelled = value if isinstance(value, str) else json.dumps(value)
     try:
         converted = action.type(spelled) if action.type else spelled
@@ -112,26 +108,24 @@ def _config_value(action: argparse.Action, value):
 def _parse_args(parser: argparse.ArgumentParser, argv) -> argparse.Namespace:
     """Parse ``argv``; with --config, its values become the flags' defaults.
 
-    The file's values are checked as their flags would check them, then set
-    as defaults on the parser that owns each flag (``--out`` on the
-    top-level one) and ``argv`` is parsed again, so a flag on the command
-    line beats the file and the file beats the flag's own default.  A key
-    that names no flag of the subcommand is invalid input.
+    ``slsolver.read_wire`` reads the file, one optional key per flag: a
+    switch takes a JSON boolean, any other flag a string or a number.  Each
+    value becomes the default on the parser that owns its flag (``--out``
+    on the top-level one) and ``argv`` is parsed again, so a flag on the
+    command line beats the file and the file beats the flag's own default.
     """
     args = parser.parse_args(argv)
     if args.config is None:
         return args
-    file_values = _load_json(args.config)
-    if not isinstance(file_values, dict):
-        raise ValueError("--config must hold a JSON object of flag values")
     (subparsers,) = (a for a in parser._actions
                      if isinstance(a, argparse._SubParsersAction))
     owners = {a.dest: (p, a) for p in (parser, subparsers.choices[args.command])
               for a in p._actions if a.dest in vars(args)}
     del owners["command"], owners["config"]
-    unknown = sorted(set(file_values) - set(owners))
-    if unknown:
-        raise ValueError(f"unknown config keys for {args.command}: {', '.join(unknown)}")
+    kinds = {key: (bool,) if isinstance(action, argparse._StoreTrueAction)
+             else (str, int, float) for key, (_, action) in owners.items()}
+    file_values = slsolver.read_wire(_load_json(args.config), kinds,
+                                     f"{args.command} config", optional=kinds)
     for key, value in file_values.items():
         owner, action = owners[key]
         owner.set_defaults(**{key: _config_value(action, value)})
@@ -262,6 +256,8 @@ def _parse_family(text: str) -> dict:
 def _collect_specs(args) -> list[dm.DomainSpec]:
     if args.spec:
         return [dm.spec_from_dict(_load_json(args.spec))]
+    if not args.random_family:
+        raise ValueError("need --spec FILE or --random-family 's=4 count=5 amplitude=0.1'")
     family = _parse_family(args.random_family)
     forms = ([SpaceForm(args.form)] if args.form != "all"
              else [SpaceForm.EUCLIDEAN, SpaceForm.SPHERICAL, SpaceForm.HYPERBOLIC])
@@ -287,8 +283,6 @@ def _on_domain(idx: int):
 # ---------------------------------------------------------------------------
 
 def cmd_verify(args, parser) -> int:
-    if not args.spec and not args.random_family:
-        parser.error("need --spec FILE or --random-family 's=4 count=5 amplitude=0.1'")
     specs = _collect_specs(args)
     config = fem2d.VerifyConfig(levels=tuple(range(1, args.levels + 1)),
                                 m=args.m)
@@ -412,8 +406,6 @@ def _rayleigh_checks(grid: dm.QuadratureGrid) -> list[dict]:
 
 
 def cmd_moments(args, parser) -> int:
-    if not args.spec and not args.random_family:
-        parser.error("need --spec FILE or --random-family 's=4 count=5 amplitude=0.1'")
     specs = _collect_specs(args)
     results = []
     failures = 0
@@ -456,69 +448,63 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--out",
                         help="directory for report artifacts (relative paths land here)")
     sub = parser.add_subparsers(dest="command", required=True)
+    forms = [f.value for f in SpaceForm]
 
-    p_sl = sub.add_parser("sl", help="solve one radial eigenproblem")
+    # Flags that subcommands share live on parent parsers made per call:
+    # the children share their actions, on which --config sets defaults.
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--config", help="JSON file with default flag values")
+    common.add_argument("--json", help="write the report to this JSON file")
+
+    shell = argparse.ArgumentParser(add_help=False)
+    shell.add_argument("--form", choices=forms)
+    shell.add_argument("--n", type=int)
+    shell.add_argument("--r1", type=float)
+    shell.add_argument("--r2", type=float)
+    shell.add_argument("--grid-points", dest="grid_points", type=int,
+                       default=SolverConfig.grid_points)
+    shell.add_argument("--csv", help="write the table to this CSV file")
+
+    family = argparse.ArgumentParser(add_help=False)
+    family.add_argument("--spec", help="domain JSON file")
+    family.add_argument("--random-family", dest="random_family",
+                        help="e.g. 's=4 count=5 amplitude=0.1'")
+    family.add_argument("--form", choices=["all"] + forms, default="all")
+    family.add_argument("--seed", type=int, default=0)
+
+    p_sl = sub.add_parser("sl", parents=[shell, common],
+                          help="solve one radial eigenproblem")
     p_sl.add_argument("--problem", help="JSON file with the problem (overrides flags)")
-    p_sl.add_argument("--form", choices=[f.value for f in SpaceForm])
-    p_sl.add_argument("--n", type=int)
     p_sl.add_argument("--k", type=int)
-    p_sl.add_argument("--r1", type=float)
-    p_sl.add_argument("--r2", type=float)
     p_sl.add_argument("--bc", choices=["neumann", "dirichlet"], default=str(SLProblem.bc))
     p_sl.add_argument("--max-j", dest="max_j", type=int)
-    p_sl.add_argument("--grid-points", dest="grid_points", type=int,
-                      default=SolverConfig.grid_points)
     p_sl.add_argument("--no-richardson", action="store_true",
                       default=not SolverConfig.richardson)
-    p_sl.add_argument("--config", help="JSON file with default flag values")
-    p_sl.add_argument("--json", help="write the eigenpairs to this JSON file")
-    p_sl.add_argument("--csv", help="write (r, u_j) samples to this CSV file")
     p_sl.set_defaults(func=cmd_sl)
 
-    p_sp = sub.add_parser("spectrum", help="assemble a shell spectrum")
-    p_sp.add_argument("--form", choices=[f.value for f in SpaceForm])
-    p_sp.add_argument("--n", type=int)
-    p_sp.add_argument("--r1", type=float)
-    p_sp.add_argument("--r2", type=float)
+    p_sp = sub.add_parser("spectrum", parents=[shell, common],
+                          help="assemble a shell spectrum")
     p_sp.add_argument("--kmax", type=int, default=8)
     p_sp.add_argument("--jmax", type=int, default=8)
     p_sp.add_argument("--count", type=int, default=12, help="certified eigenvalues to report")
     p_sp.add_argument("--certify", action="store_true",
                       help="append the structural certification report")
-    p_sp.add_argument("--grid-points", dest="grid_points", type=int,
-                      default=SolverConfig.grid_points)
-    p_sp.add_argument("--config")
-    p_sp.add_argument("--json")
-    p_sp.add_argument("--csv")
     p_sp.set_defaults(func=cmd_spectrum)
 
-    p_vf = sub.add_parser("verify", help="compare domains against matched shells")
-    p_vf.add_argument("--spec", help="domain JSON file")
-    p_vf.add_argument("--random-family", dest="random_family",
-                      help="e.g. 's=4 count=5 amplitude=0.1'")
-    p_vf.add_argument("--form", choices=["all"] + [f.value for f in SpaceForm],
-                      default="all")
-    p_vf.add_argument("--seed", type=int, default=0)
+    p_vf = sub.add_parser("verify", parents=[family, common],
+                          help="compare domains against matched shells")
     p_vf.add_argument("--levels", type=int, default=fem2d.VerifyConfig.levels[-1],
                       help="finest refinement level; a run stops below it once "
                            "its verdict is decided, and one level cannot PASS")
     p_vf.add_argument("--m", type=int, default=fem2d.VerifyConfig.m)
-    p_vf.add_argument("--config")
-    p_vf.add_argument("--json", help="write the full report here")
     p_vf.add_argument("--plot-data", dest="plot_data",
                       help="write gnuplot-ready refinement histories here")
     p_vf.set_defaults(func=cmd_verify)
 
-    p_mo = sub.add_parser("moments", help="symmetry orthogonality / Rayleigh checks")
-    p_mo.add_argument("--spec")
-    p_mo.add_argument("--random-family", dest="random_family")
-    p_mo.add_argument("--form", choices=["all"] + [f.value for f in SpaceForm],
-                      default="all")
-    p_mo.add_argument("--seed", type=int, default=0)
+    p_mo = sub.add_parser("moments", parents=[family, common],
+                          help="symmetry orthogonality / Rayleigh checks")
     p_mo.add_argument("--check", choices=["orthogonality", "rayleigh", "both"],
                       default="both")
-    p_mo.add_argument("--config")
-    p_mo.add_argument("--json")
     p_mo.set_defaults(func=cmd_moments)
     return parser
 

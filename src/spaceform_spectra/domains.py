@@ -31,7 +31,7 @@ import numpy as np
 from scipy import optimize
 from scipy.interpolate import CubicSpline
 
-from .slsolver import BoundaryCondition, SLEigenpair, check_wire_kinds
+from .slsolver import BoundaryCondition, SLEigenpair, read_wire
 from .spaceform import (
     GeometryError,
     HEMISPHERE_RADIUS,
@@ -625,9 +625,11 @@ def random_family(seed: int, form, n: int = 2,
 
 SCHEMA_VERSION = 1
 
-# JSON type each key of a domain, its profiles and their harmonics must carry
-_WIRE_TYPES = {"form": (str,), "n": (int,), "symmetry_order": (str,),
-               "base": (int, float), "m": (int,), "a": (int, float), "b": (int, float)}
+# JSON kinds of the keys of a domain, of its profiles and of their harmonics
+_SPEC_KINDS = {"schema_version": (int,), "form": (str,), "n": (int,),
+               "symmetry_order": (str,), "rho_out": (dict,), "rho_in": (dict, type(None))}
+_PROFILE_KINDS = {"base": (int, float), "harmonics": (list,)}
+_HARMONIC_KINDS = {"m": (int,), "a": (int, float), "b": (int, float)}
 
 
 def spec_to_dict(spec: DomainSpec) -> dict:
@@ -648,24 +650,26 @@ def spec_to_dict(spec: DomainSpec) -> dict:
     }
 
 
-def spec_from_dict(data: dict) -> DomainSpec:
-    """Planar Fourier domain from the wire dict.
+def spec_from_dict(data) -> DomainSpec:
+    """Planar Fourier domain from the wire dict, read by ``read_wire``.
 
-    Values of the wrong JSON kind, and harmonics whose frequency is not a
-    multiple of the declared symmetry order, are rejected outright; the
-    rest goes through the same validation as programmatic construction.
+    ``schema_version`` (1), ``n`` (2), ``rho_in``, ``harmonics``, ``a``
+    and ``b`` may be absent.  Harmonics whose frequency is not a multiple
+    of the declared symmetry order are rejected outright; the rest goes
+    through the same validation as programmatic construction.
     """
-    check_wire_kinds(data, _WIRE_TYPES, "spec")
-    if data.get("n", 2) != 2:
-        raise ValueError("the JSON schema covers n = 2; build 3D specs programmatically")
+    read_wire(data, _SPEC_KINDS, "spec", ("schema_version", "n", "rho_in"))
+    for key, value in (("schema_version", SCHEMA_VERSION), ("n", 2)):
+        if data.get(key, value) != value:
+            raise ValueError(f"spec key {key}={data[key]!r} must be {value}")
     symmetry = SymmetryOrder(data["symmetry_order"])
     step = fourier_order(symmetry)
 
     def parse_profile(blob, label) -> FourierProfile:
-        check_wire_kinds(blob, _WIRE_TYPES, label)
+        read_wire(blob, _PROFILE_KINDS, label, ("harmonics",))
         harmonics = []
         for h in blob.get("harmonics", []):
-            check_wire_kinds(h, _WIRE_TYPES, f"{label} harmonic")
+            read_wire(h, _HARMONIC_KINDS, f"{label} harmonic", ("a", "b"))
             m = h["m"]
             if m % step:
                 raise ValueError(
@@ -675,5 +679,5 @@ def spec_from_dict(data: dict) -> DomainSpec:
         return FourierProfile(float(blob["base"]), tuple(harmonics))
 
     rho_out = parse_profile(data["rho_out"], "rho_out")
-    rho_in = parse_profile(data["rho_in"], "rho_in") if data.get("rho_in") else None
+    rho_in = None if data.get("rho_in") is None else parse_profile(data["rho_in"], "rho_in")
     return DomainSpec(data["form"], 2, symmetry, rho_out, rho_in)

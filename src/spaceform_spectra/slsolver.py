@@ -56,7 +56,7 @@ __all__ = [
     "discretize",
     "solve",
     "locate_b",
-    "check_wire_kinds",
+    "read_wire",
     "problem_from_dict",
     "problem_to_dict",
     "pairs_to_dicts",
@@ -495,39 +495,44 @@ def locate_b(pair: SLEigenpair) -> float:
 # Wire formats
 # ---------------------------------------------------------------------------
 
-# JSON type each typed problem key must carry.  form and bc are checked by
-# their enums.
-_WIRE_TYPES = {"n": (int,), "k": (int,), "r1": (int, float), "r2": (int, float),
-               "grid_points": (int,), "max_j": (int,), "richardson": (bool,)}
+# JSON kinds of every problem key, and the keys that may be absent
+_PROBLEM_KINDS = {"form": (str,), "n": (int,), "k": (int,), "r1": (int, float),
+               "r2": (int, float), "bc": (str,), "grid_points": (int,),
+               "max_j": (int,), "richardson": (bool,)}
+_PROBLEM_OPTIONAL = ("bc", *(f.name for f in fields(SolverConfig)))
+_JSON_KINDS = {dict: "object", list: "array", type(None): "null"}
 
 
-def check_wire_kinds(data: dict, kinds: dict, what: str) -> None:
-    """Refuse a present key whose value's exact type (a JSON boolean is no
-    integer or number) is not among its ``kinds``."""
+def read_wire(data, kinds: dict, what: str, optional=()) -> dict:
+    """``data``, refused with a ``ValueError`` naming ``what`` and the key
+    unless it is a JSON object whose every key is in ``kinds``, every key
+    not in ``optional`` is present, and every value's exact type (a JSON
+    boolean is no integer or number) is among its key's ``kinds``."""
+    if type(data) is not dict:
+        raise ValueError(f"{what} must be a JSON object")
+    for key in data:
+        if key not in kinds:
+            raise ValueError(f"unknown {what} key {key!r}")
     for key, types in kinds.items():
-        if key in data and type(data[key]) not in types:
-            raise ValueError(f"{what} key {key}={data[key]!r} must be "
-                             f"{' or '.join(t.__name__ for t in types)}")
+        if key not in data:
+            if key not in optional:
+                raise ValueError(f"missing {what} key {key!r}")
+        elif type(data[key]) not in types:
+            names = (_JSON_KINDS.get(t, t.__name__) for t in types)
+            raise ValueError(f"{what} key {key}={data[key]!r} must be {' or '.join(names)}")
+    return data
 
 
-def problem_from_dict(data: dict) -> tuple[SLProblem, SolverConfig]:
-    """Problem + solver settings from the wire dict.
+def problem_from_dict(data) -> tuple[SLProblem, SolverConfig]:
+    """Problem + solver settings from the wire dict, read by ``read_wire``.
 
-    Recognized keys: form, n, k, r1, r2, bc, grid_points, max_j,
-    richardson.  Unknown keys, and values of the wrong JSON kind, are
-    rejected; absent solver settings take the ``SolverConfig`` defaults.
+    Keys: form, n, k, r1, r2 and the optional bc, grid_points, max_j and
+    richardson; absent solver settings take the ``SolverConfig`` defaults.
     """
-    unknown = set(data) - {"form", "bc", *_WIRE_TYPES}
-    if unknown:
-        raise ValueError(f"unknown problem keys: {sorted(unknown)}")
-    check_wire_kinds(data, _WIRE_TYPES, "problem")
-    try:
-        problem = SLProblem(
-            form=data["form"], n=data["n"], k=data["k"],
-            r1=float(data["r1"]), r2=float(data["r2"]),
-            bc=data.get("bc", "neumann"))
-    except KeyError as exc:
-        raise ValueError(f"missing problem key {exc}") from exc
+    read_wire(data, _PROBLEM_KINDS, "problem", _PROBLEM_OPTIONAL)
+    problem = SLProblem(form=data["form"], n=data["n"], k=data["k"],
+                        r1=float(data["r1"]), r2=float(data["r2"]),
+                        bc=data.get("bc", SLProblem.bc))
     config = SolverConfig(**{f.name: data[f.name] for f in fields(SolverConfig)
                              if f.name in data})
     return problem, config

@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 import json
 import math
@@ -567,6 +568,109 @@ def test_readme_command_lines_parse():
             cli.build_parser().parse_args(shlex.split(line)[1:])
         except SystemExit:
             pytest.fail(f"README command line no longer parses: {line}")
+
+
+FORMS = ["spherical", "euclidean", "hyperbolic"]
+
+# (dest, default, type, choices) of every option string, per subcommand
+FLAGS = {
+    None: {"--out": ("out", None, None, None)},
+    "sl": {
+        "--bc": ("bc", "neumann", None, ["neumann", "dirichlet"]),
+        "--config": ("config", None, None, None),
+        "--csv": ("csv", None, None, None),
+        "--form": ("form", None, None, FORMS),
+        "--grid-points": ("grid_points", 2048, int, None),
+        "--json": ("json", None, None, None),
+        "--k": ("k", None, int, None),
+        "--max-j": ("max_j", None, int, None),
+        "--n": ("n", None, int, None),
+        "--no-richardson": ("no_richardson", False, None, None),
+        "--problem": ("problem", None, None, None),
+        "--r1": ("r1", None, float, None),
+        "--r2": ("r2", None, float, None),
+    },
+    "spectrum": {
+        "--certify": ("certify", False, None, None),
+        "--config": ("config", None, None, None),
+        "--count": ("count", 12, int, None),
+        "--csv": ("csv", None, None, None),
+        "--form": ("form", None, None, FORMS),
+        "--grid-points": ("grid_points", 2048, int, None),
+        "--jmax": ("jmax", 8, int, None),
+        "--json": ("json", None, None, None),
+        "--kmax": ("kmax", 8, int, None),
+        "--n": ("n", None, int, None),
+        "--r1": ("r1", None, float, None),
+        "--r2": ("r2", None, float, None),
+    },
+    "verify": {
+        "--config": ("config", None, None, None),
+        "--form": ("form", "all", None, ["all", *FORMS]),
+        "--json": ("json", None, None, None),
+        "--levels": ("levels", 3, int, None),
+        "--m": ("m", 8, int, None),
+        "--plot-data": ("plot_data", None, None, None),
+        "--random-family": ("random_family", None, None, None),
+        "--seed": ("seed", 0, int, None),
+        "--spec": ("spec", None, None, None),
+    },
+    "moments": {
+        "--check": ("check", "both", None, ["orthogonality", "rayleigh", "both"]),
+        "--config": ("config", None, None, None),
+        "--form": ("form", "all", None, ["all", *FORMS]),
+        "--json": ("json", None, None, None),
+        "--random-family": ("random_family", None, None, None),
+        "--seed": ("seed", 0, int, None),
+        "--spec": ("spec", None, None, None),
+    },
+}
+
+
+def test_flag_sets_are_pinned():
+    parser = cli.build_parser()
+    (subparsers,) = (a for a in parser._actions
+                     if isinstance(a, argparse._SubParsersAction))
+    owners = {None: parser, **subparsers.choices}
+    assert set(owners) == set(FLAGS)
+    for command, owner in owners.items():
+        got = {option: (a.dest, a.default, a.type, a.choices)
+               for a in owner._actions if a.dest not in ("help", "command")
+               for option in a.option_strings}
+        assert got == FLAGS[command], command
+
+
+README_DOMAIN = {"form": "hyperbolic", "n": 2, "symmetry_order": "order4",
+                 "rho_out": {"base": 1.2, "harmonics": [{"m": 4, "a": 0.05, "b": -0.02}]},
+                 "rho_in": {"base": 0.5, "harmonics": [{"m": 8, "a": 0.01, "b": 0.0}]}}
+
+
+class TestInputRules:
+    """Every JSON input is read by one rule; a breach exits 2 and names the key."""
+
+    @pytest.mark.parametrize("command,blob,key", [
+        ("verify", {**{k: v for k, v in README_DOMAIN.items() if k != "rho_in"},
+                    "rho_inner": README_DOMAIN["rho_in"]}, "rho_inner"),
+        ("verify", {**README_DOMAIN, "rho_out": {
+            "base": 1.2, "harmonics": [{"m": 4, "a": 0.05, "bb": -0.02}]}}, "bb"),
+        ("verify", {**README_DOMAIN, "rho_in": {}}, "base"),
+        ("verify", {**README_DOMAIN, "rho_out": {"base": 1.2, "harmonics": {"m": 4}}},
+         "harmonics"),
+        ("verify", {**README_DOMAIN, "rho_out": [1.2]}, "rho_out"),
+        ("verify", {**README_DOMAIN, "rho_in": 0.5}, "rho_in"),
+        ("verify", {**README_DOMAIN, "schema_version": 2}, "schema_version"),
+        ("sl", [1, 2], "problem must be a JSON object"),
+    ], ids=["misspelled-key", "misspelled-harmonic-key", "empty-profile",
+            "harmonics-object", "profile-array", "profile-number", "schema-version",
+            "problem-array"])
+    def test_breach_exits_2_naming_the_key(self, command, blob, key, tmp_path, capsys):
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(blob))
+        flag = "--spec" if command == "verify" else "--problem"
+        code, out, err = run([command, flag, str(path)], capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and key in err
+        assert "Traceback" not in err
 
 
 class TestExitMapping:

@@ -1,11 +1,12 @@
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from spaceform_spectra import domains as dm
-from spaceform_spectra import slsolver
+from spaceform_spectra import fem2d, slsolver
 from spaceform_spectra import spaceform as sf
 from spaceform_spectra.domains import (
     DomainSpec,
@@ -316,6 +317,26 @@ class TestWireFormat:
         blob = json.dumps(dm.spec_to_dict(spec), sort_keys=True)
         back = dm.spec_from_dict(json.loads(blob))
         assert back == spec
+
+    @pytest.mark.parametrize("symmetry", [SymmetryOrder.ORDER4, SymmetryOrder.ORDER2,
+                                          SymmetryOrder.CENTRAL])
+    @pytest.mark.parametrize("form", ["euclidean", "spherical", "hyperbolic"])
+    @pytest.mark.parametrize("seed", [2026, 7])
+    def test_family_domains_survive_the_wire(self, seed, form, symmetry):
+        # the spec files `sfs verify --spec` reads are written this way
+        specs = dm.random_family(seed, form, symmetry=symmetry, count=2)
+        assert [spec.has_hole for spec in specs] == [True, False]
+        for spec in specs:
+            blob = json.dumps(dm.spec_to_dict(spec), sort_keys=True)
+            back = dm.spec_from_dict(json.loads(blob))
+            assert back == spec
+            assert fem2d.spec_hash(back) == fem2d.spec_hash(spec)
+
+    def test_readme_domain_parses(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = readme.split("```json\n", 1)[1].split("```", 1)[0]
+        spec = dm.spec_from_dict(json.loads(block))
+        assert spec.has_hole and spec.symmetry_order is SymmetryOrder.ORDER4
 
     def test_rejects_incompatible_harmonics(self):
         data = {"form": "euclidean", "n": 2, "symmetry_order": "order4",

@@ -109,7 +109,8 @@ def _parse_args(parser: argparse.ArgumentParser, argv) -> argparse.Namespace:
     """Parse ``argv``; with --config, its values become the flags' defaults.
 
     ``slsolver.read_wire`` reads the file, one optional key per flag: a
-    switch takes a JSON boolean, any other flag a string or a number.  Each
+    switch takes a JSON boolean, a flag with no ``type`` (a path or a
+    string choice) a string, and a typed flag a string or a number.  Each
     value becomes the default on the parser that owns its flag (``--out``
     on the top-level one) and ``argv`` is parsed again, so a flag on the
     command line beats the file and the file beats the flag's own default.
@@ -123,7 +124,8 @@ def _parse_args(parser: argparse.ArgumentParser, argv) -> argparse.Namespace:
               for a in p._actions if a.dest in vars(args)}
     del owners["command"], owners["config"]
     kinds = {key: (bool,) if isinstance(action, argparse._StoreTrueAction)
-             else (str, int, float) for key, (_, action) in owners.items()}
+             else (str, int, float) if action.type else (str,)
+             for key, (_, action) in owners.items()}
     file_values = slsolver.read_wire(_load_json(args.config), kinds,
                                      f"{args.command} config", optional=kinds)
     for key, value in file_values.items():
@@ -254,6 +256,8 @@ def _parse_family(text: str) -> dict:
 
 
 def _collect_specs(args) -> list[dm.DomainSpec]:
+    if args.spec and args.random_family:
+        raise ValueError("give --spec FILE or --random-family, not both")
     if args.spec:
         return [dm.spec_from_dict(_load_json(args.spec))]
     if not args.random_family:

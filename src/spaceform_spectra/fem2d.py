@@ -26,17 +26,19 @@ could hold only when its last value lies below the m-th merged one.  The
 shifted sector matrix K - SHIFT*M is Hermitian positive definite, and in
 ring-major order (vertex (i, j) is row i * width + j) a band matrix: every
 stencil coupling, the wrap-arounds across the wedge's edge included, lies
-within width + 1 of the diagonal.  Up to DIRECT_MAX_UNKNOWNS it is
-factored once, K - SHIFT*M = U^H U, by banded Cholesky (LAPACK ?pbtrf) in
-that order, which needs no fill-reducing permutation because the factor
-fills only the band, and Lanczos runs on the standard Hermitian form
-U^-H M U^-1 (Ericsson and Ruhe, Math. Comp. 35, 1980).  Larger sectors,
-the finest levels, are inverted by conjugate gradients in ARPACK's
-shift-invert mode, preconditioned by the same operator with its
-coefficients averaged over the rays: that average is diagonalised by the
-Fourier transform along the rays into tridiagonal systems across the
-rings, so the solve needs memory linear in the unknowns, where the band
-of the factor, width + 2 numbers per unknown, would set the run's peak.
+on one of nine diagonals within width + 1 of the diagonal, and each sector
+is built as those diagonals.  Up to DIRECT_MAX_UNKNOWNS it is factored
+once, K - SHIFT*M = U^H U, by banded Cholesky (LAPACK ?pbtrf) on its
+upper diagonals as they stand, which needs no fill-reducing permutation
+because the factor fills only the band, and Lanczos runs on the standard
+Hermitian form U^-H M U^-1 (Ericsson and Ruhe, Math. Comp. 35, 1980).
+Larger sectors, the finest levels, are inverted by conjugate gradients
+(on a CSR copy of K - SHIFT*M) in ARPACK's shift-invert mode,
+preconditioned by the same operator with its coefficients averaged over
+the rays: that average is diagonalised by the Fourier transform along the
+rays into tridiagonal systems across the rings, so the solve needs memory
+linear in the unknowns, where the band of the factor, width + 2 numbers
+per unknown, would set the run's peak.
 
 ``verify_theorem`` solves its levels one at a time and stops at the first
 level below the cap that decides the verdict: every checked margin is at
@@ -197,13 +199,14 @@ class FemSystem:
     def n_unknowns(self) -> int:
         return self.mesh.n_vertices
 
-    def sector(self, k: int) -> tuple[sparse.csr_matrix, sparse.csr_matrix]:
+    def sector(self, k: int) -> tuple[sparse.dia_matrix, sparse.dia_matrix]:
         """K - SHIFT*M and M on the wedge, for the functions of phase omega_k.
 
         omega_k = exp(2 pi i k / order) is the factor the rotation puts on
         them; a neighbour across the wedge's last ray is ray 0 turned once,
-        so its slot takes omega_k (and conj(omega_k) across ray 0).  Real
-        for omega_k = +-1, complex Hermitian otherwise.
+        so its coupling takes omega_k (and conj(omega_k) across ray 0).
+        Both are ``_stencil_matrix`` diagonals in ring-major order, real for
+        omega_k = +-1, complex Hermitian otherwise.
         """
         omega = (1.0, 1j, -1.0, -1j)[4 * k // self.order % 4]
         shifted = tuple(a - SHIFT * b for a, b in zip(self.stiffness_sums, self.mass_sums))
@@ -211,22 +214,17 @@ class FemSystem:
 
     @property
     def stiffness(self) -> sparse.csr_matrix:
-        return _stencil_matrix(tuple(np.tile(a, (1, self.order)) for a in self.stiffness_sums))
+        return _stencil_matrix(np.tile(a, (1, self.order)) for a in self.stiffness_sums).tocsr()
 
     @property
     def mass(self) -> sparse.csr_matrix:
-        return _stencil_matrix(tuple(np.tile(a, (1, self.order)) for a in self.mass_sums))
+        return _stencil_matrix(np.tile(a, (1, self.order)) for a in self.mass_sums).tocsr()
 
 
 # barycentric values at the three edge midpoints
 _MIDEDGE = np.array([[0.5, 0.5, 0.0],
                      [0.0, 0.5, 0.5],
                      [0.5, 0.0, 0.5]])
-
-# the seven stencil slots of vertex (i, j): itself, then its neighbours
-# (i + di, j + dj) across the radial, angular and quad-diagonal edges
-_STENCIL = ((0, 0), (-1, 0), (1, 0), (0, -1), (0, 1), (-1, -1), (1, 1))
-
 
 def _element_entries(form: SpaceForm, r, t) -> tuple[dict, dict]:
     """Element stiffness and mass entries of one triangle in every quad.
@@ -278,42 +276,35 @@ def _stencil_sums(t1: dict, t2: dict):
     return vertex, radial, angular, diagonal
 
 
-def _stencil_matrix(sums, omega: complex = 1.0) -> sparse.csr_matrix:
-    """Hermitian CSR matrix from ``_stencil_sums``, on the stencil pattern.
-
-    The sums cover ``width`` rays; the neighbour past the last ray is ray 0
-    turned once, and its slot is multiplied by ``omega`` (by conj(omega)
-    across ray 0).  With the sums of all rays and omega = 1 this is the
-    periodic matrix of the whole mesh.
+def _stencil_matrix(sums, omega: complex = 1.0) -> sparse.dia_matrix:
+    """Hermitian DIA matrix from ``_stencil_sums``: vertex (i, j) of the
+    ``width`` rays is row i * width + j, and the neighbour past the last ray
+    is ray 0 turned once, its coupling multiplied by ``omega`` (by
+    conj(omega) across ray 0).  So every coupling lies on diagonal 0, +-1
+    (angular, and the quad diagonal past the last ray), +-(width - 1)
+    (angular across ray 0), +-width (radial) or +-(width + 1) (quad
+    diagonal).  DIA keeps entry (c - d, c) at column c, so the upper
+    diagonal d is the array of its entries by row rolled by d, and the
+    lower diagonal -d that array's conjugate as it stands.  With the sums
+    of all rays and omega = 1 this is the periodic matrix of the whole mesh.
     """
     vertex, radial, angular, diagonal = sums
     n_rings, width = vertex.shape
-    values = np.zeros((n_rings, width, len(_STENCIL)),
-                      dtype=complex if isinstance(omega, complex) else float)
-    values[:, :, 0] = vertex
-    values[1:, :, 1] = radial
-    values[:-1, :, 2] = radial
-    values[:, :, 3] = np.roll(angular, 1, axis=1)
-    values[:, :, 4] = angular
-    values[1:, :, 5] = np.roll(diagonal, 1, axis=1)
-    values[:-1, :, 6] = diagonal
-
-    # vertex (i, j) is row i * width + j; slots off the mesh are dropped
-    di, dj = (np.array(d, dtype=np.int32) for d in zip(*_STENCIL))
-    rows = np.arange(n_rings, dtype=np.int32)[:, None, None] + di
-    cols = np.arange(width, dtype=np.int32)[None, :, None] + dj
-    valid = np.broadcast_to((rows >= 0) & (rows < n_rings), values.shape)
-    if omega != 1.0:
-        turns = np.broadcast_to(cols // width, values.shape)
-        values[turns > 0] *= omega
-        values[turns < 0] *= np.conj(omega)
-    indptr = np.zeros(n_rings * width + 1, dtype=np.int32)
-    np.cumsum(valid.sum(axis=2, dtype=np.int32).ravel(), out=indptr[1:])
-    n = indptr.size - 1
-    matrix = sparse.csr_matrix((values[valid], (rows * width + cols % width)[valid], indptr),
-                               shape=(n, n))
-    matrix.sort_indices()
-    return matrix
+    upper = np.array([1, width - 1, width, width + 1])
+    # rows 1-4 first hold each upper diagonal d by row: entry (r, r + d) at r
+    data = np.zeros((9, n_rings, width), dtype=complex if isinstance(omega, complex) else float)
+    data[0] = vertex
+    data[1, :, :-1] = angular[:, :-1]                  # (i, j)-(i, j+1)
+    data[1, :-1, -1] = omega * diagonal[:, -1]         # (i, width-1)-(i+1, width)
+    data[2, :, 0] = np.conj(omega) * angular[:, -1]    # (i, 0)-(i, -1)
+    data[3, :-1] = radial                              # (i, j)-(i+1, j)
+    data[4, :-1, :-1] = diagonal[:, :-1]               # (i, j)-(i+1, j+1)
+    data = data.reshape(9, -1)
+    np.conjugate(data[1:5], out=data[5:])
+    for row, d in zip(data[1:5], upper):
+        row[:] = np.roll(row, d)
+    n = vertex.size
+    return sparse.dia_matrix((data, np.concatenate([[0], upper, -upper])), shape=(n, n))
 
 
 def assemble(mesh: PolarMesh) -> FemSystem:
@@ -412,20 +403,19 @@ class FemEigenResult:
         return {**asdict(self), "levels": levels}
 
 
-def _upper_band(A: sparse.csr_matrix) -> np.ndarray:
-    """Upper band of the Hermitian CSR matrix A in LAPACK storage: entry
-    (i, j), i <= j, sits at [bandwidth + i - j, j].  The half-bandwidth is
-    the largest col - row of A's pattern."""
-    rows = np.repeat(np.arange(A.shape[0]), np.diff(A.indptr))
-    offset = A.indices - rows
-    upper = offset >= 0
-    bandwidth = int(offset.max())
+def _upper_band(A: sparse.dia_matrix) -> np.ndarray:
+    """Upper band of the Hermitian DIA matrix A in LAPACK storage: entry
+    (i, j), i <= j, sits at [bandwidth + i - j, j], the column where A
+    keeps it on its diagonal j - i, so each upper diagonal is copied as it
+    stands.  The half-bandwidth is A's largest offset."""
+    bandwidth = int(A.offsets.max())
+    upper = A.offsets >= 0
     band = np.zeros((bandwidth + 1, A.shape[0]), dtype=A.dtype, order="F")
-    band[bandwidth - offset[upper], A.indices[upper]] = A.data[upper]
+    band[bandwidth - A.offsets[upper]] = A.data[upper]
     return band
 
 
-def _cholesky_factor(A: sparse.csr_matrix) -> np.ndarray:
+def _cholesky_factor(A: sparse.dia_matrix) -> np.ndarray:
     """Upper banded Cholesky factor U of the Hermitian positive definite
     A = U^H U (LAPACK ?pbtrf), in the band storage of ``_upper_band``.
 
@@ -529,6 +519,8 @@ def _sector_eigs(system: FemSystem, k: int, count: int) -> tuple[np.ndarray, flo
         theta, vecs = sparse_linalg.eigsh(op, k=count, which="LM", v0=v0)
         vals, vecs = SHIFT + 1.0 / theta, triangular(vecs, "N")
     else:
+        # CG's many products with A are faster on CSR than on DIA
+        A = A.tocsr()
         inverse = _cg_inverse(A, _averaged_inverse(system, k))
         # in shift-invert mode ARPACK applies only OPinv (and M); its first
         # argument just gives the shape

@@ -107,10 +107,14 @@ class TestSlCommand:
 
     @pytest.mark.parametrize("values", [{"max_j": 2.9, "r2": 2.0},
                                         {"k": True, "r2": 2.0},
-                                        {"no_richardson": 1, "r2": 2.0}])
-    def test_config_value_its_flag_refuses_exit_2(self, tmp_path, capsys, values):
+                                        {"no_richardson": 1, "r2": 2.0},
+                                        {"json": 2, "r2": 2.0}])
+    def test_config_value_its_flag_refuses_exit_2(self, tmp_path, capsys, monkeypatch,
+                                                  values):
         # --max-j 2.9 and a boolean --k exit 2 on the command line, so they do
-        # in the file too; a switch takes only true or false
+        # in the file too; a switch takes only true or false, and a path only
+        # a string, so no report is written to a file named 2
+        monkeypatch.chdir(tmp_path)
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(values))
         argv = ["sl", "--form", "euclidean", "--n", "2", "--r1", "1",
@@ -118,6 +122,7 @@ class TestSlCommand:
         code, out, err = run(argv + ([] if "k" in values else ["--k", "0"]), capsys)
         assert code == 2 and out == ""
         assert next(iter(values)) in err
+        assert not (tmp_path / "2").exists()
 
     def test_config_integer_for_float_flag(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -699,6 +704,15 @@ class TestExitMapping:
                             "--grid-points", "64", "--json", "pairs.json"], capsys)
         assert code == 2
         assert err.startswith("error:")
+
+    @pytest.mark.parametrize("command", ["verify", "moments"])
+    def test_spec_beside_random_family_exit_2(self, command, tmp_path, capsys):
+        # either source alone is valid; together one would be dropped unsaid
+        path = write_spec(tmp_path, dm.random_family(2026, "euclidean", count=1)[0])
+        code, out, err = run([command, "--spec", str(path), "--random-family", "s=4 count=3"],
+                             capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "--spec" in err and "--random-family" in err
 
     def test_missing_input_file_exit_2(self, tmp_path, capsys):
         code, _, err = run(["verify", "--spec", str(tmp_path / "absent.json")], capsys)

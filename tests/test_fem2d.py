@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse
 import scipy.sparse.linalg as sparse_linalg
 
 from spaceform_spectra import domains as dm
@@ -483,6 +484,29 @@ class TestSymmetrySectors:
         ref = np.array(factored.eigenvalues)
         got = np.array(iterated.eigenvalues)
         assert np.max(np.abs(got - ref) / np.maximum(np.abs(ref), 1.0)) <= 1e-10
+
+    @pytest.mark.parametrize("level", [0, 1])
+    @pytest.mark.parametrize("spec", [ORDER4_SHELL, ORDER4_DISK, HALF_TURN_SHELL],
+                             ids=["order4-shell", "order4-hole-free", "half-turn"])
+    def test_every_sector_is_the_bloch_restriction_of_the_full_matrices(self, spec, level):
+        # P_k copies a wedge vector onto turn t of the full mesh, times
+        # omega_k**t; the rotation commutes with K and M, so P_k^H A P_k is
+        # order times sector k's A, which pins where its phases sit
+        system = assemble(generate_mesh(spec, level))
+        n, order = system.n_unknowns, system.order
+        width = system.mesh.n_angular // order
+        ring, ray = np.divmod(np.arange(n), system.mesh.n_angular)
+        turn, wedge_ray = np.divmod(ray, width)
+        full = (system.stiffness - fem2d.SHIFT * system.mass, system.mass)
+        wedge_vertex = ring * width + wedge_ray
+        for k in range(order):
+            phases = np.exp(2j * math.pi * k * turn / order)
+            bloch = scipy.sparse.csr_matrix((phases, (np.arange(n), wedge_vertex)),
+                                            shape=(n, n // order))
+            for matrix, sector in zip(full, system.sector(k)):
+                got = (bloch.conj().T @ matrix @ bloch).toarray() / order
+                ref = sector.toarray()
+                assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref)), k
 
     def test_averaged_inverse_is_exact_on_a_round_shell(self):
         # every ray of a round shell carries the same coefficients

@@ -40,16 +40,15 @@ rays into tridiagonal systems across the rings, so the solve needs memory
 linear in the unknowns, where the band of the factor, width + 2 numbers
 per unknown, would set the run's peak.
 
+``decide`` is the one verdict rule: from a refinement history it
+computes the margins, tau and observed orders of the checked indices, the
+PASS/FAIL, and whether refining further could still change it.
 ``verify_theorem`` solves its levels one at a time and stops at the first
-level below the cap that decides the verdict: every checked margin is at
-least STOP_MARGIN * tau, or one is at most -STOP_MARGIN * tau, and every
-checked index's observed order lies in ORDER_BAND, so the Richardson
-estimate behind tau can be trusted (the grid-convergence practice of
-Roache, Verification and Validation in Computational Science and
-Engineering, 1998).  An observed order needs three levels, so a ladder of
-three or more levels that starts at level l >= 1 first solves the probe
-level l - 1.  A run that reaches the cap reports the values a fixed ladder
-gives, with the probe level in front of its history.
+level below the cap that ``decide`` calls decided.  An observed order
+needs three levels, so a ladder of three or more levels that starts at
+level l >= 1 first solves the probe level l - 1.  A run that reaches the
+cap reports the values a fixed ladder gives, with the probe level in
+front of its history.
 
 Hole-free domains keep the chart away from its r = 0 degeneracy with a
 small artificial inner circle (natural boundary condition, radius 1e-3);
@@ -84,12 +83,13 @@ __all__ = [
     "LevelSolve",
     "VerifyConfig",
     "TheoremVerdict",
+    "Decision",
     "generate_mesh",
     "assemble",
     "eigensolve",
     "solve_domain",
     "verify_theorem",
-    "verdict_decided",
+    "decide",
 ]
 
 HOLE_FREE_INNER_RADIUS = 1e-3
@@ -393,9 +393,6 @@ class FemEigenResult:
                    extrapolated=extrapolated, est_rel_error=est, observed_order=order,
                    max_residual=max(solve.residual for solve in levels))
 
-    def best(self) -> tuple:
-        return self.extrapolated if self.extrapolated is not None else self.eigenvalues
-
     def to_dict(self) -> dict:
         # a level's residual enters the report only through max_residual
         levels = [{key: value for key, value in solve._asdict().items() if key != "residual"}
@@ -645,13 +642,8 @@ class VerifyConfig:
 class TheoremVerdict:
     """Comparison of the domain's low eigenvalues against its matched shell.
 
-    ``margins`` holds (mu_shell - mu_i(domain)) / mu_shell for each
-    checked index; the verdict passes when every margin is >= -tau,
-    where tau folds the extrapolation residual of the domain and the
-    matched shell's relative Richardson correction (floored at 1e-4) so
-    discretization error cannot flip the comparison.  A single level
-    gives no error estimate (``fem.est_rel_error`` is None), so its tau
-    is the bare floor and the verdict fails.
+    ``margins``, ``tau`` and ``passed`` are the ``decide`` of ``fem`` against
+    ``mu_annulus`` on the ``checked_indices``.
     """
 
     spec_hash: str
@@ -687,18 +679,41 @@ def spec_hash(spec: dm.DomainSpec) -> str:
     return hashlib.sha256(payload).hexdigest()[:16]
 
 
-def verdict_decided(margins, tau: float, orders) -> bool:
-    """Whether refining further could no longer change the verdict.
+class Decision(NamedTuple):
+    """The verdict ``decide`` draws from one refinement history."""
 
-    True when every margin is >= STOP_MARGIN * tau or some margin is
-    <= -STOP_MARGIN * tau, and every observed order of the checked
-    indices (None when unknown) lies in ORDER_BAND, so the Richardson
-    estimate behind tau can be trusted.
+    margins: tuple
+    tau: float
+    orders: tuple
+    decided: bool
+    passed: bool
+
+
+def decide(mu_shell: float, radial: float, fem: FemEigenResult, indices) -> Decision:
+    """The verdict rule for mu_i(domain) <= mu_shell at the checked ``indices``.
+
+    margin_i = (mu_shell - mu_i) / mu_shell on the extrapolated values (the
+    finest level's when there is one level), and tau = max(TAU_FLOOR,
+    3 * e + radial), e the largest ``fem.est_rel_error`` of a checked index
+    (0 for one level) and ``radial`` the shell's relative Richardson
+    correction.  ``passed``: an error estimate exists and every margin is
+    >= -tau.  ``decided``, so refining further cannot change the verdict:
+    every margin is >= STOP_MARGIN * tau or one is <= -STOP_MARGIN * tau,
+    and every observed order lies in ORDER_BAND, where the Richardson
+    estimate behind tau can be trusted (Roache, Verification and
+    Validation in Computational Science and Engineering, 1998).
     """
+    best = fem.extrapolated or fem.eigenvalues
+    est = fem.est_rel_error or tuple(0.0 for _ in best)
+    tau = max(TAU_FLOOR, 3.0 * max(est[i - 1] for i in indices) + radial)
+    margins = tuple((mu_shell - best[i - 1]) / mu_shell for i in indices)
+    orders = tuple(fem.observed_order[i - 1] if fem.observed_order else None for i in indices)
     low, high = ORDER_BAND
-    trusted = all(order is not None and low <= order <= high for order in orders)
-    return trusted and (all(margin >= STOP_MARGIN * tau for margin in margins)
-                        or any(margin <= -STOP_MARGIN * tau for margin in margins))
+    decided = (all(order is not None and low <= order <= high for order in orders)
+               and (all(margin >= STOP_MARGIN * tau for margin in margins)
+                    or any(margin <= -STOP_MARGIN * tau for margin in margins)))
+    passed = fem.est_rel_error is not None and all(margin >= -tau for margin in margins)
+    return Decision(margins, tau, orders, decided, passed)
 
 
 def _ladder(levels: tuple) -> tuple:
@@ -714,16 +729,15 @@ def verify_theorem(spec: dm.DomainSpec, config: VerifyConfig | None = None) -> T
 
     Pipeline: quadrature volume -> matched shell radii -> lowest mode-1
     eigenvalue of the shell (radial solve) -> FEM eigenvalues of the
-    domain, one refinement level at a time -> margins against tau.
-    Quarter-turn symmetry checks indices 2 and 3; half-turn or central
-    symmetry checks index 2 only.
+    domain, one refinement level at a time -> ``decide``.  Quarter-turn
+    symmetry checks indices 2 and 3; half-turn or central symmetry checks
+    index 2 only.
 
     Levels are solved coarsest first, each once, up to the cap
     ``config.levels[-1]``; after each level below the cap the run stops
-    if ``verdict_decided`` holds for the margins, tau and observed
-    orders so far.  A ladder of three or more levels starting at l >= 1
-    first solves level l - 1, so the stop test can already read an
-    observed order once level l + 1 is solved.
+    if ``decide`` calls the history so far decided.  A ladder of three or
+    more levels starting at l >= 1 first solves level l - 1, so the stop
+    test can already read an observed order once level l + 1 is solved.
     """
     config = config or VerifyConfig()
     if spec.n != 2:
@@ -746,20 +760,14 @@ def verify_theorem(spec: dm.DomainSpec, config: VerifyConfig | None = None) -> T
     for level in _ladder(config.levels):
         history += eigensolve(assemble(generate_mesh(spec, level)), m=config.m).levels
         fem = FemEigenResult.from_levels(history)
-        best = fem.best()
-        est = fem.est_rel_error or tuple(0.0 for _ in best)
-        tau = max(TAU_FLOOR, 3.0 * max(est[i - 1] for i in indices) + radial)
-        margins = tuple((mu_annulus - best[i - 1]) / mu_annulus for i in indices)
-        orders = tuple(fem.observed_order[i - 1] if fem.observed_order else None
-                       for i in indices)
-        if verdict_decided(margins, tau, orders):
+        decision = decide(mu_annulus, radial, fem, indices)
+        if decision.decided:
             break
     return TheoremVerdict(
         spec_hash=spec_hash(spec), form=spec.form, symmetry=spec.symmetry_order,
         r1=r1, r2=r2, volume=vol, mu_annulus=mu_annulus, fem=fem,
-        checked_indices=indices, margins=margins, tau=tau,
-        passed=(fem.est_rel_error is not None
-                and all(margin >= -tau for margin in margins)))
+        checked_indices=indices, margins=decision.margins, tau=decision.tau,
+        passed=decision.passed)
 
 
 def convergence_table(result: FemEigenResult, label: str = "") -> str:

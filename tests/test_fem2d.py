@@ -14,12 +14,13 @@ from spaceform_spectra.domains import DomainSpec, FourierProfile, SymmetryOrder
 from spaceform_spectra.fem2d import (
     DegenerateDomainError,
     FemConvergenceError,
+    FemEigenResult,
     VerifyConfig,
     assemble,
+    decide,
     eigensolve,
     generate_mesh,
     solve_domain,
-    verdict_decided,
     verify_theorem,
 )
 from spaceform_spectra.slsolver import SLProblem, SolverConfig
@@ -381,7 +382,7 @@ class TestVerifyTheorem:
                           FourierProfile(0.5, ((4, 0.0, 0.02),)))
         verdict = verify_theorem(spec, VerifyConfig(levels=(1, 2), m=6))
         assert verdict.passed
-        mu2, mu3 = verdict.fem.best()[1], verdict.fem.best()[2]
+        mu2, mu3 = verdict.fem.extrapolated[1], verdict.fem.extrapolated[2]
         lhs = 1.0 / mu2 + 1.0 / mu3
         rhs = 2.0 / verdict.mu_annulus
         assert lhs >= rhs * (1 - verdict.tau)
@@ -468,8 +469,134 @@ class TestStopRule:
         ((-3.0,), (None,), False),
     ])
     def test_stop_predicate(self, margins, orders, decided):
-        tau = 1e-3
-        assert verdict_decided(tuple(m * tau for m in margins), tau, orders) is decided
+        # est = 2**-12 on every index makes tau = 3 * est exact, and with
+        # mu_shell = 1 the margins of 2 and 3 tau come out exact
+        tau = 3 * 2.0**-12
+        indices = tuple(range(2, 2 + len(margins)))
+        fem = synthetic_history(tuple(m * tau for m in margins), orders, est=2.0**-12)
+        decision = decide(1.0, 0.0, fem, indices)
+        assert decision.tau == tau
+        assert decision.orders == orders
+        assert decision.decided is decided
+        assert decision.passed is all(m >= -1 for m in margins)
+
+    @pytest.mark.parametrize("radial", [0.0, 5e-4])
+    def test_one_level_never_passes(self, radial):
+        fem = synthetic_history((0.5, 0.5), (None, None), est=None)
+        decision = decide(1.0, radial, fem, (2, 3))
+        assert decision.margins == (0.5, 0.5)
+        assert decision.tau == max(fem2d.TAU_FLOOR, radial)
+        assert decision.orders == (None, None)
+        assert decision.decided is False
+        assert decision.passed is False
+
+    @pytest.mark.parametrize("est, radial, tau", [(1e-3, 2e-4, 3.0 * 1e-3 + 2e-4),
+                                                  (1e-5, 1e-5, fem2d.TAU_FLOOR)],
+                             ids=["richardson-sets-tau", "floor-sets-tau"])
+    def test_tau_is_three_richardson_corrections_plus_radial(self, est, radial, tau):
+        fem = synthetic_history((0.5, 0.5), (2.0, 2.0), est=est)
+        assert decide(1.0, radial, fem, (2, 3)).tau == tau
+
+    def test_a_margin_of_exactly_minus_tau_passes(self):
+        tau = 3 * 2.0**-12
+        fem = synthetic_history((-tau,), (2.0,), est=2.0**-12)
+        decision = decide(1.0, 0.0, fem, (2,))
+        assert decision.margins == (-tau,)
+        assert decision.passed is True
+        assert decision.decided is False
+
+
+def synthetic_history(margins, orders, est):
+    """FemEigenResult whose indices 2, 3, ... lie ``margins`` below mu = 1.
+
+    ``est`` is every index's Richardson correction; None makes a one-level
+    history, with no extrapolation and no observed orders.
+    """
+    values = (0.0, *(1.0 - margin for margin in margins))
+    if est is None:
+        return FemEigenResult(levels=(), eigenvalues=values, extrapolated=None,
+                              est_rel_error=None, observed_order=None, max_residual=0.0)
+    return FemEigenResult(levels=(), eigenvalues=values, extrapolated=values,
+                          est_rel_error=(est,) * len(values),
+                          observed_order=(None, *orders), max_residual=0.0)
+
+
+# half-turn domains, rho_out = 1.2 + A cos 2 theta with or without a round
+# hole: the theorem covers mu_2 only, and their mu_3 lies far above the
+# matched shell's mu_2
+HALF_TURN_NEGATIVES = {
+    f"{form}-A{amplitude}-{'holed' if hole else 'hole-free'}":
+        DomainSpec(form, 2, SymmetryOrder.ORDER2,
+                   FourierProfile(1.2, ((2, amplitude, 0.0),)), hole)
+    for form in ("euclidean", "spherical", "hyperbolic")
+    for amplitude in (0.1, 0.2)
+    for hole in (FourierProfile(0.45), None)
+}
+# mu_3's observed order over levels 0-2 is 3.2, outside ORDER_BAND
+OUT_OF_BAND = "hyperbolic-A0.2-holed"
+
+
+@pytest.fixture(scope="module")
+def half_turn_histories():
+    """Matched shell mu_2, its radial correction and the level 0-2 history
+    of every HALF_TURN_NEGATIVES domain, the shell taken as verify_theorem
+    takes it."""
+    histories = {}
+    for name, spec in HALF_TURN_NEGATIVES.items():
+        r1, r2 = dm.matched_annulus(dm.QuadratureGrid.for_spec(spec))
+        (shell,) = slsolver.solve(SLProblem(spec.form, 2, 1, r1, r2), SolverConfig())
+        radial = abs(shell.eigenvalue - shell.eigenvalue_grid) / shell.eigenvalue
+        levels = solve_domain(spec, levels=(0, 1, 2), m=4).levels
+        histories[name] = shell.eigenvalue, radial, levels
+    return histories
+
+
+def ladder_decisions(history, indices):
+    """``decide`` after each level of the ladder 0, 1, 2, as verify_theorem
+    calls it."""
+    mu_shell, radial, levels = history
+    return [decide(mu_shell, radial, FemEigenResult.from_levels(levels[:k]), indices)
+            for k in range(1, len(levels) + 1)]
+
+
+class TestTrueNegatives:
+    @pytest.mark.parametrize("name", [n for n in HALF_TURN_NEGATIVES if n != OUT_OF_BAND])
+    def test_mu3_against_the_shell_is_decided_and_fails(self, half_turn_histories, name):
+        *below_cap, cap = ladder_decisions(half_turn_histories[name], (2, 3))
+        assert not any(decision.decided for decision in below_cap)
+        assert cap.decided is True
+        assert cap.passed is False
+        assert cap.margins[1] <= -fem2d.STOP_MARGIN * cap.tau
+
+    @pytest.mark.parametrize("name", list(HALF_TURN_NEGATIVES))
+    def test_mu2_against_the_shell_passes(self, half_turn_histories, name):
+        cap = ladder_decisions(half_turn_histories[name], (2,))[-1]
+        assert cap.decided is True
+        assert cap.passed is True
+        assert cap.margins[0] >= fem2d.STOP_MARGIN * cap.tau
+
+    def test_verify_theorem_reaches_the_same_decision(self, half_turn_histories):
+        name = "euclidean-A0.1-holed"
+        verdict = verify_theorem(HALF_TURN_NEGATIVES[name], VerifyConfig(levels=(0, 1, 2), m=4))
+        cap = ladder_decisions(half_turn_histories[name], (2,))[-1]
+        assert verdict.fem.levels == half_turn_histories[name][2]
+        assert (verdict.margins, verdict.tau, verdict.passed) == (
+            cap.margins, cap.tau, cap.passed)
+
+    def test_an_order_outside_the_band_leaves_a_negative_undecided(self, half_turn_histories):
+        """mu_3 of the holed hyperbolic domain with A = 0.2 is about 36 %
+        above the shell's mu_2, but its observed order over levels 0-2 is
+        3.2, outside ORDER_BAND, so the margin is not trusted: a level-2 cap
+        ends the run undecided and the domain FAILs (a level-3 cap FAILs
+        too, at order 2.6).  ROADMAP item 4, tau from the observed order,
+        must turn this case into a decided FAIL."""
+        cap = ladder_decisions(half_turn_histories[OUT_OF_BAND], (2, 3))[-1]
+        low, high = fem2d.ORDER_BAND
+        assert low <= cap.orders[0] <= high
+        assert not low <= cap.orders[1] <= high
+        assert cap.margins[1] <= -fem2d.STOP_MARGIN * cap.tau
+        assert cap.decided is False
+        assert cap.passed is False
 
 
 class TestSymmetrySectors:

@@ -28,8 +28,7 @@ from enum import Enum
 from functools import cached_property
 
 import numpy as np
-from scipy import optimize
-from scipy.interpolate import CubicSpline
+from scipy.linalg.lapack import dgtsv
 
 from .slsolver import BoundaryCondition, SLEigenpair, read_wire
 from .spaceform import (
@@ -316,12 +315,72 @@ def _validate_spec(spec: DomainSpec) -> None:
                     "on the angular sample")
 
 
+def _fminbound(f, a: float, b: float, xatol: float) -> float:
+    """Least value of f found on [a, b] by Brent's bounded minimisation.
+
+    The steps, their floating-point order and the 500-evaluation cap are
+    those of scipy's ``minimize_scalar(method="bounded")``, so the value
+    is bitwise scipy's ``res.fun``.
+    """
+    sqrt_eps = math.sqrt(2.2e-16)
+    golden_mean = 0.5 * (3.0 - math.sqrt(5.0))
+    fulc = a + golden_mean * (b - a)
+    nfc = xf = fulc
+    rat = e = 0.0
+    fx = f(xf)
+    num = 1
+    ffulc = fnfc = fx
+    xm = 0.5 * (a + b)
+    tol1 = sqrt_eps * abs(xf) + xatol / 3.0
+    tol2 = 2.0 * tol1
+    while abs(xf - xm) > tol2 - 0.5 * (b - a) and num < 500:
+        golden = True
+        if abs(e) > tol1:  # try a parabola through the three best points
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r, e = e, rat
+            if abs(p) < abs(0.5 * q * r) and q * (a - xf) < p < q * (b - xf):
+                golden = False
+                rat = p / q
+                x = xf + rat
+                if x - a < tol2 or b - x < tol2:
+                    rat = tol1 if xm >= xf else -tol1
+        if golden:
+            e = a - xf if xf >= xm else b - xf
+            rat = golden_mean * e
+        step = max(abs(rat), tol1)
+        x = xf - step if rat < 0 else xf + step
+        fu = f(x)
+        num += 1
+        if fu <= fx:
+            a, b = (xf, b) if x >= xf else (a, xf)
+            fulc, ffulc, nfc, fnfc, xf, fx = nfc, fnfc, xf, fx, x, fu
+        else:
+            a, b = (x, b) if x < xf else (a, x)
+            if fu <= fnfc or nfc == xf:
+                fulc, ffulc, nfc, fnfc = nfc, fnfc, x, fu
+            elif fu <= ffulc or fulc == xf or fulc == nfc:
+                fulc, ffulc = x, fu
+        xm = 0.5 * (a + b)
+        tol1 = sqrt_eps * abs(xf) + xatol / 3.0
+        tol2 = 2.0 * tol1
+    return fx
+
+
 def inner_infimum(spec: DomainSpec) -> float:
     """inf rho_in (0 without a hole), refined by local optimization.
 
-    The dense-sample argmin is polished with a bounded scalar minimizer
-    (n = 2) or Nelder-Mead in the two angles (n = 3), so the value is
-    accurate well beyond the sampling resolution.
+    The dense-sample argmin is polished by Brent's bounded minimisation
+    (n = 2; ``_fminbound``) or Nelder-Mead in the two angles (n = 3), so
+    the value is accurate well beyond the sampling resolution.  The n = 2
+    minimiser repeats scipy's step for step rather than calling it, which
+    keeps ``scipy.optimize`` out of every planar run while the shell
+    radius r1 stays bitwise scipy's.
     """
     profile = spec.rho_in
     if profile is None:
@@ -330,11 +389,11 @@ def inner_infimum(spec: DomainSpec) -> float:
         theta = np.linspace(0.0, 2 * math.pi, 4096, endpoint=False)
         t0 = theta[int(np.argmin(profile.at_theta(theta)))]
         window = 2 * math.pi / 4096 * 4
-        res = optimize.minimize_scalar(
-            lambda t: float(profile.at_theta(np.array([t]))[0]),
-            bounds=(t0 - window, t0 + window), method="bounded",
-            options={"xatol": 1e-12})
-        return float(res.fun)
+        return float(_fminbound(lambda t: float(profile.at_theta(np.array([t]))[0]),
+                                t0 - window, t0 + window, 1e-12))
+    # imported here: sfs reads planar domains only, so no command loads it
+    from scipy import optimize
+
     omega = _fibonacci_sphere(16384)
     best = omega[:, int(np.argmin(profile.evaluate(omega)))]
     phi2 = math.acos(np.clip(best[0], -1, 1))
@@ -475,13 +534,58 @@ def matched_annulus(grid: QuadratureGrid) -> tuple[float, float]:
     return r1, r2
 
 
+def _cubic_spline(x: np.ndarray, y: np.ndarray, inner_clamped: bool):
+    """Value and first-derivative evaluators of the C2 cubic spline through
+    (x, y), x increasing with at least four nodes.
+
+    The node slopes solve scipy ``CubicSpline``'s tridiagonal system, with
+    slope zero at x[-1] and, at x[0], slope zero (``inner_clamped``) or
+    not-a-knot; each piece is then the cubic Hermite polynomial of its two
+    nodes, evaluated by Horner's rule on the interval ``searchsorted``
+    finds (the last node belongs to the last piece).
+    """
+    dx = np.diff(x)
+    slope = np.diff(y) / dx
+    # row i couples s[i-1], s[i], s[i+1]: the first and last rows are the ends
+    lower = np.append(dx[1:], 0.0)
+    diag = np.concatenate(([1.0], 2 * (dx[:-1] + dx[1:]), [1.0]))
+    upper = np.append(0.0, dx[:-1])
+    rhs = np.concatenate(([0.0], 3 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:]), [0.0]))
+    if not inner_clamped:
+        d = x[2] - x[0]
+        diag[0], upper[0] = dx[1], d
+        rhs[0] = ((dx[0] + 2 * d) * dx[1] * slope[0] + dx[0] ** 2 * slope[1]) / d
+    s, info = dgtsv(lower, diag, upper, rhs)[3:]
+    if info != 0:
+        raise ValueError(f"spline slope system is singular (info {info})")
+    t = (s[:-1] + s[1:] - 2 * slope) / dx
+    c3, c2, c1, c0 = t / dx, (slope - s[:-1]) / dx - t, s[:-1], y[:-1]
+
+    def piece(r):
+        i = np.clip(np.searchsorted(x, r, side="right") - 1, 0, dx.size - 1)
+        return i, r - x[i]
+
+    def value(r):
+        i, h = piece(r)
+        return ((c3[i] * h + c2[i]) * h + c1[i]) * h + c0[i]
+
+    def derivative(r):
+        i, h = piece(r)
+        return (3 * c3[i] * h + 2 * c2[i]) * h + c1[i]
+
+    return value, derivative
+
+
 def extend_gk(pair: SLEigenpair) -> RadialTestFunction:
     """The lowest Neumann eigenfunction u_k, continued by u_k(r2) beyond r2.
 
     Inside the shell [r1, r2] the samples of ``pair`` are interpolated by
-    a cubic spline (clamped where the boundary derivative is known to
-    vanish); past r2 the value is the constant u_k(r2) and the derivative
-    zero.  Queries below r1 are outside the domain of definition and
+    a cubic spline (``_cubic_spline``), clamped where the boundary
+    derivative is known to vanish and not-a-knot at the pole of a ball's
+    k = 1 mode; past r2 the value is the constant u_k(r2) and the
+    derivative zero.  The spline is scipy ``CubicSpline``'s, written out
+    with one tridiagonal solve so that ``scipy.interpolate`` stays out of
+    every run.  Queries below r1 are outside the domain of definition and
     raise GeometryError.
     """
     problem = pair.problem
@@ -489,9 +593,7 @@ def extend_gk(pair: SLEigenpair) -> RadialTestFunction:
         raise ValueError("extension is defined for (k, 1) Neumann pairs")
     r1, r2 = problem.r1, problem.r2
     inner_clamped = problem.has_inner_boundary or problem.k >= 2
-    spline = CubicSpline(
-        pair.grid, pair.values,
-        bc_type=((1, 0.0) if inner_clamped else "not-a-knot", (1, 0.0)))
+    value, derivative = _cubic_spline(pair.grid, pair.values, inner_clamped)
     tail = float(pair.values[-1])
 
     def inside(r):
@@ -500,8 +602,8 @@ def extend_gk(pair: SLEigenpair) -> RadialTestFunction:
         return np.clip(r, r1, r2)
 
     return RadialTestFunction(
-        value_fn=lambda r: np.where(r <= r2, spline(inside(r)), tail),
-        derivative_fn=lambda r: np.where(r <= r2, spline(inside(r), 1), 0.0))
+        value_fn=lambda r: np.where(r <= r2, value(inside(r)), tail),
+        derivative_fn=lambda r: np.where(r <= r2, derivative(inside(r)), 0.0))
 
 
 def rayleigh_gk(grid: QuadratureGrid, pair: SLEigenpair) -> float:

@@ -516,8 +516,9 @@ def _sector_eigs(system: FemSystem, k: int, count: int) -> tuple[np.ndarray, flo
         theta, vecs = sparse_linalg.eigsh(op, k=count, which="LM", v0=v0)
         vals, vecs = SHIFT + 1.0 / theta, triangular(vecs, "N")
     else:
-        # CG's many products with A are faster on CSR than on DIA
-        A = A.tocsr()
+        # CG's many products with A are faster on CSR than on DIA; the copy
+        # drops the slack tocsr leaves in buffers sized for every DIA slot
+        A = A.tocsr().copy()
         inverse = _cg_inverse(A, _averaged_inverse(system, k))
         # in shift-invert mode ARPACK applies only OPinv (and M); its first
         # argument just gives the shape

@@ -465,6 +465,31 @@ class TestVerifyCommand:
         assert reports[0] == reports[1]
 
 
+def test_commands_keep_optimize_interpolate_and_special_unloaded(tmp_path):
+    # a fresh interpreter: other tests load these modules into this one
+    src = str(Path(cli.__file__).resolve().parents[1])
+    script = """
+import contextlib, io, sys
+from spaceform_spectra import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [cli.main(argv) for argv in (
+        ["verify", "--random-family", "s=4 count=1", "--form", "euclidean",
+         "--seed", "3", "--levels", "2", "--m", "4"],
+        ["spectrum", "--form", "hyperbolic", "--n", "2", "--r1", "0.5", "--r2", "1.5",
+         "--kmax", "3", "--jmax", "3", "--count", "4", "--certify"],
+        ["moments", "--random-family", "s=central count=1", "--form", "spherical",
+         "--seed", "3", "--check", "both"])]
+print(codes)
+print(sorted(m for m in ("scipy.optimize", "scipy.interpolate", "scipy.special")
+             if m in sys.modules))
+"""
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", script], env=env, cwd=tmp_path, check=True,
+                         capture_output=True, text=True, timeout=300).stdout.splitlines()
+    assert out == ["[0, 0, 0]", "[]"]
+
+
 class TestMomentsCommand:
     def test_symmetric_family_passes(self, capsys):
         code, out, _ = run(["moments", "--random-family", "s=4 count=2 amplitude=0.06",

@@ -4,6 +4,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy import optimize
+from scipy.interpolate import CubicSpline
 
 from spaceform_spectra import domains as dm
 from spaceform_spectra import fem2d, slsolver
@@ -370,3 +372,50 @@ class TestMatchedAnnulus:
                           SphereProfile(1.0, (("quartic_axes", 0.05),)))
         # quartic term ranges over [-0.8/3, 0.4] times the coefficient
         assert dm.inner_infimum(spec) == pytest.approx(1.0 - 0.05 * 0.8 / 3.0, abs=1e-8)
+
+
+class TestScipyFreeNumerics:
+    """The minimiser and the spline that stand in for scipy's."""
+
+    @staticmethod
+    def _holed_family_domains():
+        for seed in range(6):
+            for form in ("euclidean", "spherical", "hyperbolic"):
+                for symmetry in (SymmetryOrder.ORDER4, SymmetryOrder.ORDER2,
+                                 SymmetryOrder.CENTRAL):
+                    yield from (spec for spec in dm.random_family(
+                        seed, form, symmetry=symmetry, count=3, amplitude=0.25)
+                        if spec.has_hole)
+
+    def test_inner_infimum_is_scipy_bounded_brent_bitwise(self):
+        """r1 of every matched shell comes from ``inner_infimum``, and moving
+        a shell radius by a few ulps moves the published mu_k1 by up to
+        4.7e-9, past the 1e-9 shell tolerance of perfbench's output check,
+        so the value must equal scipy's exactly, not approximately."""
+        specs = list(self._holed_family_domains())
+        assert len(specs) == 108
+        for spec in specs:
+            profile = spec.rho_in
+            theta = np.linspace(0.0, 2 * math.pi, 4096, endpoint=False)
+            t0 = theta[int(np.argmin(profile.at_theta(theta)))]
+            w = 2 * math.pi / 4096 * 4
+            res = optimize.minimize_scalar(
+                lambda t: float(profile.at_theta(np.array([t]))[0]),
+                bounds=(t0 - w, t0 + w), method="bounded", options={"xatol": 1e-12})
+            assert dm.inner_infimum(spec) == res.fun
+
+    @pytest.mark.parametrize("form", ["euclidean", "spherical", "hyperbolic"])
+    @pytest.mark.parametrize("r1", [0.0, 0.4])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_cubic_spline_matches_scipy(self, form, r1, k):
+        problem = SLProblem(form, 2, k, r1, 1.3)
+        (pair,) = slsolver.solve(problem, SolverConfig(max_j=1))
+        clamped = problem.has_inner_boundary or k >= 2
+        ref = CubicSpline(pair.grid, pair.values,
+                          bc_type=((1, 0.0) if clamped else "not-a-knot", (1, 0.0)))
+        value, derivative = dm._cubic_spline(pair.grid, pair.values, clamped)
+        r = np.concatenate([np.random.default_rng(k).uniform(r1, 1.3, 400),
+                            pair.grid, [r1, 1.3]])
+        for ours, theirs, tol in ((value(r), ref(r), 1e-15),
+                                  (derivative(r), ref(r, 1), 1e-14)):
+            assert np.max(np.abs(ours - theirs)) <= tol * np.max(np.abs(theirs))

@@ -208,7 +208,7 @@ def cmd_spectrum(args, parser) -> int:
                "first_values": values}
     passed = True
     if args.certify:
-        cert = spectrum.certify_lemmas(spec, j_max=min(args.jmax, 5))
+        cert = spectrum.certify_lemmas(spec, j_max=min(args.jmax, spectrum.CERTIFY_J))
         for check in cert.checks:
             status = "PASS" if check.passed else "FAIL"
             print(f"{check.name}: {status} (worst {_fmt(check.worst)}, "

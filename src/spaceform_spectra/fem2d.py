@@ -212,13 +212,17 @@ class FemSystem:
         shifted = tuple(a - SHIFT * b for a, b in zip(self.stiffness_sums, self.mass_sums))
         return _stencil_matrix(shifted, omega), _stencil_matrix(self.mass_sums, omega)
 
+    def _full(self, sums) -> sparse.csr_matrix:
+        # the copy drops the slack tocsr leaves in buffers sized for every DIA slot
+        return _stencil_matrix(np.tile(a, (1, self.order)) for a in sums).tocsr().copy()
+
     @property
     def stiffness(self) -> sparse.csr_matrix:
-        return _stencil_matrix(np.tile(a, (1, self.order)) for a in self.stiffness_sums).tocsr()
+        return self._full(self.stiffness_sums)
 
     @property
     def mass(self) -> sparse.csr_matrix:
-        return _stencil_matrix(np.tile(a, (1, self.order)) for a in self.mass_sums).tocsr()
+        return self._full(self.mass_sums)
 
 
 # barycentric values at the three edge midpoints

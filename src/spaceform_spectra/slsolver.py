@@ -189,7 +189,8 @@ def discretize(problem: SLProblem, cells: int) -> TridiagonalSystem:
     h = (r2 - r1) / N
     grid = r1 + h * np.arange(N + 1)
     w_half = sin_m(form, grid[:-1] + 0.5 * h) ** (n - 1)
-    w_node = sin_m(form, grid) ** (n - 1)
+    sm = sin_m(form, grid)
+    w_node = sm ** (n - 1)
 
     mass = h * w_node
     mass[0] *= 0.5
@@ -198,7 +199,6 @@ def discretize(problem: SLProblem, cells: int) -> TridiagonalSystem:
     coef = problem.angular_eigenvalue
     potential = np.zeros(N + 1)
     if coef != 0.0:
-        sm = sin_m(form, grid)
         potential[1:] = coef / sm[1:] ** 2
         potential[0] = coef / sm[0] ** 2 if r1 > 0 else 0.0  # node dropped below
 
@@ -355,7 +355,7 @@ class SLEigenpair:
     stored grid, which is what the discrete Rayleigh quotient reproduces.
     ``values`` carries u on the full grid, normalized so that
     trapezoid(u^2 sin_m^{n-1}) = 1 and the outermost nonzero sample is
-    positive.
+    positive.  All pairs of one ``solve`` share one read-only ``grid``.
     """
 
     problem: SLProblem
@@ -441,17 +441,15 @@ def solve(problem: SLProblem, config: SolverConfig | None = None) -> list[SLEige
             f"(k={problem.k}, bc={problem.bc}, grid={fine.grid.size - 1})",
             NearDegeneracyWarning)
 
-    pairs = []
-    for j in range(1, want + 1):
-        pairs.append(SLEigenpair(
-            problem=problem,
-            j=j,
-            eigenvalue=float(published[j - 1]),
-            eigenvalue_grid=float(vals_fine[j - 1]),
-            grid=fine.grid.copy(),
-            values=_finalize_vector(fine, vecs_fine[:, j - 1]),
-        ))
-    return pairs
+    grid = fine.grid.copy()   # one read-only copy for every pair
+    return [SLEigenpair(
+        problem=problem,
+        j=j,
+        eigenvalue=float(published[j - 1]),
+        eigenvalue_grid=float(vals_fine[j - 1]),
+        grid=grid,
+        values=_finalize_vector(fine, vecs_fine[:, j - 1]),
+    ) for j in range(1, want + 1)]
 
 
 def locate_b(pair: SLEigenpair) -> float:

@@ -13,9 +13,10 @@ the potential at an interior radius.
 structural facts the assembly relies on (Neumann/Dirichlet bridge, strict
 interlacing in k, monotone lowest eigenfunctions and their pointwise
 comparison bound) and reports residuals at fixed tolerances.  It
-certifies the very Neumann pairs ``assemble`` solved, so a ``spectrum
---certify`` run solves each radial problem once; it adds only the
-Dirichlet modes k <= 4 that its checks compare against.
+certifies the very Neumann pairs ``assemble`` solved, and ``assemble``
+solves at least the pairs the checks read at j = CERTIFY_J, so a
+``spectrum --certify`` run solves each radial problem once; it adds only
+the Dirichlet modes k <= 4 that its checks compare against.
 """
 
 from __future__ import annotations
@@ -74,10 +75,12 @@ class AnnulusSpectrum:
 
     ``entries`` are sorted by value with (k, j) breaking ties; the list
     is complete below ``complete_up_to`` and entries above that cutoff
-    have been dropped.  ``neumann_pairs`` maps each mode k to every
-    Neumann eigenpair ``assemble`` solved for it with ``solver_config``;
-    ``certify_lemmas`` reuses those pairs and solves anything else it
-    reads with the same config.  Neither field is part of the value
+    have been dropped.  ``neumann_pairs`` maps each mode k to the
+    Neumann eigenpairs ``assemble`` solved for it with ``solver_config``:
+    through the first value at or above the cutoff of its turn, at least
+    the pairs ``certify_lemmas`` reads at j = CERTIFY_J, and at most
+    j_max.  ``certify_lemmas`` reuses those pairs and solves anything
+    else it reads with the same config.  Neither field is part of the value
     (``to_dict``, equality, repr).
     """
 
@@ -115,10 +118,30 @@ class AnnulusSpectrum:
         }
 
 
+# ``sfs spectrum --certify`` certifies the lemmas at j <= min(j_max, CERTIFY_J)
+CERTIFY_J = 5
+
+
+def _neumann_reads(j_max: int) -> dict[int, int]:
+    """Neumann pairs ``certify_lemmas(shell, j_max)`` reads of each mode k."""
+    short = min(j_max, 4)          # interlacing and N/D ordering read j <= 4
+    return {0: j_max + 1, 1: j_max, 2: short, 3: short, 4: short, 5: short}
+
+
 def assemble(form: SpaceForm, n: int, r1: float, r2: float,
              k_max: int, j_max: int,
              config: SolverConfig | None = None) -> AnnulusSpectrum:
     """Merged Neumann spectrum over modes k <= k_max, j <= j_max.
+
+    The cutoff starts at the omitted-mode bound (k_max+1)(k_max+n-1) /
+    sin_m(r2)^2 and only falls.  Mode k is solved for one pair more than
+    mode k-1 holds below the cutoff, and at least for the pairs
+    ``certify_lemmas`` reads at j = min(j_max, CERTIFY_J), capped at
+    j_max.  A mode whose last value is still below the cutoff is solved
+    again at j_max, and a mode holding j_max values lowers the cutoff to
+    its last one.  So every mode stops at or above the cutoff of its
+    turn, no value it omits lies below the final cutoff, and the prefix
+    is that of solving every mode at j_max.
 
     The (0, 1) entry is the constant function and is recorded as an exact
     zero.  r1 = 0 (a ball) is allowed.  A cutoff below 2 certifies no
@@ -130,22 +153,31 @@ def assemble(form: SpaceForm, n: int, r1: float, r2: float,
             f"kmax={k_max}, jmax={j_max} cannot certify a spectrum prefix "
             "(need both >= 2)")
     base = replace(config or SolverConfig(), max_j=j_max)
+    reads = _neumann_reads(min(j_max, CERTIFY_J))
 
+    def solved(k, count):
+        return tuple(slsolver.solve(
+            SLProblem(form, n, k, r1, r2, BoundaryCondition.NEUMANN),
+            replace(base, max_j=count)))
+
+    complete_up_to = (k_max + 1) * (k_max + n - 1) / sin_m(form, r2) ** 2
     neumann_pairs: dict[int, tuple] = {}
-    mode_values: dict[int, list[float]] = {}
+    below = 0
     for k in range(k_max + 1):
-        problem = SLProblem(form, n, k, r1, r2, BoundaryCondition.NEUMANN)
-        neumann_pairs[k] = tuple(slsolver.solve(problem, base))
-        mode_values[k] = [p.eigenvalue for p in neumann_pairs[k]]
+        count = min(j_max, max(below + 1, reads.get(k, 0)))
+        pairs = solved(k, count)
+        if count < j_max and pairs[-1].eigenvalue < complete_up_to:
+            pairs = solved(k, j_max)
+        if len(pairs) == j_max:
+            complete_up_to = min(complete_up_to, pairs[-1].eigenvalue)
+        neumann_pairs[k] = pairs
+        below = sum(p.eigenvalue < complete_up_to for p in pairs)
 
+    mode_values = {k: [p.eigenvalue for p in pairs] for k, pairs in neumann_pairs.items()}
     if abs(mode_values[0][0]) > 1e-8:
         raise slsolver.ConvergenceError(
             f"constant mode came out at {mode_values[0][0]:.3e}, expected 0")
     mode_values[0][0] = 0.0  # exact by structure: the constant eigenfunction
-
-    cutoff_j = min(vals[j_max - 1] for vals in mode_values.values())
-    cutoff_k = (k_max + 1) * (k_max + n - 1) / sin_m(form, r2) ** 2
-    complete_up_to = min(cutoff_j, cutoff_k)
 
     entries = [
         SpectrumEntry(value=v, k=k, j=j + 1, multiplicity=harmonic_dim(n, k))
@@ -206,18 +238,18 @@ def certify_lemmas(shell: AnnulusSpectrum, j_max: int = 4) -> LemmaCertification
       eigenfunction; and its pointwise comparison inequality against the
       outer-boundary value, with slack >= -1e-10.
 
-    The checks read Neumann modes k <= 5 (j_max + 1 pairs for k = 0,
-    j_max for k = 1, min(j_max, 4) above) and Dirichlet modes k <= 4
-    (j_max pairs for k = 1, min(j_max, 4) otherwise).  A Neumann mode is
-    taken from ``shell.neumann_pairs`` when it holds enough pairs and is
-    solved otherwise; every solve uses ``shell.solver_config``, so the
-    report describes the shell ``assemble`` built.
+    The checks read Neumann modes k <= 5 (``_neumann_reads``: j_max + 1
+    pairs for k = 0, j_max for k = 1, min(j_max, 4) above) and Dirichlet
+    modes k <= 4 (j_max pairs for k = 1, min(j_max, 4) otherwise).  A
+    Neumann mode is taken from ``shell.neumann_pairs`` when it holds
+    enough pairs and is solved otherwise; every solve uses
+    ``shell.solver_config``, so the report describes the shell
+    ``assemble`` built.
 
     Failures are entries in the report, never exceptions.
     """
     form, n, r1, r2 = shell.form, shell.n, shell.r1, shell.r2
-    short = min(j_max, 4)          # interlacing and N/D ordering read j <= 4
-    neumann_need = {0: j_max + 1, 1: j_max, 2: short, 3: short, 4: short, 5: short}
+    short = min(j_max, 4)
     dirichlet_need = {0: short, 1: j_max, 2: short, 3: short, 4: short}
 
     def solved(k, bc, need):
@@ -225,7 +257,7 @@ def certify_lemmas(shell: AnnulusSpectrum, j_max: int = 4) -> LemmaCertification
                               replace(shell.solver_config, max_j=need))
 
     neumann = {}
-    for k, need in neumann_need.items():
+    for k, need in _neumann_reads(j_max).items():
         pairs = shell.neumann_pairs.get(k, ())
         neumann[k] = (pairs if len(pairs) >= need
                       else solved(k, BoundaryCondition.NEUMANN, need))

@@ -169,10 +169,13 @@ class TestSpectrumCommand:
 
     def test_certify_solves_each_radial_problem_once(self, monkeypatch, capsys):
         calls = {"neumann": 0, "dirichlet": 0}
+        neumann_pairs = []
         real_solve = slsolver.solve
 
         def counting_solve(problem, config=None):
             calls[str(problem.bc)] += 1
+            if problem.bc == "neumann":
+                neumann_pairs.append(config.max_j)
             return real_solve(problem, config)
 
         monkeypatch.setattr(slsolver, "solve", counting_solve)
@@ -182,6 +185,8 @@ class TestSpectrumCommand:
         assert "FAIL" not in out
         # kmax = jmax = 8: Neumann k = 0..8 once; Dirichlet k = 0..4 for the checks
         assert calls == {"neumann": 9, "dirichlet": 5}
+        # and only the Neumann pairs the prefix or the checks read, not 9 * 8 = 72
+        assert sum(neumann_pairs) <= 40
 
     def test_failed_certification_writes_both_artifacts(self, tmp_path, monkeypatch,
                                                         capsys):

@@ -191,6 +191,21 @@ class TestAssembly:
                 scale = np.max(np.abs(ref.data))
                 assert np.max(np.abs(matrix.data - ref.data)) <= 1e-13 * scale
 
+    def test_full_matrices_hold_only_their_nonzeros(self):
+        # tocsr of the DIA matrix leaves data and indices in buffers sized for
+        # every diagonal slot: 332,926 slots for 259,200 stiffness entries here
+        spec = dm.random_family(2026, "hyperbolic", symmetry=SymmetryOrder.ORDER2,
+                                count=1)[0]
+        system = assemble(generate_mesh(spec, 3))
+
+        def buffer(array):
+            while array.base is not None:
+                array = array.base
+            return array
+
+        for matrix in (system.stiffness, system.mass):
+            assert buffer(matrix.data).size == buffer(matrix.indices).size == matrix.nnz
+
     def test_peak_memory_is_a_small_multiple_of_the_result(self):
         # summing per-triangle COO triples peaked above 8x the bytes of K and M
         mesh = generate_mesh(ANNULUS, 3)

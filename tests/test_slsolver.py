@@ -240,6 +240,11 @@ def stored_rayleigh(pair):
 
 
 class TestEigenpairStructure:
+    def test_pairs_of_one_solve_share_one_read_only_grid(self, hyperbolic_pairs):
+        grid = hyperbolic_pairs[0].grid
+        assert all(p.grid is grid for p in hyperbolic_pairs)
+        assert not grid.flags.writeable
+
     def test_eigenvalues_strictly_increasing(self, hyperbolic_pairs):
         vals = [p.eigenvalue for p in hyperbolic_pairs]
         assert all(b - a > 1e-8 for a, b in zip(vals, vals[1:]))

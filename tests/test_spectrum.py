@@ -1,12 +1,17 @@
 import json
+from collections import Counter
+from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from spaceform_spectra import spectrum
-from spaceform_spectra.slsolver import SolverConfig
+from spaceform_spectra.slsolver import SLProblem, SolverConfig, solve
 from spaceform_spectra.spaceform import SpaceForm, sin_m
 from spaceform_spectra.spectrum import (
+    AnnulusSpectrum,
     CutoffTooLowError,
+    SpectrumEntry,
     assemble,
     certify_lemmas,
     harmonic_dim,
@@ -113,6 +118,77 @@ class TestAssemble:
             assemble(SpaceForm.EUCLIDEAN, 2, 1.0, 2.0, 1, 8)
         with pytest.raises(CutoffTooLowError):
             assemble(SpaceForm.EUCLIDEAN, 2, 1.0, 2.0, 8, 1)
+
+
+def every_mode_at_j_max(form, n, r1, r2, k_max, j_max, config):
+    """The shell assembled by solving every mode at j_max: a reference for
+    the pairs ``assemble`` leaves out."""
+    base = replace(config, max_j=j_max)
+    pairs = {k: tuple(solve(SLProblem(form, n, k, r1, r2), base)) for k in range(k_max + 1)}
+    values = {k: [p.eigenvalue for p in mode] for k, mode in pairs.items()}
+    values[0][0] = 0.0
+    cutoff = min(min(vals[-1] for vals in values.values()),
+                 (k_max + 1) * (k_max + n - 1) / sin_m(SpaceForm(form), r2) ** 2)
+    entries = sorted(SpectrumEntry(v, k, j + 1, harmonic_dim(n, k))
+                     for k, vals in values.items() for j, v in enumerate(vals) if v < cutoff)
+    return AnnulusSpectrum(SpaceForm(form), n, r1, r2, tuple(entries), cutoff,
+                           neumann_pairs=pairs, solver_config=base)
+
+
+def shell_cases(seed):
+    """(form, n, r1, r2, k_max, j_max): one shell and one ball per form and
+    dimension, drawn as the ``shells_and_moments`` benchmark draws them."""
+    rng = np.random.default_rng(seed)
+    cases = []
+    for form in ("euclidean", "spherical", "hyperbolic"):
+        for n in (2, 3):
+            r1 = float(rng.uniform(0.2, 0.5))
+            cases.append((form, n, r1, r1 + float(rng.uniform(0.6, 1.0)), 8, 8))
+            cases.append((form, n, 0.0, float(rng.uniform(0.8, 1.5)), 8, 8))
+    return cases
+
+
+# the omitted-mode bound 41^2/4 lies above mu_{0,6}, so mode 0 is solved again
+RESOLVED = ("euclidean", 2, 1.0, 2.0, 40, 10)
+
+
+class TestPairsSolved:
+    @pytest.mark.parametrize("case", shell_cases(2026) + shell_cases(7) + [RESOLVED],
+                             ids=lambda c: "{}-n{}-r{:.3f}-{:.3f}-k{}-j{}".format(*c))
+    def test_same_prefix_as_every_mode_at_j_max(self, case):
+        *shell, k_max, j_max = case
+        config = SolverConfig(grid_points=1024)
+        spec = assemble(*shell, k_max, j_max, config)
+        ref = every_mode_at_j_max(*shell, k_max, j_max, config)
+        assert spec.complete_up_to == ref.complete_up_to
+        assert ([(e.k, e.j, e.multiplicity) for e in spec.entries]
+                == [(e.k, e.j, e.multiplicity) for e in ref.entries])
+        for e, r in zip(spec.entries, ref.entries):
+            assert abs(e.value - r.value) <= 1e-13 * r.value
+        j = min(j_max, spectrum.CERTIFY_J)
+        assert ([(c.name, c.passed) for c in certify_lemmas(spec, j_max=j).checks]
+                == [(c.name, c.passed) for c in certify_lemmas(ref, j_max=j).checks])
+
+    def test_a_mode_below_the_cutoff_is_solved_again_at_j_max(self, monkeypatch):
+        *shell, k_max, j_max = RESOLVED
+        solved = []
+        real_solve = spectrum.slsolver.solve
+
+        def counting_solve(problem, cfg):
+            solved.append((problem.k, cfg.max_j))
+            return real_solve(problem, cfg)
+
+        monkeypatch.setattr(spectrum.slsolver, "solve", counting_solve)
+        spec = assemble(*shell, k_max, j_max, SolverConfig(grid_points=1024))
+        per_mode = Counter(k for k, _ in solved)
+        assert sorted(per_mode) == list(range(k_max + 1))
+        again = [k for k, count in per_mode.items() if count == 2]
+        assert again and max(per_mode.values()) == 2
+        for k in again:
+            assert [j for mode, j in solved if mode == k][-1] == j_max
+            assert len(spec.neumann_pairs[k]) == j_max
+        # the solve at j_max comes on top of fewer pairs than every mode at j_max
+        assert sum(j for _, j in solved) < (k_max + 1) * j_max
 
 
 class TestSerialization:

@@ -29,7 +29,7 @@ import numpy as np
 
 from . import domains as dm
 from . import fem2d, slsolver, spectrum
-from .spaceform import GeometryError, SpaceForm, UnattainableVolumeError
+from .spaceform import SpaceForm
 from .slsolver import SLProblem, SolverConfig
 
 EXIT_OK = 0
@@ -37,8 +37,7 @@ EXIT_INVALID = 2
 EXIT_SOLVER = 3
 EXIT_FAIL = 4
 
-_INVALID_ERRORS = (ValueError, GeometryError, dm.SymmetryError,
-                   UnattainableVolumeError, OSError, json.JSONDecodeError)
+_INVALID_ERRORS = (ValueError, OSError)
 _SOLVER_ERRORS = (slsolver.ConvergenceError, fem2d.FemConvergenceError,
                   spectrum.CutoffTooLowError)
 
@@ -208,7 +207,7 @@ def cmd_spectrum(args, parser) -> int:
                "first_values": values}
     passed = True
     if args.certify:
-        cert = spectrum.certify_lemmas(spec, j_max=min(args.jmax, spectrum.CERTIFY_J))
+        cert = spectrum.certify_lemmas(spec)
         for check in cert.checks:
             status = "PASS" if check.passed else "FAIL"
             print(f"{check.name}: {status} (worst {_fmt(check.worst)}, "

@@ -12,9 +12,9 @@ the potential at an interior radius.
 ``certify_lemmas`` re-derives, for a spectrum from ``assemble``, the
 structural facts the assembly relies on (Neumann/Dirichlet bridge, strict
 interlacing in k, monotone lowest eigenfunctions and their pointwise
-comparison bound) and reports residuals at fixed tolerances.  It
-certifies the very Neumann pairs ``assemble`` solved, and ``assemble``
-solves at least the pairs the checks read at j = CERTIFY_J, so a
+comparison bound) and reports residuals at fixed tolerances, at depth
+j = min(j_max, CERTIFY_J).  ``assemble`` solves at least the Neumann
+pairs the checks read (j + 1 for mode 0) and the checks reuse them, so a
 ``spectrum --certify`` run solves each radial problem once; it adds only
 the Dirichlet modes k <= 4 that its checks compare against.
 """
@@ -78,10 +78,10 @@ class AnnulusSpectrum:
     have been dropped.  ``neumann_pairs`` maps each mode k to the
     Neumann eigenpairs ``assemble`` solved for it with ``solver_config``:
     through the first value at or above the cutoff of its turn, at least
-    the pairs ``certify_lemmas`` reads at j = CERTIFY_J, and at most
-    j_max.  ``certify_lemmas`` reuses those pairs and solves anything
-    else it reads with the same config.  Neither field is part of the value
-    (``to_dict``, equality, repr).
+    the pairs ``certify_lemmas`` reads, at most j_max (j_max + 1 for mode
+    0 when j_max <= CERTIFY_J).  ``certify_lemmas`` reuses those pairs
+    and solves anything else it reads with the same config.  Neither
+    field is part of the value (``to_dict``, equality, repr).
     """
 
     form: SpaceForm
@@ -118,14 +118,15 @@ class AnnulusSpectrum:
         }
 
 
-# ``sfs spectrum --certify`` certifies the lemmas at j <= min(j_max, CERTIFY_J)
+# ``certify_lemmas`` certifies the lemmas at j <= min(j_max, CERTIFY_J)
 CERTIFY_J = 5
 
 
-def _neumann_reads(j_max: int) -> dict[int, int]:
-    """Neumann pairs ``certify_lemmas(shell, j_max)`` reads of each mode k."""
-    short = min(j_max, 4)          # interlacing and N/D ordering read j <= 4
-    return {0: j_max + 1, 1: j_max, 2: short, 3: short, 4: short, 5: short}
+def _reads(j: int) -> tuple[dict[int, int], dict[int, int]]:
+    """Neumann and Dirichlet pairs ``certify_lemmas`` reads of each mode k at depth j."""
+    short = min(j, 4)          # interlacing and N/D ordering read j <= 4
+    return ({0: j + 1, 1: j, 2: short, 3: short, 4: short, 5: short},
+            {0: short, 1: j, 2: short, 3: short, 4: short})
 
 
 def assemble(form: SpaceForm, n: int, r1: float, r2: float,
@@ -135,13 +136,13 @@ def assemble(form: SpaceForm, n: int, r1: float, r2: float,
 
     The cutoff starts at the omitted-mode bound (k_max+1)(k_max+n-1) /
     sin_m(r2)^2 and only falls.  Mode k is solved for one pair more than
-    mode k-1 holds below the cutoff, and at least for the pairs
-    ``certify_lemmas`` reads at j = min(j_max, CERTIFY_J), capped at
-    j_max.  A mode whose last value is still below the cutoff is solved
-    again at j_max, and a mode holding j_max values lowers the cutoff to
-    its last one.  So every mode stops at or above the cutoff of its
-    turn, no value it omits lies below the final cutoff, and the prefix
-    is that of solving every mode at j_max.
+    mode k-1 holds below the cutoff, capped at j_max, and at least for
+    the pairs ``certify_lemmas`` reads (j_max + 1 for mode 0 when j_max
+    <= CERTIFY_J).  A mode whose last value is still below the cutoff is
+    solved again at j_max, and a mode holding j_max values lowers the
+    cutoff to its j_max-th one.  So every mode stops at or above the
+    cutoff of its turn, no value it omits lies below the final cutoff,
+    and the prefix is that of solving every mode at j_max.
 
     The (0, 1) entry is the constant function and is recorded as an exact
     zero.  r1 = 0 (a ball) is allowed.  A cutoff below 2 certifies no
@@ -153,7 +154,7 @@ def assemble(form: SpaceForm, n: int, r1: float, r2: float,
             f"kmax={k_max}, jmax={j_max} cannot certify a spectrum prefix "
             "(need both >= 2)")
     base = replace(config or SolverConfig(), max_j=j_max)
-    reads = _neumann_reads(min(j_max, CERTIFY_J))
+    reads = _reads(min(j_max, CERTIFY_J))[0]
 
     def solved(k, count):
         return tuple(slsolver.solve(
@@ -164,12 +165,12 @@ def assemble(form: SpaceForm, n: int, r1: float, r2: float,
     neumann_pairs: dict[int, tuple] = {}
     below = 0
     for k in range(k_max + 1):
-        count = min(j_max, max(below + 1, reads.get(k, 0)))
+        count = max(min(j_max, below + 1), reads.get(k, 0))
         pairs = solved(k, count)
         if count < j_max and pairs[-1].eigenvalue < complete_up_to:
             pairs = solved(k, j_max)
-        if len(pairs) == j_max:
-            complete_up_to = min(complete_up_to, pairs[-1].eigenvalue)
+        if len(pairs) >= j_max:
+            complete_up_to = min(complete_up_to, pairs[j_max - 1].eigenvalue)
         neumann_pairs[k] = pairs
         below = sum(p.eigenvalue < complete_up_to for p in pairs)
 
@@ -221,10 +222,11 @@ class LemmaCertification:
         return {**asdict(self), "passed": self.passed}
 
 
-def certify_lemmas(shell: AnnulusSpectrum, j_max: int = 4) -> LemmaCertification:
+def certify_lemmas(shell: AnnulusSpectrum) -> LemmaCertification:
     """Residual report for the structural facts behind the assembly of ``shell``.
 
-    Checks, at fixed tolerances:
+    Checks, at fixed tolerances and at depth j_max = min(max_j, CERTIFY_J)
+    for the ``max_j`` of ``shell.solver_config`` (the j_max of ``assemble``):
 
     * ``neumann_dirichlet_bridge``: mu_{0,j+1} = lambda_{1,j} to 1e-6
       for j <= j_max (differentiating a mode-0 Neumann eigenfunction
@@ -238,31 +240,30 @@ def certify_lemmas(shell: AnnulusSpectrum, j_max: int = 4) -> LemmaCertification
       eigenfunction; and its pointwise comparison inequality against the
       outer-boundary value, with slack >= -1e-10.
 
-    The checks read Neumann modes k <= 5 (``_neumann_reads``: j_max + 1
-    pairs for k = 0, j_max for k = 1, min(j_max, 4) above) and Dirichlet
-    modes k <= 4 (j_max pairs for k = 1, min(j_max, 4) otherwise).  A
-    Neumann mode is taken from ``shell.neumann_pairs`` when it holds
-    enough pairs and is solved otherwise; every solve uses
-    ``shell.solver_config``, so the report describes the shell
-    ``assemble`` built.
+    The checks read Neumann modes k <= 5 (``_reads``: j_max + 1 pairs for
+    k = 0, j_max for k = 1, min(j_max, 4) above) and Dirichlet modes
+    k <= 4 (j_max pairs for k = 1, min(j_max, 4) otherwise).  A Neumann
+    mode is taken from ``shell.neumann_pairs`` when it holds enough pairs
+    and is solved otherwise; every solve uses ``shell.solver_config``, so
+    the report describes the shell ``assemble`` built.
 
     Failures are entries in the report, never exceptions.
     """
     form, n, r1, r2 = shell.form, shell.n, shell.r1, shell.r2
-    short = min(j_max, 4)
-    dirichlet_need = {0: short, 1: j_max, 2: short, 3: short, 4: short}
+    j_max = min(shell.solver_config.max_j, CERTIFY_J)
+    neumann_reads, dirichlet_reads = _reads(j_max)
 
     def solved(k, bc, need):
         return slsolver.solve(SLProblem(form, n, k, r1, r2, bc),
                               replace(shell.solver_config, max_j=need))
 
     neumann = {}
-    for k, need in _neumann_reads(j_max).items():
+    for k, need in neumann_reads.items():
         pairs = shell.neumann_pairs.get(k, ())
         neumann[k] = (pairs if len(pairs) >= need
                       else solved(k, BoundaryCondition.NEUMANN, need))
     dirichlet = {k: solved(k, BoundaryCondition.DIRICHLET, need)
-                 for k, need in dirichlet_need.items()}
+                 for k, need in dirichlet_reads.items()}
 
     checks = []
 

@@ -7,6 +7,7 @@ import shlex
 import subprocess
 import sys
 import warnings
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -188,6 +189,29 @@ class TestSpectrumCommand:
         # and only the Neumann pairs the prefix or the checks read, not 9 * 8 = 72
         assert sum(neumann_pairs) <= 40
 
+    @pytest.mark.parametrize("kmax", ["3", "8"])
+    @pytest.mark.parametrize("jmax", ["2", "3", "4", "5", "6", "8"])
+    @pytest.mark.parametrize("shell", [
+        ("hyperbolic", "2", "0.5", "1.5"), ("euclidean", "3", "1", "2"),
+        ("spherical", "2", "0", "1.2"), ("euclidean", "3", "0", "1.5"),
+    ], ids=["annulus-n2", "annulus-n3", "ball-n2", "ball-n3"])
+    def test_certify_solves_each_radial_problem_at_most_once(self, shell, jmax, kmax,
+                                                             monkeypatch, capsys):
+        solved = Counter()
+        real_solve = slsolver.solve
+
+        def counting_solve(problem, config=None):
+            solved[problem.k, str(problem.bc)] += 1
+            return real_solve(problem, config)
+
+        monkeypatch.setattr(slsolver, "solve", counting_solve)
+        form, n, r1, r2 = shell
+        code, out, _ = run(["spectrum", "--form", form, "--n", n, "--r1", r1, "--r2", r2,
+                            "--kmax", kmax, "--jmax", jmax, "--count", "1",
+                            "--grid-points", "1024", "--certify"], capsys)
+        assert code == 0 and "FAIL" not in out
+        assert max(solved.values()) == 1, solved
+
     def test_failed_certification_writes_both_artifacts(self, tmp_path, monkeypatch,
                                                         capsys):
         real = spectrum.certify_lemmas
@@ -205,6 +229,23 @@ class TestSpectrumCommand:
                             "--csv", str(table)], capsys)
         assert code == 4
         assert "FAIL" in out
+        assert json.loads(report.read_text())["certification"]["passed"] is False
+        assert table.read_text().splitlines()[0] == "i,value,k,j,multiplicity"
+
+    def test_unlocatable_interior_radius_exit_4_with_both_artifacts(self, tmp_path,
+                                                                     monkeypatch, capsys):
+        def no_root(pair):
+            raise slsolver.NoRootError("no interior radius")
+
+        monkeypatch.setattr(spectrum, "locate_b", no_root)
+        report, table = tmp_path / "s.json", tmp_path / "s.csv"
+        code, out, _ = run(["spectrum", "--form", "euclidean", "--n", "2",
+                            "--r1", "1", "--r2", "2", "--grid-points", "1024",
+                            "--count", "4", "--certify", "--json", str(report),
+                            "--csv", str(table)], capsys)
+        assert code == 4
+        assert "lowest_pair_interior_radius: FAIL" in out
+        assert out.count("FAIL") == 1
         assert json.loads(report.read_text())["certification"]["passed"] is False
         assert table.read_text().splitlines()[0] == "i,value,k,j,multiplicity"
 
@@ -748,6 +789,22 @@ class TestExitMapping:
         code, _, err = run(["verify", "--spec", str(tmp_path / "absent.json")], capsys)
         assert code == 2
         assert err.startswith("error:")
+
+    @pytest.mark.parametrize("fault", ["residual", "constant_mode"])
+    def test_fem_gate_exit_3(self, fault, monkeypatch, capsys):
+        # the real solve path up to _solve_level's gates, with the sector
+        # solves made to break one of them
+        sector_eigs = fem2d._sector_eigs
+
+        def broken(system, k, count):
+            vals, residual = sector_eigs(system, k, count)
+            return (vals, 2e-9) if fault == "residual" else (vals + 1.0, residual)
+
+        monkeypatch.setattr(fem2d, "_sector_eigs", broken)
+        code, out, err = run(["verify", "--random-family", "s=4 count=1 amplitude=0.05",
+                              "--form", "euclidean", "--levels", "1", "--m", "4"], capsys)
+        assert code == 3
+        assert err.startswith("solver failure on domain 1:")
 
     @pytest.mark.parametrize("exc,code,prefix", [
         (fem2d.FemConvergenceError("residual too large"), 3, "solver failure on domain 1:"),

@@ -763,6 +763,31 @@ def full_count_solve(system, m):
         return fem2d._solve_level(system, m)
 
 
+class TestSolveLevelGates:
+    @pytest.mark.parametrize("residual,fails", [(1e-9, False), (2e-9, True)])
+    def test_residual_gate(self, system, residual, fails, monkeypatch):
+        sector_eigs = fem2d._sector_eigs
+        monkeypatch.setattr(fem2d, "_sector_eigs",
+                            lambda system, k, count: (sector_eigs(system, k, count)[0],
+                                                      residual))
+        if fails:
+            with pytest.raises(FemConvergenceError, match="eigen residual 2.000e-09"):
+                fem2d._solve_level(system, 4)
+        else:
+            assert fem2d._solve_level(system, 4).residual == residual
+
+    def test_nonzero_constant_mode(self, system, monkeypatch):
+        sector_eigs = fem2d._sector_eigs
+
+        def shifted(system, k, count):
+            vals, residual = sector_eigs(system, k, count)
+            return vals + 1e-3, residual
+
+        monkeypatch.setattr(fem2d, "_sector_eigs", shifted)
+        with pytest.raises(FemConvergenceError, match="constant mode came out at 1.000e-03"):
+            fem2d._solve_level(system, 4)
+
+
 class TestSectorCounts:
     @pytest.mark.parametrize("level", [0, 1])
     @pytest.mark.parametrize("spec", [ORDER4_SHELL, ORDER4_DISK, HALF_TURN_SHELL],

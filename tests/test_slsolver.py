@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -209,6 +210,23 @@ class TestClimbFromBaseGrid:
         problem = SLProblem("spherical", 3, 0, 0.4997528345195214, 1.3607004791547166)
         config = SolverConfig(max_j=8)
         assert_matches_bisection(problem, solve(problem, config), config)
+
+
+class TestNearDegeneracy:
+    def test_gap_below_the_threshold_warns_once(self, monkeypatch):
+        # the probe gap mu_2 - mu_1 is the smallest of this mode; a threshold
+        # above it and below the next gap trips the warning at j = 1
+        problem = SLProblem("euclidean", 2, 0, 1.0, 2.0, "neumann")
+        config = SolverConfig(grid_points=256, max_j=3)
+        mu = [p.eigenvalue for p in solve(problem, config)]
+        assert 1.5 * (mu[1] - mu[0]) < mu[2] - mu[1]
+        monkeypatch.setattr(sl, "DEGENERACY_GAP", 1.5 * (mu[1] - mu[0]))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            again = [p.eigenvalue for p in solve(problem, config)]
+        assert again == mu
+        assert [w.category for w in caught] == [sl.NearDegeneracyWarning]
+        assert "near j=1 (k=0, bc=neumann, grid=512)" in str(caught[0].message)
 
 
 class TestPrefixStability:

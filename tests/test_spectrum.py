@@ -165,9 +165,8 @@ class TestPairsSolved:
                 == [(e.k, e.j, e.multiplicity) for e in ref.entries])
         for e, r in zip(spec.entries, ref.entries):
             assert abs(e.value - r.value) <= 1e-13 * r.value
-        j = min(j_max, spectrum.CERTIFY_J)
-        assert ([(c.name, c.passed) for c in certify_lemmas(spec, j_max=j).checks]
-                == [(c.name, c.passed) for c in certify_lemmas(ref, j_max=j).checks])
+        assert ([(c.name, c.passed) for c in certify_lemmas(spec).checks]
+                == [(c.name, c.passed) for c in certify_lemmas(ref).checks])
 
     def test_a_mode_below_the_cutoff_is_solved_again_at_j_max(self, monkeypatch):
         *shell, k_max, j_max = RESOLVED
@@ -206,7 +205,7 @@ class TestCertifyLemmas:
     ])
     def test_all_checks_pass_on_annuli(self, form, n, r1, r2):
         shell = assemble(form, n, r1, r2, 5, 5, SolverConfig(grid_points=1024))
-        report = certify_lemmas(shell, j_max=4)
+        report = certify_lemmas(shell)
         assert report.passed
         names = {c.name for c in report.checks}
         assert names == {
@@ -220,7 +219,7 @@ class TestCertifyLemmas:
     def test_ball_skips_annulus_only_checks(self):
         shell = assemble(SpaceForm.EUCLIDEAN, 2, 0.0, 1.0, 5, 4,
                          SolverConfig(grid_points=512))
-        report = certify_lemmas(shell, j_max=3)
+        report = certify_lemmas(shell)
         assert report.passed
         names = {c.name for c in report.checks}
         assert "lowest_pair_interior_radius" not in names
@@ -232,11 +231,12 @@ class TestCertifyLemmas:
         (SpaceForm.SPHERICAL, 3, 0.0, 1.2),
     ])
     def test_assembled_pairs_certify_like_a_fresh_solve(self, form, n, r1, r2):
-        # the (2, 2) shell holds too few pairs for any Neumann mode the checks
-        # read, so it re-solves them all and stands in for a fresh solve
+        # a shell built by hand with no pairs solves every mode the checks
+        # read at the depth of its config, as a fresh solve
         config = SolverConfig(grid_points=1024)
-        reused = certify_lemmas(assemble(form, n, r1, r2, 8, 8, config), j_max=5)
-        fresh = certify_lemmas(assemble(form, n, r1, r2, 2, 2, config), j_max=5)
+        reused = certify_lemmas(assemble(form, n, r1, r2, 8, 8, config))
+        fresh = certify_lemmas(AnnulusSpectrum(SpaceForm(form), n, r1, r2, (), 0.0,
+                                               solver_config=replace(config, max_j=5)))
         assert [c.name for c in reused.checks] == [c.name for c in fresh.checks]
         for a, b in zip(reused.checks, fresh.checks):
             assert a.passed == b.passed
@@ -257,19 +257,55 @@ class TestCertifyLemmas:
 
         def neumann_solves(shell):
             solved.clear()
-            certify_lemmas(shell, j_max=3)
+            certify_lemmas(shell)
             # every solve runs on the shell's own grid
             assert {grid for _, _, grid in solved} == {256}
             return sorted(k for bc, k, _ in solved if bc == "neumann")
 
-        # modes k <= 3 only; then j_max = 3, one pair short for the bridge's k = 0
+        # modes k <= 3 only, so the checks solve modes 4 and 5 themselves
         assert neumann_solves(assemble(form, n, r1, r2, 3, 4, config)) == [4, 5]
-        assert neumann_solves(assemble(form, n, r1, r2, 8, 3, config)) == [0]
+        # j_max = 3: mode 0 holds the j_max + 1 pairs the bridge reads
+        assert neumann_solves(assemble(form, n, r1, r2, 8, 3, config)) == []
+
+    @pytest.mark.parametrize("j_max", [2, 3, 4, 5, 6])
+    def test_depth_comes_from_the_shell(self, j_max, monkeypatch):
+        shell = assemble(SpaceForm.EUCLIDEAN, 2, 0.5, 1.5, 8, j_max,
+                         SolverConfig(grid_points=256))
+        # mode 0 holds the j + 1 pairs the bridge reads, one past j_max at
+        # depths up to CERTIFY_J, and no entry comes from past j_max
+        depth = min(j_max, spectrum.CERTIFY_J)
+        assert len(shell.neumann_pairs[0]) == max(j_max, depth + 1)
+        assert max(e.j for e in shell.entries) <= j_max
+        read = []
+        real_solve = spectrum.slsolver.solve
+
+        def recording_solve(problem, cfg):
+            read.append((str(problem.bc), problem.k, cfg.max_j))
+            return real_solve(problem, cfg)
+
+        monkeypatch.setattr(spectrum.slsolver, "solve", recording_solve)
+        report = certify_lemmas(shell)
+        assert report.passed
+        assert ("dirichlet", 1, depth) in read
+
+    def test_unlocatable_interior_radius_fails_its_check(self, monkeypatch):
+        shell = assemble(SpaceForm.EUCLIDEAN, 2, 0.5, 1.5, 5, 4,
+                         SolverConfig(grid_points=256))
+
+        def no_root(pair):
+            raise spectrum.slsolver.NoRootError("no interior radius")
+
+        monkeypatch.setattr(spectrum, "locate_b", no_root)
+        report = certify_lemmas(shell)
+        verdicts = {c.name: c.passed for c in report.checks}
+        assert verdicts.pop("lowest_pair_interior_radius") is False
+        assert all(verdicts.values())
+        assert not report.passed
 
     def test_json_payload(self):
         shell = assemble(SpaceForm.EUCLIDEAN, 2, 0.5, 1.5, 5, 4,
                          SolverConfig(grid_points=512))
-        report = certify_lemmas(shell, j_max=3)
+        report = certify_lemmas(shell)
         blob = json.loads(json.dumps(report.to_dict(), sort_keys=True))
         assert blob["passed"] is True
         assert all("worst" in c for c in blob["checks"])

@@ -139,6 +139,14 @@ def _require(args, parser, names) -> None:
         parser.error(f"missing required flags: {', '.join('--' + m for m in missing)}")
 
 
+def _refuse_beside(source: str, args, defaults: dict) -> None:
+    """Refuse flags off their defaults beside ``source``, whose file would override them."""
+    given = ["--" + key.replace("_", "-") for key, default in defaults.items()
+             if getattr(args, key) != default]
+    if given:
+        raise ValueError(f"give {source} FILE or {', '.join(given)}, not both")
+
+
 def _place(args, path: str | None) -> str | None:
     """Resolve an artifact path inside --out when one was given."""
     if path is None or getattr(args, "out", None) is None or os.path.isabs(path):
@@ -153,6 +161,10 @@ def _place(args, path: str | None) -> str | None:
 
 def cmd_sl(args, parser) -> int:
     if args.problem:
+        _refuse_beside("--problem", args, {
+            "form": None, "n": None, "k": None, "r1": None, "r2": None,
+            "bc": str(SLProblem.bc), "grid_points": SolverConfig.grid_points,
+            "no_richardson": not SolverConfig.richardson})
         problem, config = slsolver.problem_from_dict(_load_json(args.problem))
     else:
         _require(args, parser, ("form", "n", "k", "r1", "r2"))
@@ -255,9 +267,8 @@ def _parse_family(text: str) -> dict:
 
 
 def _collect_specs(args) -> list[dm.DomainSpec]:
-    if args.spec and args.random_family:
-        raise ValueError("give --spec FILE or --random-family, not both")
     if args.spec:
+        _refuse_beside("--spec", args, {"random_family": None, "form": "all"})
         return [dm.spec_from_dict(_load_json(args.spec))]
     if not args.random_family:
         raise ValueError("need --spec FILE or --random-family 's=4 count=5 amplitude=0.1'")
@@ -339,13 +350,10 @@ def _orthogonality_checks(grid: dm.QuadratureGrid) -> list[dict]:
     ``sfs`` reads planar domains only, where the half-turn of ``order2``
     is the central symmetry.
     """
-    spec = grid.spec
     one = dm.RadialTestFunction.constant(1.0)
     gauss = dm.RadialTestFunction(lambda r: np.exp(-0.5 * r**2),
                                   lambda r: -r * np.exp(-0.5 * r**2))
     checks: list[dict] = []
-    n = spec.n
-    axes = range(1, n + 1)
 
     def record(name, signed, scale, tol=1e-10):
         rel = abs(signed) / max(scale, 1e-300)
@@ -356,40 +364,27 @@ def _orthogonality_checks(grid: dm.QuadratureGrid) -> list[dict]:
         return (dm.integrate_moment(grid, g, powers),
                 dm.integrate_moment(grid, g, powers, absolute=True))
 
-    sym = spec.symmetry_order
+    def planar(i, p, q):  # the powers of X_i^p X_j^q, j the other axis
+        return [p, q] if i == 1 else [q, p]
+
+    sym = grid.spec.symmetry_order
     if sym in (dm.SymmetryOrder.CENTRAL, dm.SymmetryOrder.ORDER2):
         for g, gname in ((one, "1"), (gauss, "gauss")):
-            for i in axes:
-                for j in axes:
-                    if i == j:
-                        continue
-                    for m in (0, 1):
-                        powers = [0] * n
-                        powers[i - 1] += 1
-                        powers[j - 1] += 2 * m
-                        record(f"central:g={gname} X{i}*X{j}^{2 * m}", *moment(g, powers))
+            for i, j in ((1, 2), (2, 1)):
+                for m in (0, 1):
+                    record(f"central:g={gname} X{i}*X{j}^{2 * m}",
+                           *moment(g, planar(i, 1, 2 * m)))
                 for m in (0, 1, 2):
-                    powers = [0] * n
-                    powers[i - 1] = 2 * m + 1
-                    record(f"central:g={gname} X{i}^{2 * m + 1}", *moment(g, powers))
+                    record(f"central:g={gname} X{i}^{2 * m + 1}",
+                           *moment(g, planar(i, 2 * m + 1, 0)))
     if sym is dm.SymmetryOrder.ORDER4:
         for g, gname in ((one, "1"), (gauss, "gauss")):
-            for i in axes:
-                for j in axes:
-                    if i < j:
-                        record(f"order4:g={gname} X{i}*X{j}", *moment(g, [
-                            1 if a + 1 in (i, j) else 0 for a in range(n)]))
+            record(f"order4:g={gname} X1*X2", *moment(g, [1, 1]))
             for power in (2, 4):
-                vals = [dm.integrate_moment(grid, g, [
-                    power if a == i - 1 else 0 for a in range(n)]) for i in axes]
-                spread = max(vals) - min(vals)
-                record(f"order4:g={gname} X_i^{power} equal", spread, abs(vals[0]))
-        for i in axes:
-            for j in axes:
-                if i < j:
-                    signed = dm.grad_pair_integral(grid, gauss, i, j)
-                    scale = dm.grad_pair_integral(grid, gauss, i, j, absolute=True)
-                    record(f"order4:grad ({i},{j})", signed, scale)
+                x1, x2 = (dm.integrate_moment(grid, g, p) for p in ([power, 0], [0, power]))
+                record(f"order4:g={gname} X_i^{power} equal", abs(x1 - x2), abs(x1))
+        record("order4:grad (1,2)", dm.grad_pair_integral(grid, gauss, 1, 2),
+               dm.grad_pair_integral(grid, gauss, 1, 2, absolute=True))
     return checks
 
 
@@ -477,7 +472,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sl = sub.add_parser("sl", parents=[shell, common],
                           help="solve one radial eigenproblem")
-    p_sl.add_argument("--problem", help="JSON file with the problem (overrides flags)")
+    p_sl.add_argument("--problem", help="JSON file with the problem, in place of its flags")
     p_sl.add_argument("--k", type=int)
     p_sl.add_argument("--bc", choices=["neumann", "dirichlet"], default=str(SLProblem.bc))
     p_sl.add_argument("--max-j", dest="max_j", type=int)

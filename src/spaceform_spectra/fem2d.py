@@ -199,6 +199,10 @@ class FemSystem:
     def n_unknowns(self) -> int:
         return self.mesh.n_vertices
 
+    def phase(self, k: int) -> float | complex:
+        """omega_k = exp(2 pi i k / order), a float exactly when it is +-1."""
+        return (1.0, 1j, -1.0, -1j)[4 * k // self.order % 4]
+
     def sector(self, k: int) -> tuple[sparse.dia_matrix, sparse.dia_matrix]:
         """K - SHIFT*M and M on the wedge, for the functions of phase omega_k.
 
@@ -208,7 +212,7 @@ class FemSystem:
         Both are ``_stencil_matrix`` diagonals in ring-major order, real for
         omega_k = +-1, complex Hermitian otherwise.
         """
-        omega = (1.0, 1j, -1.0, -1j)[4 * k // self.order % 4]
+        omega = self.phase(k)
         shifted = tuple(a - SHIFT * b for a, b in zip(self.stiffness_sums, self.mass_sums))
         return _stencil_matrix(shifted, omega), _stencil_matrix(self.mass_sums, omega)
 
@@ -457,7 +461,7 @@ def _averaged_inverse(system: FemSystem, k: int):
     if info != 0:
         raise FemConvergenceError("averaged sector operator is not positive definite")
     twist = np.exp(1j * phi * np.arange(width) / width)[:, None]
-    real = phi % math.pi == 0
+    real = isinstance(system.phase(k), float)
 
     def apply(b):
         spectrum = np.fft.fft(b.reshape(n_rings, width).T * twist.conj(), axis=0)
@@ -555,7 +559,7 @@ def _solve_level(system: FemSystem, m: int) -> LevelSolve:
     if m >= n:
         raise ValueError("need m well below the number of unknowns")
     sectors = range(system.order // 2 + 1)
-    copies = [1 if 4 * k // system.order % 2 == 0 else 2 for k in sectors]
+    copies = [1 if isinstance(system.phase(k), float) else 2 for k in sectors]
 
     def merged(solved):
         return np.sort([float(v) for (vals, _), c in zip(solved, copies)

@@ -4,7 +4,8 @@ Curvature is normalized to +1 / 0 / -1; in geodesic polar coordinates
 around a base point the metric reads ``dr^2 + sin_m(r)^2 g_0`` with
 ``g_0`` the round metric on the unit (n-1)-sphere and ``sin_m`` equal to
 ``sin r``, ``r`` or ``sinh r`` depending on the curvature sign.  This
-module holds that radial profile, shell volumes, volume matching and the
+module holds that radial profile, shell volumes (one fixed two-panel
+Gauss-Legendre rule, see ``annulus_volume``), volume matching and the
 normal-coordinate chart.
 
 All functions are pure and accept scalars or numpy arrays where it makes
@@ -124,33 +125,6 @@ def _gl_segment(f, a: float, b: float) -> float:
     return half * float(np.dot(w, f(mid + half * x)))
 
 
-def adaptive_gauss_legendre(f, a: float, b: float) -> float:
-    """Adaptive 15-point Gauss-Legendre quadrature with interval bisection.
-
-    Segment tolerances are apportioned by length against a global scale,
-    so the returned value is within 1e-12 relative to the whole integral
-    for integrands without hidden singularities.
-    """
-    if not b > a:
-        raise GeometryError("integration interval must have b > a")
-    whole = _gl_segment(f, a, b)
-    rough = abs(whole) + 1e-300
-    total = 0.0
-    stack = [(a, b, whole, 0)]
-    while stack:
-        lo, hi, coarse, depth = stack.pop()
-        mid = 0.5 * (lo + hi)
-        left = _gl_segment(f, lo, mid)
-        right = _gl_segment(f, mid, hi)
-        tol = 1e-12 * rough * (hi - lo) / (b - a)
-        if abs(left + right - coarse) <= tol or depth >= 48:
-            total += left + right
-        else:
-            stack.append((lo, mid, left, depth + 1))
-            stack.append((mid, hi, right, depth + 1))
-    return total
-
-
 def unit_sphere_area(n: int) -> float:
     """Surface measure of the unit (n-1)-sphere in R^n: 2 pi^{n/2} / Gamma(n/2)."""
     if n < 1:
@@ -161,9 +135,12 @@ def unit_sphere_area(n: int) -> float:
 def annulus_volume(form: SpaceForm, n: int, r1: float, r2: float) -> float:
     """Volume of the geodesic shell between radii r1 < r2.
 
-    Integrates sin_m^{n-1} over [r1, r2] and multiplies by the area of
-    the unit (n-1)-sphere.  On the sphere the shell must stay inside the
-    closed hemisphere (r2 <= pi/2).
+    Integrates sin_m^{n-1} over [r1, r2] by 15-point Gauss-Legendre on
+    each half and multiplies by the area of the unit (n-1)-sphere.  The
+    rule is exact for Euclidean n <= 30; in hyperbolic space it is within
+    2e-14 relative while (n - 1) r2 <= 40 and 6e-13 at 48, and past that
+    it loses accuracy gradually without refusing.  On the sphere the shell
+    must stay inside the closed hemisphere (r2 <= pi/2).
     """
     form = _as_form(form)
     if n < 2:
@@ -172,8 +149,11 @@ def annulus_volume(form: SpaceForm, n: int, r1: float, r2: float) -> float:
         raise GeometryError(f"need 0 <= r1 < r2, got r1={r1}, r2={r2}")
     if form is SpaceForm.SPHERICAL and r2 > HEMISPHERE_RADIUS + 1e-12:
         raise GeometryError("outer radius exceeds the hemisphere bound pi/2")
-    integral = adaptive_gauss_legendre(lambda r: sin_m(form, r) ** (n - 1), r1, r2)
-    return unit_sphere_area(n) * integral
+
+    def f(r):
+        return sin_m(form, r) ** (n - 1)
+    mid = 0.5 * (r1 + r2)
+    return unit_sphere_area(n) * (_gl_segment(f, r1, mid) + _gl_segment(f, mid, r2))
 
 
 def match_outer_radius(form: SpaceForm, n: int, r1: float, target_volume: float) -> float:

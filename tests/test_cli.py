@@ -168,6 +168,15 @@ class TestSpectrumCommand:
         assert code == 0
         assert "neumann_dirichlet_bridge: PASS" in out
 
+    def test_config_switch_true_certifies(self, tmp_path, capsys):
+        # a switch keeps its JSON boolean; nothing on the command line sets it
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"certify": True, "form": "hyperbolic", "n": 2,
+                                   "r1": 0.5, "r2": 1.5, "grid_points": 512, "count": 4}))
+        code, out, _ = run(["spectrum", "--config", str(cfg)], capsys)
+        assert code == 0
+        assert "neumann_dirichlet_bridge: PASS" in out
+
     def test_certify_solves_each_radial_problem_once(self, monkeypatch, capsys):
         calls = {"neumann": 0, "dirichlet": 0}
         neumann_pairs = []
@@ -334,6 +343,20 @@ class TestVerifyCommand:
         assert code == 2
         assert "incompatible" in err
 
+    @pytest.mark.parametrize("profile,message", [
+        ({"base": 1.0, "harmonics": [{"m": 0, "a": 0.02, "b": 0.0}]},
+         "harmonic frequencies must be >= 1"),
+        ({"base": 0.0, "harmonics": []}, "outer boundary must be strictly positive"),
+    ], ids=["m-zero", "base-zero"])
+    def test_spec_profile_out_of_range_exit_2(self, tmp_path, capsys, profile, message):
+        data = {"form": "euclidean", "n": 2, "symmetry_order": "order4",
+                "rho_out": profile, "rho_in": None}
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(data))
+        code, out, err = run(["verify", "--spec", str(path)], capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and message in err
+
     @pytest.mark.parametrize("path,value", [
         (("rho_out", "harmonics", 0, "m"), 4.9),
         (("n",), 2.7),
@@ -360,7 +383,8 @@ class TestVerifyCommand:
     def test_non_finite_value_exit_2(self, tmp_path, capsys, where, value):
         # JSON's NaN and Infinity, and a family's amplitude=nan or inf
         if where == "amplitude":
-            argv, named = ["--random-family", f"s=4 count=1 amplitude={value}"], "amplitude"
+            argv, named = ["--random-family", f"s=4 count=1 amplitude={value}",
+                           "--form", "euclidean"], "amplitude"
         else:
             outer = {"base": 1.0, "harmonics": [{"m": 4, "a": 0.02, "b": 0.0}]}
             if where == "base":
@@ -371,8 +395,7 @@ class TestVerifyCommand:
             spec.write_text(json.dumps({"form": "euclidean", "n": 2,
                                         "symmetry_order": "order4", "rho_out": outer}))
             argv, named = ["--spec", str(spec)], "outer boundary"
-        code, out, err = run(["verify", *argv, "--form", "euclidean", "--levels", "1"],
-                             capsys)
+        code, out, err = run(["verify", *argv, "--levels", "1"], capsys)
         assert code == 2 and out == ""
         assert err.startswith("error:") and named in err and "must be finite" in err
         assert "Traceback" not in err
@@ -395,6 +418,12 @@ class TestVerifyCommand:
     def test_missing_source_exit_2(self, capsys):
         code, _, _ = run(["verify"], capsys)
         assert code == 2
+
+    def test_asymmetric_family_exit_2(self, capsys):
+        code, out, err = run(["verify", "--random-family", "s=none count=1",
+                              "--form", "euclidean", "--levels", "1"], capsys)
+        assert code == 2
+        assert err.startswith("error on domain 1:") and "needs a declared symmetry class" in err
 
     def test_family_count_below_one_exit_2(self, capsys):
         code, out, err = run(["verify", "--random-family", "s=4 count=0"], capsys)
@@ -511,6 +540,16 @@ class TestVerifyCommand:
         assert reports[0] == reports[1]
 
 
+def test_module_entry_point_prints_help():
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-m", "spaceform_spectra.cli", "--help"],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0
+    assert done.stdout.startswith("usage: sfs")
+
+
 def test_commands_keep_optimize_interpolate_and_special_unloaded(tmp_path):
     # a fresh interpreter: other tests load these modules into this one
     src = str(Path(cli.__file__).resolve().parents[1])
@@ -574,6 +613,25 @@ class TestMomentsCommand:
     def test_bad_family_string_exit_2(self, capsys):
         code, _, err = run(["moments", "--random-family", "s=7 count=1"], capsys)
         assert code == 2
+
+    @pytest.mark.parametrize("family,message", [
+        ("s4", "malformed family token"), ("x=1", "unknown family key")])
+    def test_family_token_refused_exit_2(self, capsys, family, message):
+        code, out, err = run(["moments", "--random-family", family], capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and message in err
+
+    def test_asymmetric_family_runs_the_rayleigh_checks_alone(self, tmp_path, capsys):
+        # no symmetry class, so no vanishing moment is owed
+        report = tmp_path / "m.json"
+        code, out, _ = run(["moments", "--random-family", "s=none count=2 amplitude=0.06",
+                            "--form", "euclidean", "--seed", "3", "--json", str(report)],
+                           capsys)
+        assert code == 0
+        assert out.count("3/3 checks pass") == 2
+        for domain in json.loads(report.read_text())["domains"]:
+            assert [c["name"] for c in domain["checks"]] == [
+                "rayleigh:k=1", "rayleigh:k=2", "rayleigh:k=3"]
 
     def test_asymmetric_spec_detected_exit_4(self, tmp_path, capsys, monkeypatch):
         # declare quarter-turn symmetry on a valid asymmetric domain after the
@@ -784,6 +842,38 @@ class TestExitMapping:
                              capsys)
         assert code == 2 and out == ""
         assert err.startswith("error:") and "--spec" in err and "--random-family" in err
+
+    @pytest.mark.parametrize("flags,named", [
+        (["--grid-points", "128", "--no-richardson"], ["--grid-points", "--no-richardson"]),
+        (["--form", "euclidean", "--n", "2", "--k", "1", "--r1", "0", "--r2", "1"],
+         ["--form", "--n", "--k", "--r1", "--r2"]),
+        (["--bc", "dirichlet"], ["--bc"]),
+    ], ids=["solver", "problem", "bc"])
+    def test_problem_beside_a_flag_it_would_override_exit_2(self, flags, named, tmp_path,
+                                                             capsys):
+        # the file sets every one of these, so the flag would be dropped unsaid
+        path = tmp_path / "problem.json"
+        path.write_text(json.dumps({"form": "euclidean", "n": 2, "k": 1, "r1": 0.0,
+                                    "r2": 1.0, "grid_points": 512, "max_j": 2}))
+        code, out, err = run(["sl", "--problem", str(path), *flags], capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "--problem" in err
+        assert all(flag in err for flag in named)
+        # --max-j, which the file does not fix, and flags left at their
+        # defaults still go beside it
+        code, out, _ = run(["sl", "--problem", str(path), "--max-j", "1",
+                            "--bc", "neumann", "--grid-points", "2048"], capsys)
+        assert code == 0 and len(out.strip().splitlines()) == 3
+
+    @pytest.mark.parametrize("command", ["verify", "moments"])
+    @pytest.mark.parametrize("form", ["hyperbolic", "euclidean"])
+    def test_spec_beside_a_form_exit_2(self, command, form, tmp_path, capsys):
+        # the file's own form wins, so --form would be dropped unsaid, even
+        # when it names the same form
+        path = write_spec(tmp_path, dm.random_family(2026, "euclidean", count=1)[0])
+        code, out, err = run([command, "--spec", str(path), "--form", form], capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "--spec" in err and "--form" in err
 
     def test_missing_input_file_exit_2(self, tmp_path, capsys):
         code, _, err = run(["verify", "--spec", str(tmp_path / "absent.json")], capsys)

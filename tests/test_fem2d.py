@@ -650,6 +650,18 @@ class TestSymmetrySectors:
                 ref = sector.toarray()
                 assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref)), k
 
+    @pytest.mark.parametrize("spec", [ORDER4_SHELL, HALF_TURN_SHELL, ANNULUS],
+                             ids=["order4", "half-turn", "round"])
+    def test_phase_is_real_exactly_where_the_sector_is(self, spec):
+        # one rule: a float phase is +-1, and its sector matrices are real
+        system = assemble(generate_mesh(spec, 0))
+        for k in range(system.order):
+            omega = system.phase(k)
+            assert omega == pytest.approx(np.exp(2j * math.pi * k / system.order), abs=1e-15)
+            real = isinstance(omega, float)
+            assert real == (omega in (1.0, -1.0))
+            assert all(np.isrealobj(matrix.data) == real for matrix in system.sector(k))
+
     def test_averaged_inverse_is_exact_on_a_round_shell(self):
         # every ray of a round shell carries the same coefficients
         system = assemble(generate_mesh(ANNULUS, 1))

@@ -83,10 +83,15 @@ class TestVolumes:
 
     @pytest.mark.parametrize("form", FORMS)
     @pytest.mark.parametrize("n", [2, 3])
-    def test_closed_forms(self, form, n):
-        got = sf.annulus_volume(form, n, 0.3, 1.2)
-        assert got == pytest.approx(
-            oracles.annulus_volume_closed_form(form.value, n, 0.3, 1.2), rel=1e-12)
+    @pytest.mark.parametrize("r1", [0.0, 0.3])
+    def test_closed_forms(self, form, n, r1):
+        # the fixed two-panel rule over the whole range a shell can take:
+        # up to the hemisphere on the sphere, out to r2 = 20 elsewhere
+        top = math.pi / 2 if form is SpaceForm.SPHERICAL else 20.0
+        for r2 in np.linspace(r1, top, 41)[1:]:
+            got = sf.annulus_volume(form, n, r1, r2)
+            assert got == pytest.approx(
+                oracles.annulus_volume_closed_form(form.value, n, r1, r2), rel=1e-12)
 
     def test_additivity(self):
         rng = np.random.default_rng(5)

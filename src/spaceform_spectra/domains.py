@@ -231,10 +231,6 @@ def _fibonacci_sphere(count: int) -> np.ndarray:
     return np.vstack([z, radius * np.cos(phi), radius * np.sin(phi)])
 
 
-def _angular_sample(n: int, count: int) -> np.ndarray:
-    return _unit_circle_sample(count) if n == 2 else _fibonacci_sphere(count)
-
-
 # ---------------------------------------------------------------------------
 # Domain specification
 # ---------------------------------------------------------------------------
@@ -292,7 +288,7 @@ def _boundary_samples(profile, omega: np.ndarray, label: str) -> np.ndarray:
 
 
 def _validate_spec(spec: DomainSpec) -> None:
-    omega = _angular_sample(spec.n, 4096 if spec.n == 2 else 8192)
+    omega = _unit_circle_sample(4096) if spec.n == 2 else _fibonacci_sphere(8192)
     rho_out = _boundary_samples(spec.rho_out, omega, "outer")
     if spec.form is SpaceForm.SPHERICAL and np.max(rho_out) > HEMISPHERE_RADIUS + 1e-12:
         raise GeometryError(
@@ -439,8 +435,7 @@ class QuadratureGrid:
                 angular_points if not isinstance(angular_points, tuple) else angular_points[0])
             if count % 4:
                 raise ValueError("angular node count must be divisible by 4")
-            theta = np.linspace(0.0, 2 * math.pi, count, endpoint=False)
-            omega = np.vstack([np.cos(theta), np.sin(theta)])
+            omega = _unit_circle_sample(count)
             ang_w = np.full(count, 2 * math.pi / count)
         else:
             polar, azimuth = (48, 96) if angular_points is None else angular_points

@@ -471,21 +471,6 @@ def _averaged_inverse(system: FemSystem, k: int):
     return apply
 
 
-def _cg_inverse(A, preconditioner):
-    """Apply A^-1 by conjugate gradients to relative residual CG_RTOL."""
-    n = A.shape[0]
-    pre = sparse_linalg.LinearOperator((n, n), matvec=preconditioner, dtype=A.dtype)
-
-    def solve(b):
-        x, info = sparse_linalg.cg(A, b, rtol=CG_RTOL, atol=0.0, M=pre,
-                                   maxiter=CG_MAXITER)
-        if info != 0:
-            raise FemConvergenceError(
-                f"conjugate gradients missed {CG_RTOL:g} in {CG_MAXITER} steps at {n} unknowns")
-        return x
-    return solve
-
-
 def _sector_eigs(system: FemSystem, k: int, count: int) -> tuple[np.ndarray, float]:
     """Lowest ``count`` eigenvalues of sector k's pencil (K, M) and their
     worst relative residual, by Lanczos on the spectral transformation
@@ -527,7 +512,17 @@ def _sector_eigs(system: FemSystem, k: int, count: int) -> tuple[np.ndarray, flo
         # CG's many products with A are faster on CSR than on DIA; the copy
         # drops the slack tocsr leaves in buffers sized for every DIA slot
         A = A.tocsr().copy()
-        inverse = _cg_inverse(A, _averaged_inverse(system, k))
+        pre = sparse_linalg.LinearOperator((n, n), matvec=_averaged_inverse(system, k),
+                                           dtype=A.dtype)
+
+        def inverse(b):
+            # A^-1 b by conjugate gradients to relative residual CG_RTOL
+            x, info = sparse_linalg.cg(A, b, rtol=CG_RTOL, atol=0.0, M=pre,
+                                       maxiter=CG_MAXITER)
+            if info != 0:
+                raise FemConvergenceError(f"conjugate gradients missed {CG_RTOL:g} in "
+                                          f"{CG_MAXITER} steps at {n} unknowns")
+            return x
         # in shift-invert mode ARPACK applies only OPinv (and M); its first
         # argument just gives the shape
         if np.iscomplexobj(A.data):

@@ -42,7 +42,7 @@ import numpy as np
 from scipy.linalg import LinAlgError, eigh_tridiagonal
 from scipy.linalg.lapack import dgtsv
 
-from .spaceform import GeometryError, SpaceForm, _as_form, _gl_rule, sin_m
+from .spaceform import GeometryError, HEMISPHERE_RADIUS, SpaceForm, _as_form, _gl_rule, sin_m
 
 __all__ = [
     "BoundaryCondition",
@@ -86,12 +86,6 @@ class BoundaryCondition(str, Enum):
         return self.value
 
 
-def _as_bc(bc) -> BoundaryCondition:
-    if isinstance(bc, BoundaryCondition):
-        return bc
-    return BoundaryCondition(str(bc).lower())
-
-
 @dataclass(frozen=True)
 class SLProblem:
     """One radial eigenproblem: form, dimension, mode index, radii, BC kind."""
@@ -105,7 +99,7 @@ class SLProblem:
 
     def __post_init__(self):
         object.__setattr__(self, "form", _as_form(self.form))
-        object.__setattr__(self, "bc", _as_bc(self.bc))
+        object.__setattr__(self, "bc", BoundaryCondition(str(self.bc).lower()))
         if self.n < 2:
             raise ValueError("dimension n must be >= 2")
         if self.k < 0:
@@ -114,7 +108,7 @@ class SLProblem:
             raise ValueError(f"radii r1 and r2 must be finite, got [{self.r1}, {self.r2}]")
         if self.r1 < 0 or not self.r2 > self.r1:
             raise ValueError(f"need 0 <= r1 < r2, got [{self.r1}, {self.r2}]")
-        if self.form is SpaceForm.SPHERICAL and self.r2 > np.pi / 2 + 1e-12:
+        if self.form is SpaceForm.SPHERICAL and self.r2 > HEMISPHERE_RADIUS + 1e-12:
             raise GeometryError("spherical problems require r2 <= pi/2")
 
     @property

@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -87,15 +87,12 @@ def sin_m(form: SpaceForm, r):
 
 
 def radial_weight_functions(form: SpaceForm):
-    """(h, h', h'') callables for the radial profile of the given form."""
+    """(h, h', h'') callables of the given form: h is ``sin_m`` and h'' = -K h."""
     form = _as_form(form)
-    if form is SpaceForm.SPHERICAL:
-        return np.sin, np.cos, lambda r: -np.sin(r)
-    if form is SpaceForm.HYPERBOLIC:
-        return np.sinh, np.cosh, np.sinh
-    return (lambda r: np.asarray(r, dtype=float),
-            lambda r: np.ones_like(np.asarray(r, dtype=float)),
-            lambda r: np.zeros_like(np.asarray(r, dtype=float)))
+    h = partial(sin_m, form)
+    dh, curvature = {SpaceForm.SPHERICAL: (np.cos, 1.0), SpaceForm.EUCLIDEAN: (np.ones_like, 0.0),
+                     SpaceForm.HYPERBOLIC: (np.cosh, -1.0)}[form]
+    return h, dh, lambda r: -curvature * h(r)
 
 
 def warped_product_residual(h, dh, d2h, r):

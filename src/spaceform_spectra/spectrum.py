@@ -145,8 +145,9 @@ def assemble(form: SpaceForm, n: int, r1: float, r2: float,
     and the prefix is that of solving every mode at j_max.
 
     The (0, 1) entry is the constant function and is recorded as an exact
-    zero.  r1 = 0 (a ball) is allowed.  A cutoff below 2 certifies no
-    prefix and raises CutoffTooLowError.
+    zero.  r1 = 0 (a ball) is allowed.  k_max or j_max below 2 raises
+    CutoffTooLowError; otherwise the cutoff is positive and the prefix
+    holds at least the constant mode.
     """
     form = _as_form(form)
     if k_max < 2 or j_max < 2:
@@ -235,10 +236,12 @@ def certify_lemmas(shell: AnnulusSpectrum) -> LemmaCertification:
       for k <= 4, j <= min(j_max, 4).
     * ``neumann_below_dirichlet``: mu_{k,j} < lambda_{k,j}, margin > 1e-8,
       for k <= 4, j <= min(j_max, 4).
-    * ``lowest_pair_*`` (annuli only): the interior radius where the
-      potential equals mu_{k,1}; strict monotonicity of the lowest
-      eigenfunction; and its pointwise comparison inequality against the
-      outer-boundary value, with slack >= -1e-10.
+    * ``lowest_pair_*`` (annuli only), one pass over the (k, 1) Neumann
+      pairs, k = 1, 2, 3: the interior radius where the potential equals
+      mu_{k,1} (an unlocatable one fails this check alone); strict
+      monotonicity of the lowest eigenfunction; and its pointwise
+      comparison inequality against the outer-boundary value, with
+      slack >= -1e-10.
 
     The checks read Neumann modes k <= 5 (``_reads``: j_max + 1 pairs for
     k = 0, j_max for k = 1, min(j_max, 4) above) and Dirichlet modes
@@ -267,14 +270,13 @@ def certify_lemmas(shell: AnnulusSpectrum) -> LemmaCertification:
 
     checks = []
 
-    resid = 0.0
-    worst_pair = {}
+    resid, worst_pair, margin = 0.0, {}, np.inf
     for j in range(1, j_max + 1):
-        r = abs(neumann[0][j].eigenvalue - dirichlet[1][j - 1].eigenvalue)
+        mu = neumann[0][j].eigenvalue
+        r = abs(mu - dirichlet[1][j - 1].eigenvalue)
         if r > resid:
             resid, worst_pair = r, {"j": j}
-    margin = min(neumann[0][j].eigenvalue - neumann[1][j - 1].eigenvalue
-                 for j in range(1, j_max + 1))
+        margin = min(margin, mu - neumann[1][j - 1].eigenvalue)
     checks.append(LemmaCheck(
         "neumann_dirichlet_bridge", resid <= 1e-6 and margin > 0, resid, 1e-6,
         "mu_{0,j+1} equals lambda_{1,j} and exceeds mu_{1,j}",
@@ -293,41 +295,29 @@ def certify_lemmas(shell: AnnulusSpectrum) -> LemmaCertification:
         "mu_{k,j} < lambda_{k,j}", {"k_range": [0, 4]}))
 
     if r1 > 0:
-        worst_resid, worst_b = 0.0, {}
-        ok_interior = True
+        worst_resid, worst_b, ok_interior = 0.0, {}, True
+        worst_step = worst_slack = np.inf
         for k in (1, 2, 3):
             pair = neumann[k][0]
+            mu, coef = pair.eigenvalue, pair.problem.angular_eigenvalue
+            lhs = (coef / sin_m(form, pair.grid) ** 2 - mu) * pair.values**2
+            worst_step = min(worst_step, float(np.min(np.diff(pair.values))))
+            worst_slack = min(worst_slack, float(np.min(lhs - lhs[-1]) / max(1.0, abs(lhs[-1]))))
             try:
                 b = locate_b(pair)
             except slsolver.NoRootError:
                 ok_interior = False
                 continue
-            r = abs(pair.eigenvalue - pair.problem.angular_eigenvalue / sin_m(form, b) ** 2)
-            rel = r / pair.eigenvalue
+            rel = abs(mu - coef / sin_m(form, b) ** 2) / mu
             if rel > worst_resid:
                 worst_resid, worst_b = rel, {"k": k, "b": b}
         checks.append(LemmaCheck(
             "lowest_pair_interior_radius", ok_interior and worst_resid <= 1e-9,
             worst_resid, 1e-9,
             "mu_{k,1} = k(k+n-2)/sin_m(b)^2 at an interior b", worst_b))
-
-        worst_step = np.inf
-        for k in (1, 2, 3):
-            pair = neumann[k][0]
-            worst_step = min(worst_step, float(np.min(np.diff(pair.values))))
         checks.append(LemmaCheck(
             "lowest_pair_monotone", worst_step > 0.0, worst_step, 0.0,
             "the lowest Neumann eigenfunction increases strictly", {}))
-
-        worst_slack = np.inf
-        for k in (1, 2, 3):
-            pair = neumann[k][0]
-            coef = pair.problem.angular_eigenvalue
-            pot = coef / sin_m(form, pair.grid) ** 2
-            lhs = (pot - pair.eigenvalue) * pair.values**2
-            rhs = lhs[-1]
-            slack = float(np.min(lhs - rhs) / max(1.0, abs(rhs)))
-            worst_slack = min(worst_slack, slack)
         checks.append(LemmaCheck(
             "lowest_pair_pointwise_bound", worst_slack >= -1e-10, worst_slack, -1e-10,
             "(V - mu) u^2 is minimized at the outer boundary", {}))

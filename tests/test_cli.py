@@ -65,6 +65,16 @@ class TestSlCommand:
         assert err.startswith("error:") and "r2" in err and "must be finite" in err
         assert caught == []
 
+    @pytest.mark.parametrize("flags,message", [
+        (["--n", "1", "--k", "0"], "dimension n must be >= 2"),
+        (["--n", "2", "--k", "-1"], "mode index k must be >= 0"),
+    ], ids=["n", "k"])
+    def test_problem_guard_exit_2(self, capsys, flags, message):
+        code, out, err = run(["sl", "--form", "euclidean", *flags,
+                              "--r1", "1", "--r2", "2"], capsys)
+        assert code == 2 and out == ""
+        assert err == f"error: {message}\n"
+
     def test_max_j_zero_exit_2(self, capsys):
         code, out, err = run(["sl", "--form", "euclidean", "--n", "2", "--k", "0",
                               "--r1", "1", "--r2", "2", "--max-j", "0"], capsys)
@@ -258,6 +268,12 @@ class TestSpectrumCommand:
         assert json.loads(report.read_text())["certification"]["passed"] is False
         assert table.read_text().splitlines()[0] == "i,value,k,j,multiplicity"
 
+    def test_dimension_below_two_exit_2(self, capsys):
+        code, out, err = run(["spectrum", "--form", "euclidean", "--n", "1",
+                              "--r1", "1", "--r2", "2"], capsys)
+        assert code == 2 and out == ""
+        assert err == "error: dimension n must be >= 2\n"
+
     def test_csv_shape(self, tmp_path, capsys):
         table = tmp_path / "s.csv"
         code, _, _ = run(["spectrum", "--form", "euclidean", "--n", "2",
@@ -414,6 +430,15 @@ class TestVerifyCommand:
         assert code == 2 and out == ""
         assert err.startswith("error on domain 1:") and "m=2" in err
         assert "Traceback" not in err
+
+    # m = 700 passes the level's guard and trips a sector's when that
+    # sector is solved again for all m; m = 2400 trips the level's
+    @pytest.mark.parametrize("m", ["700", "2400"], ids=["sector", "level"])
+    def test_m_above_the_unknowns_exit_2(self, capsys, m):
+        code, out, err = run(["verify", "--random-family", "s=4 count=1",
+                              "--form", "euclidean", "--levels", "1", "--m", m], capsys)
+        assert code == 2 and out == ""
+        assert err == "error on domain 1: need m well below the number of unknowns\n"
 
     def test_missing_source_exit_2(self, capsys):
         code, _, _ = run(["verify"], capsys)

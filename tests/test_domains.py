@@ -242,6 +242,24 @@ class TestGradientIdentities:
             closed = gd**2 * ratio2 + gv**2 / sf.sin_m(form, r) ** 2 * (1 - ratio2)
             assert abs(fd - closed) / (abs(closed) + 1e-3) < 1e-6
 
+    @pytest.mark.parametrize("form", ["spherical", "euclidean", "hyperbolic"])
+    def test_grad_pair_integral_sums_the_fd_integrand(self, form):
+        # an asymmetric holed domain, so the X_1 X_2 integral does not vanish
+        spec = DomainSpec(form, 2, SymmetryOrder.NONE,
+                          FourierProfile(1.1, ((1, 0.05, 0.0), (2, 0.0, 0.15))),
+                          FourierProfile(0.4))
+        grid = QuadratureGrid.for_spec(spec, 8, 32)
+        xs = chart_coords_fn(2)
+
+        def gauss_x(idx):
+            return lambda rr, aa: math.exp(-0.5 * rr**2) * xs[idx](rr, aa)
+
+        total = 0.0
+        for w, r, x1, x2 in zip(grid.weight, grid.radius, *grid.coords):
+            total += w * oracles.metric_grad_inner_fd(
+                form, gauss_x(0), gauss_x(1), r, [math.atan2(x2, x1)])
+        assert total == pytest.approx(dm.grad_pair_integral(grid, GAUSS, 1, 2), rel=1e-8)
+
     def test_euclidean_coordinate_functions(self):
         # G(r) = r: sum of |grad X_i|^2 over i equals the dimension
         for n in (2, 3):

@@ -62,6 +62,14 @@ class TestWarpedProductProfile:
             resid = sf.warped_product_residual(h, dh, d2h, r)
             assert np.max(np.abs(resid)) <= 1e-9
 
+    def test_profile_is_sin_m(self):
+        r = np.linspace(0.0, 1.5, 7)
+        for form in FORMS:
+            h = sf.radial_weight_functions(form)[0]
+            assert np.array_equal(h(r), sf.sin_m(form, r))
+            with pytest.raises(GeometryError):
+                h(-0.1)
+
     def test_counterexample_weight_fails(self):
         r = np.linspace(1e-3, 1.5, 1000)
         resid = sf.warped_product_residual(

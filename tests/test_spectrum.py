@@ -302,6 +302,25 @@ class TestCertifyLemmas:
         assert all(verdicts.values())
         assert not report.passed
 
+    def test_one_unlocatable_mode_fails_only_the_interior_radius(self, monkeypatch):
+        # the lowest pair of mode 2 still counts for the other two checks
+        shell = assemble(SpaceForm.EUCLIDEAN, 2, 0.5, 1.5, 5, 4,
+                         SolverConfig(grid_points=256))
+        intact = {c.name: c for c in certify_lemmas(shell).checks}
+        real = spectrum.locate_b
+
+        def no_root_for_mode_2(pair):
+            if pair.problem.k == 2:
+                raise spectrum.slsolver.NoRootError("no interior radius")
+            return real(pair)
+
+        monkeypatch.setattr(spectrum, "locate_b", no_root_for_mode_2)
+        checks = {c.name: c for c in certify_lemmas(shell).checks}
+        interior = checks.pop("lowest_pair_interior_radius")
+        assert not interior.passed and interior.detail.get("k") != 2
+        assert checks == {name: c for name, c in intact.items() if name in checks}
+        assert all(c.passed for c in checks.values())
+
     def test_json_payload(self):
         shell = assemble(SpaceForm.EUCLIDEAN, 2, 0.5, 1.5, 5, 4,
                          SolverConfig(grid_points=512))

@@ -530,14 +530,14 @@ def matched_annulus(grid: QuadratureGrid) -> tuple[float, float]:
 
 
 def _cubic_spline(x: np.ndarray, y: np.ndarray, inner_clamped: bool):
-    """Value and first-derivative evaluators of the C2 cubic spline through
-    (x, y), x increasing with at least four nodes.
+    """Evaluator of the C2 cubic spline through (x, y), x increasing with
+    at least four nodes: it returns the value and first derivative at r.
 
     The node slopes solve scipy ``CubicSpline``'s tridiagonal system, with
     slope zero at x[-1] and, at x[0], slope zero (``inner_clamped``) or
     not-a-knot; each piece is then the cubic Hermite polynomial of its two
-    nodes, evaluated by Horner's rule on the interval ``searchsorted``
-    finds (the last node belongs to the last piece).
+    nodes, evaluated by Horner's rule on the interval one ``searchsorted``
+    finds for both (the last node belongs to the last piece).
     """
     dx = np.diff(x)
     slope = np.diff(y) / dx
@@ -556,19 +556,34 @@ def _cubic_spline(x: np.ndarray, y: np.ndarray, inner_clamped: bool):
     t = (s[:-1] + s[1:] - 2 * slope) / dx
     c3, c2, c1, c0 = t / dx, (slope - s[:-1]) / dx - t, s[:-1], y[:-1]
 
-    def piece(r):
+    def evaluate(r):
         i = np.clip(np.searchsorted(x, r, side="right") - 1, 0, dx.size - 1)
-        return i, r - x[i]
+        h = r - x[i]
+        return (((c3[i] * h + c2[i]) * h + c1[i]) * h + c0[i],
+                (3 * c3[i] * h + 2 * c2[i]) * h + c1[i])
 
-    def value(r):
-        i, h = piece(r)
-        return ((c3[i] * h + c2[i]) * h + c1[i]) * h + c0[i]
+    return evaluate
 
-    def derivative(r):
-        i, h = piece(r)
-        return (3 * c3[i] * h + 2 * c2[i]) * h + c1[i]
 
-    return value, derivative
+def _extension(pair: SLEigenpair):
+    """u_k and u_k' at radii r, as ``extend_gk`` defines them, from one
+    spline evaluation."""
+    problem = pair.problem
+    if problem.bc is not BoundaryCondition.NEUMANN or pair.j != 1:
+        raise ValueError("extension is defined for (k, 1) Neumann pairs")
+    r1, r2 = problem.r1, problem.r2
+    inner_clamped = problem.has_inner_boundary or problem.k >= 2
+    evaluate = _cubic_spline(pair.grid, pair.values, inner_clamped)
+    tail = float(pair.values[-1])
+
+    def at(r):
+        if np.any(r < r1 - 1e-12):
+            raise GeometryError(f"query below the inner radius {r1}")
+        value, derivative = evaluate(np.clip(r, r1, r2))
+        inside = r <= r2
+        return np.where(inside, value, tail), np.where(inside, derivative, 0.0)
+
+    return at
 
 
 def extend_gk(pair: SLEigenpair) -> RadialTestFunction:
@@ -583,22 +598,9 @@ def extend_gk(pair: SLEigenpair) -> RadialTestFunction:
     every run.  Queries below r1 are outside the domain of definition and
     raise GeometryError.
     """
-    problem = pair.problem
-    if problem.bc is not BoundaryCondition.NEUMANN or pair.j != 1:
-        raise ValueError("extension is defined for (k, 1) Neumann pairs")
-    r1, r2 = problem.r1, problem.r2
-    inner_clamped = problem.has_inner_boundary or problem.k >= 2
-    value, derivative = _cubic_spline(pair.grid, pair.values, inner_clamped)
-    tail = float(pair.values[-1])
-
-    def inside(r):
-        if np.any(r < r1 - 1e-12):
-            raise GeometryError(f"query below the inner radius {r1}")
-        return np.clip(r, r1, r2)
-
-    return RadialTestFunction(
-        value_fn=lambda r: np.where(r <= r2, value(inside(r)), tail),
-        derivative_fn=lambda r: np.where(r <= r2, derivative(inside(r)), 0.0))
+    at = _extension(pair)
+    return RadialTestFunction(value_fn=lambda r: at(r)[0],
+                              derivative_fn=lambda r: at(r)[1])
 
 
 def rayleigh_gk(grid: QuadratureGrid, pair: SLEigenpair) -> float:
@@ -633,10 +635,8 @@ def rayleigh_gk(grid: QuadratureGrid, pair: SLEigenpair) -> float:
             f"domain volume {vol:.12g} vs shell volume {target:.12g} "
             "differ beyond 1e-8 relative")
 
-    gk = extend_gk(pair)
     r = grid.radius
-    gv = gk.value(r)
-    gd = gk.derivative(r)
+    gv, gd = _extension(pair)(r)
     coef = problem.angular_eigenvalue
     numerator = float(np.dot(grid.weight, gd**2 + coef / sin_m(spec.form, r) ** 2 * gv**2))
     denominator = float(np.dot(grid.weight, gv**2))

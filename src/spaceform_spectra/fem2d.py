@@ -551,10 +551,13 @@ def _solve_level(system: FemSystem, m: int) -> LevelSolve:
     # each sector is solved on the wedge alone, and a complex sector stands
     # for its conjugate too, which has the same eigenvalues
     n = system.n_unknowns
-    if m >= n:
-        raise ValueError("need m well below the number of unknowns")
     sectors = range(system.order // 2 + 1)
     copies = [1 if isinstance(system.phase(k), float) else 2 for k in sectors]
+    full = [-(-m // c) for c in copies]
+    # every sector has the wedge's n / order unknowns; an m that a sector's
+    # re-solve below could not hold is refused before any solve
+    if max(full) >= n // system.order - 1:
+        raise ValueError("need m well below the number of unknowns")
 
     def merged(solved):
         return np.sort([float(v) for (vals, _), c in zip(solved, copies)
@@ -564,7 +567,6 @@ def _solve_level(system: FemSystem, m: int) -> LevelSolve:
     # or above its last value; one whose last value is below the m-th merged
     # value may hide some of the lowest m, and is solved again for all of
     # them it could hold
-    full = [-(-m // c) for c in copies]
     solved = [_sector_eigs(system, k, min(full[k], -(-m // system.order) + 1))
               for k in sectors]
     mth = merged(solved)[m - 1]

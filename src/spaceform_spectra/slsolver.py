@@ -14,12 +14,16 @@ half-node weights carry the fluxes, the mass is the trapezoid rule, and
 the resulting symmetric tridiagonal pencil is reduced to standard form
 by the diagonal mass, a Jacobi matrix (negative off-diagonals).  Only a
 coarse base grid is solved by Sturm-sequence bisection (LAPACK stebz),
-so the index j is unambiguous, with eigenvectors from stein.  The pairs
-then climb to grid N and, for Richardson, 2N: each vector is
-interpolated linearly onto the next grid and refined by fixed-shift
-inverse iteration (LAPACK gtsv; Parlett, The Symmetric Eigenvalue
-Problem, 1980, ch. 4), shifted by its value on the previous grid.  The
-j-th eigenvector of a Jacobi matrix has exactly j - 1 sign changes
+so the index j is unambiguous, with eigenvectors from stein, and it
+alone holds a probe pair past the requested ones.  The pairs then climb
+to grid N and, for Richardson, 2N: each vector is interpolated linearly
+onto the next grid and refined by fixed-shift inverse iteration (LAPACK
+gtsv; Parlett, The Symmetric Eigenvalue Problem, 1980, ch. 4), shifted
+by its value on the previous grid.  Each step's solve also gives the
+Rayleigh quotient of its vector and the residual, so on grid N under
+Richardson a pair stops once the Kato-Temple bound puts its value at
+rounding; the finest grid's vectors are published and take fixed steps.
+The j-th eigenvector of a Jacobi matrix has exactly j - 1 sign changes
 (Gantmacher and Krein, Oscillation Matrices and Kernels, 1950), so that
 count certifies each climbed index; a grid whose count fails is bisected
 instead.  Every value is the Rayleigh quotient of its vector, summed in
@@ -75,7 +79,8 @@ class NearDegeneracyWarning(UserWarning):
     """Adjacent radial eigenvalues closer than the trust threshold."""
 
 
-DEGENERACY_GAP = 1e-9   # fine-grid eigenvalue gap that trips NearDegeneracyWarning
+DEGENERACY_GAP = 1e-9   # eigenvalue gap that trips NearDegeneracyWarning
+_EPS = float(np.finfo(float).eps)
 
 
 class BoundaryCondition(str, Enum):
@@ -126,7 +131,8 @@ class SolverConfig:
     """Grid size, Richardson switch and pair count of a radial solve.
 
     These defaults are the pipeline's only radial settings.  There is no
-    tolerance: bisection runs at LAPACK's own (about eps * ||T||) and the
+    tolerance: bisection runs at LAPACK's own (about eps * ||T||), inverse
+    iteration on grid N stops at rounding (``_inverse_iteration``), and the
     accuracy of the published values comes from the Rayleigh refinement.
     """
 
@@ -296,32 +302,58 @@ def _sign_changes(v: np.ndarray) -> int:
     return int(np.sum(signs[1:] * signs[:-1] < 0))
 
 
-def _inverse_iteration(d: np.ndarray, e: np.ndarray, shift: float,
-                       y: np.ndarray, steps: int) -> np.ndarray:
-    """``steps`` fixed-shift inverse-iteration steps from y on the Jacobi
-    matrix (d, e) shifted by ``shift``, each solved by LAPACK ``gtsv``.
+def _rayleigh_residual(shift: float, y: np.ndarray, z: np.ndarray,
+                       norm: float) -> tuple[float, float]:
+    """Rayleigh quotient rho of z and |A z - rho z|, for z = x / |x|,
+    norm = |x| and x = (A - shift)^-1 y, without a product by A.
 
+    (A - shift) z = y / |x|, so with c = z.y the quotient is
+    rho = shift + c / |x| and the residual A z - rho z = (y - c z) / |x|.
+    """
+    c = float(z @ y)
+    return shift + c / norm, float(np.linalg.norm(y - c * z)) / norm
+
+
+def _inverse_iteration(d: np.ndarray, e: np.ndarray, shift: float,
+                       y: np.ndarray, steps: int, delta: float) -> np.ndarray:
+    """At most ``steps`` fixed-shift inverse-iteration steps from y on the
+    Jacobi matrix A = (d, e) shifted by ``shift``, each solved by LAPACK
+    ``gtsv``.
+
+    Given a gap ``delta`` > 0 between the wanted eigenvalue and the rest
+    of the spectrum, the loop stops after the first step whose Rayleigh
+    quotient rho and residual r (``_rayleigh_residual``) put the
+    Kato-Temple bound r^2 / delta on the error of rho at rounding,
+    r^2 / delta <= eps (|rho| + delta); ``delta`` = 0 takes every step.
     An exactly zero pivot means the shift is an eigenvalue to working
     precision, so the current vector is kept.
     """
-    y = y[:, None]
+    shifted = d - shift
     for _ in range(steps):
-        _, _, _, x, info = dgtsv(e, d - shift, e, y)
+        _, _, _, x, info = dgtsv(e, shifted, e, y[:, None])
         if info > 0:
             break
-        y = x / np.linalg.norm(x)
-    return y[:, 0]
+        norm = float(np.linalg.norm(x))
+        z = x[:, 0] / norm
+        if delta > 0.0:
+            rho, r = _rayleigh_residual(shift, y, z, norm)
+            if r * r <= _EPS * delta * (abs(rho) + delta):
+                return z
+        y = z
+    return y
 
 
 def _climb(coarse: TridiagonalSystem, values: np.ndarray, u: np.ndarray,
-           fine: TridiagonalSystem, steps: int):
+           fine: TridiagonalSystem, steps: int, deltas: np.ndarray):
     """Eigenpairs on ``fine`` from the pairs (values, u) of ``coarse``.
 
-    Each coarse vector is interpolated linearly onto ``fine`` and takes
-    ``steps`` inverse-iteration steps shifted by its coarse value.  The
-    j-th eigenvector of a Jacobi matrix with negative off-diagonals has
-    exactly j - 1 sign changes (discrete Sturm oscillation), so that count
-    certifies every index; if one fails, ``fine`` is bisected instead.
+    Each coarse vector is interpolated linearly onto ``fine`` and takes at
+    most ``steps`` inverse-iteration steps shifted by its coarse value,
+    stopping early once its Rayleigh quotient is certified against the
+    gap in ``deltas`` (``_inverse_iteration``).  The j-th eigenvector of a
+    Jacobi matrix with negative off-diagonals has exactly j - 1 sign
+    changes (discrete Sturm oscillation), so that count certifies every
+    index; if one fails, ``fine`` is bisected instead.
     """
     d, e, scale = _standard_form(fine)
     # fine active node = coarse node i plus the fraction frac of a cell
@@ -334,7 +366,7 @@ def _climb(coarse: TridiagonalSystem, values: np.ndarray, u: np.ndarray,
         full = coarse.embed(u[:, j])
         lo = full[i]
         start = (lo + (full[i + 1] - lo) * frac) / scale
-        row[:] = _inverse_iteration(d, e, values[j], start, steps) * scale
+        row[:] = _inverse_iteration(d, e, values[j], start, steps, deltas[j]) * scale
         if _sign_changes(row) != j:
             return _eigen_tridiagonal(fine, values.size)
     return _pencil_rayleigh(fine, rows.T), rows.T
@@ -384,42 +416,56 @@ def solve(problem: SLProblem, config: SolverConfig | None = None) -> list[SLEige
     """First ``config.max_j`` eigenpairs of the radial problem, in order.
 
     Only a base grid of min(N, max(N // 8, 32 * probe)) cells is bisected
-    (``_eigen_tridiagonal``); its pairs then climb to grid N and, with
-    ``config.richardson``, to 2N (``_climb``: interpolation, then 3
-    inverse-iteration steps on N and 2 on 2N, each index certified by its
-    sign-change count, the grid bisected if one fails).  Each grid's
-    values are the Rayleigh quotients of its vectors.  With Richardson
-    the values from grids N and 2N are combined as (4 mu_2N - mu_N)/3, so
+    (``_eigen_tridiagonal``), for ``max_j`` pairs and a probe, pair
+    ``max_j + 1``; the requested pairs then climb to grid N and, with
+    ``config.richardson``, to 2N (``_climb``: interpolation, then inverse
+    iteration, each index certified by its sign-change count, the grid
+    bisected if one fails).  On grid N under Richardson a pair stops once
+    its step's own residual certifies its value to rounding, after at
+    most 3 steps; its gap delta is half the distance from its base-grid
+    value to the nearest base-grid neighbour, the probe's for the last
+    pair.  The finest grid's vectors are published, so they take fixed
+    steps: 2 on 2N, 3 on N without Richardson.  Each grid's values are
+    the Rayleigh quotients of its vectors.  With Richardson the values
+    from grids N and 2N are combined as (4 mu_2N - mu_N)/3, so
     ``eigenvalue - eigenvalue_grid`` is the Richardson correction
     (mu_2N - mu_N)/3, and the eigenvectors are reported on the finer
-    grid.  Grid N needs ``max_j`` pairs and the finest grid one more, a
-    probe for the gap check: a gap between adjacent fine-grid eigenvalues
-    below ``DEGENERACY_GAP`` trips a NearDegeneracyWarning, because the
-    continuum eigenvalues are simple and a near-tie indicates
-    discretization trouble.  The first j pairs agree, to rounding,
-    whatever ``max_j >= j`` was requested.  Asking for more pairs than a
-    grid has active nodes is a ValueError.
+    grid.  A gap below ``DEGENERACY_GAP`` between adjacent finest-grid
+    values, or between the base-grid values of the last pair and the
+    probe, trips a NearDegeneracyWarning, because the continuum
+    eigenvalues are simple and a near-tie indicates discretization
+    trouble.  The first j pairs agree, to rounding, whatever
+    ``max_j >= j`` was requested.  Grid N must hold ``max_j`` pairs and
+    the finest grid one more; asking for more pairs than a grid has
+    active nodes is a ValueError.
     """
     config = config or SolverConfig()
     want = config.max_j
-    probe = want + 1  # one extra on the fine grid for the simplicity gap check
+    probe = want + 1  # one more on the base grid for the simplicity gap check
     N = config.grid_points
     ladder = [(N, want), (2 * N, probe)] if config.richardson else [(N, probe)]
     base = min(N, max(N // 8, 32 * probe))
     if base < N:
         ladder.insert(0, (base, probe))
 
-    solved = []   # (system, values, vectors) per grid of the ladder
-    for cells, need in ladder:
-        system = discretize(problem, cells)
-        # carry the probe through every grid that holds it
-        count = probe if system.diag.size >= probe else need
-        if not solved or solved[-1][2].shape[1] < count:
-            vals, vecs = _eigen_tridiagonal(system, count)
-        else:
-            coarse, coarse_vals, coarse_vecs = solved[-1]
-            vals, vecs = _climb(coarse, coarse_vals[:count], coarse_vecs[:, :count],
-                                system, 3 if cells == N else 2)
+    systems = [discretize(problem, cells) for cells, _ in ladder]
+    for system, (_, need) in zip(systems, ladder):
+        if need > system.diag.size:
+            raise ValueError(f"{need} eigenpairs asked of {system.diag.size} active nodes")
+
+    # the first grid is bisected, the probe with it when the grid holds one
+    vals, vecs = _eigen_tridiagonal(systems[0], min(probe, systems[0].diag.size))
+    gaps = np.diff(vals)
+    probe_gaps = gaps[want - 1:]
+    # half the distance from each wanted pair to its nearest neighbour
+    deltas = 0.5 * np.minimum(np.append(np.inf, gaps), np.append(gaps, np.inf))[:want]
+    solved = [(systems[0], vals, vecs)]
+    for system, (cells, _) in zip(systems[1:], ladder[1:]):
+        coarse, coarse_vals, coarse_vecs = solved[-1]
+        # the finest grid's vectors are published: fixed steps, no stop
+        stop = np.zeros(want) if system is systems[-1] else deltas
+        vals, vecs = _climb(coarse, coarse_vals[:want], coarse_vecs[:, :want], system,
+                            3 if cells == N else 2, stop)
         solved.append((system, vals, vecs))
 
     fine, vals_fine, vecs_fine = solved[-1]
@@ -427,7 +473,7 @@ def solve(problem: SLProblem, config: SolverConfig | None = None) -> list[SLEige
     if config.richardson:
         published += (published - solved[-2][1][:want]) / 3.0
 
-    gaps = np.diff(vals_fine)
+    gaps = np.append(np.diff(vals_fine[:want]), probe_gaps)
     if np.any(gaps <= DEGENERACY_GAP):
         j_bad = int(np.argmin(gaps)) + 1
         warnings.warn(

@@ -431,14 +431,19 @@ class TestVerifyCommand:
         assert err.startswith("error on domain 1:") and "m=2" in err
         assert "Traceback" not in err
 
-    # m = 700 passes the level's guard and trips a sector's when that
-    # sector is solved again for all m; m = 2400 trips the level's
+    # m = 700 is below the level's unknowns and above one sector's, m = 2400
+    # above both; either is refused before any sector is solved
     @pytest.mark.parametrize("m", ["700", "2400"], ids=["sector", "level"])
-    def test_m_above_the_unknowns_exit_2(self, capsys, m):
+    def test_m_above_the_unknowns_exit_2(self, capsys, monkeypatch, m):
+        calls = []
+        solve_sector = fem2d._sector_eigs
+        monkeypatch.setattr(fem2d, "_sector_eigs",
+                            lambda *args: calls.append(args) or solve_sector(*args))
         code, out, err = run(["verify", "--random-family", "s=4 count=1",
                               "--form", "euclidean", "--levels", "1", "--m", m], capsys)
         assert code == 2 and out == ""
         assert err == "error on domain 1: need m well below the number of unknowns\n"
+        assert calls == []
 
     def test_missing_source_exit_2(self, capsys):
         code, _, _ = run(["verify"], capsys)

@@ -431,9 +431,10 @@ class TestScipyFreeNumerics:
         clamped = problem.has_inner_boundary or k >= 2
         ref = CubicSpline(pair.grid, pair.values,
                           bc_type=((1, 0.0) if clamped else "not-a-knot", (1, 0.0)))
-        value, derivative = dm._cubic_spline(pair.grid, pair.values, clamped)
+        evaluate = dm._cubic_spline(pair.grid, pair.values, clamped)
         r = np.concatenate([np.random.default_rng(k).uniform(r1, 1.3, 400),
                             pair.grid, [r1, 1.3]])
-        for ours, theirs, tol in ((value(r), ref(r), 1e-15),
-                                  (derivative(r), ref(r, 1), 1e-14)):
+        value, derivative = evaluate(r)
+        for ours, theirs, tol in ((value, ref(r), 1e-15),
+                                  (derivative, ref(r, 1), 1e-14)):
             assert np.max(np.abs(ours - theirs)) <= tol * np.max(np.abs(theirs))

@@ -190,6 +190,25 @@ class TestPairsSolved:
         assert sum(j for _, j in solved) < (k_max + 1) * j_max
 
 
+class TestRadialCost:
+    def test_gtsv_solves_of_one_certified_shell(self, monkeypatch):
+        # a deterministic cost guard: each climbed pair stops on grid N once
+        # its residual certifies its value (at most 3 steps) and takes 2 on
+        # grid 2N; the probe is not climbed.  Fixed steps, 3 on N and 2 on
+        # 2N for every pair and the probe, made 335 solves here.
+        calls = []
+        real_gtsv = spectrum.slsolver.dgtsv
+
+        def counting_gtsv(*args):
+            calls.append(None)
+            return real_gtsv(*args)
+
+        monkeypatch.setattr(spectrum.slsolver, "dgtsv", counting_gtsv)
+        shell = assemble(SpaceForm.HYPERBOLIC, 3, 0.5, 1.5, 8, 8)
+        assert certify_lemmas(shell).passed
+        assert len(calls) == 175
+
+
 class TestSerialization:
     def test_dict_round_trip(self, euclid_annulus):
         blob = json.loads(json.dumps(euclid_annulus.to_dict()))

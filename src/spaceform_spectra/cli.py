@@ -273,12 +273,13 @@ def _collect_specs(args) -> list[dm.DomainSpec]:
     if not args.random_family:
         raise ValueError("need --spec FILE or --random-family 's=4 count=5 amplitude=0.1'")
     family = _parse_family(args.random_family)
+    if args.seed < 0:
+        raise ValueError(f"--seed must be >= 0 with --random-family, got {args.seed}")
     forms = ([SpaceForm(args.form)] if args.form != "all"
              else [SpaceForm.EUCLIDEAN, SpaceForm.SPHERICAL, SpaceForm.HYPERBOLIC])
-    seed = args.seed
     specs: list[dm.DomainSpec] = []
     for offset, form in enumerate(forms):
-        specs.extend(dm.random_family(seed + offset, form, n=2, **family))
+        specs.extend(dm.random_family(args.seed + offset, form, n=2, **family))
     return specs
 
 

@@ -40,6 +40,8 @@ rays into tridiagonal systems across the rings, so the solve needs memory
 linear in the unknowns, where the band of the factor, width + 2 numbers
 per unknown, would set the run's peak.
 
+``eigensolve`` solves one level; ``FemEigenResult.from_levels`` is the
+one builder of a refinement history from such levels.
 ``decide`` is the one verdict rule: from a refinement history it
 computes the margins, tau and observed orders of the checked indices, the
 PASS/FAIL, and whether refining further could still change it.
@@ -484,11 +486,10 @@ def _sector_eigs(system: FemSystem, k: int, count: int) -> tuple[np.ndarray, flo
     which grows like the unknowns to the power 3/2, would dominate the peak
     memory of the level, and conjugate gradients preconditioned by
     ``_averaged_inverse`` apply A^-1 in ARPACK's shift-invert mode instead.
+    ``eigensolve`` keeps ``count`` below the sector's unknowns less one.
     """
     A, M = system.sector(k)
     n = A.shape[0]
-    if count >= n - 1:
-        raise ValueError("need m well below the number of unknowns")
     # a fixed start vector keeps ARPACK deterministic; it varies along the
     # rays, so no turn of a round domain's mesh leaves it invariant and
     # hides eigenvectors from it
@@ -546,10 +547,19 @@ def _sector_eigs(system: FemSystem, k: int, count: int) -> tuple[np.ndarray, flo
     return vals, float(np.max(resid / scale))
 
 
-def _solve_level(system: FemSystem, m: int) -> LevelSolve:
-    # the eigenfunctions split by their phase under the symmetry rotation;
-    # each sector is solved on the wedge alone, and a complex sector stands
-    # for its conjugate too, which has the same eigenvalues
+def eigensolve(system: FemSystem, m: int = 8) -> LevelSolve:
+    """Smallest ``m`` eigenvalues of one refinement level, as its LevelSolve.
+
+    Each symmetry sector is solved on the wedge alone by Lanczos on the
+    spectral transformation about SHIFT with a fixed start vector
+    (``_sector_eigs``), and asked only for the eigenvalues that can reach
+    the lowest m; a complex sector stands for its conjugate too.  The
+    values must pass the 1e-9 residual gate and the constant-mode check.
+    ``FemEigenResult.from_levels`` combines the LevelSolves of a
+    refinement sequence.
+    """
+    if m < 2:
+        raise ValueError("ask for at least two eigenvalues")
     n = system.n_unknowns
     sectors = range(system.order // 2 + 1)
     copies = [1 if isinstance(system.phase(k), float) else 2 for k in sectors]
@@ -586,25 +596,6 @@ def _solve_level(system: FemSystem, m: int) -> LevelSolve:
                       level=system.mesh.level, residual=rel)
 
 
-def eigensolve(systems, m: int = 8) -> FemEigenResult:
-    """Smallest ``m`` eigenvalues of one system or a refinement sequence.
-
-    Every system is solved one symmetry sector at a time by Lanczos on the
-    spectral transformation about SHIFT, with a fixed start vector; each
-    sector is asked only for the eigenvalues that can reach the lowest m
-    (``_solve_level``, ``_sector_eigs``).  With several
-    levels the last two are Richardson-combined assuming second-order
-    convergence (``FemEigenResult.from_levels``).
-    """
-    if m < 2:
-        raise ValueError("ask for at least two eigenvalues")
-    if isinstance(systems, FemSystem):
-        systems = [systems]
-    if not systems:
-        raise ValueError("no systems given")
-    return FemEigenResult.from_levels([_solve_level(system, m) for system in systems])
-
-
 def _check_ladder(levels) -> None:
     """Refuse a ladder other than one or more consecutive levels >= 0: the
     Richardson step takes each level to halve h."""
@@ -614,10 +605,11 @@ def _check_ladder(levels) -> None:
 
 
 def solve_domain(spec: dm.DomainSpec, levels=(1, 2, 3), m: int = 8) -> FemEigenResult:
-    """Mesh, assemble and eigensolve the domain on every one of ``levels``."""
+    """Mesh, assemble and ``eigensolve`` the domain on every one of
+    ``levels``, and combine the levels by ``FemEigenResult.from_levels``."""
     _check_ladder(levels)
-    systems = [assemble(generate_mesh(spec, lv)) for lv in levels]
-    return eigensolve(systems, m=m)
+    return FemEigenResult.from_levels(
+        [eigensolve(assemble(generate_mesh(spec, lv)), m=m) for lv in levels])
 
 
 # ---------------------------------------------------------------------------
@@ -739,11 +731,12 @@ def verify_theorem(spec: dm.DomainSpec, config: VerifyConfig | None = None) -> T
     symmetry checks indices 2 and 3; half-turn or central symmetry checks
     index 2 only.
 
-    Levels are solved coarsest first, each once, up to the cap
-    ``config.levels[-1]``; after each level below the cap the run stops
-    if ``decide`` calls the history so far decided.  A ladder of three or
-    more levels starting at l >= 1 first solves level l - 1, so the stop
-    test can already read an observed order once level l + 1 is solved.
+    Levels are solved coarsest first, each once by ``eigensolve`` and
+    appended to the history, up to the cap ``config.levels[-1]``; after
+    each level below the cap the run stops if ``decide`` calls the history
+    so far decided.  A ladder of three or more levels starting at l >= 1
+    first solves level l - 1, so the stop test can already read an
+    observed order once level l + 1 is solved.
     """
     config = config or VerifyConfig()
     if spec.n != 2:
@@ -764,7 +757,7 @@ def verify_theorem(spec: dm.DomainSpec, config: VerifyConfig | None = None) -> T
 
     history = []
     for level in _ladder(config.levels):
-        history += eigensolve(assemble(generate_mesh(spec, level)), m=config.m).levels
+        history.append(eigensolve(assemble(generate_mesh(spec, level)), m=config.m))
         fem = FemEigenResult.from_levels(history)
         decision = decide(mu_annulus, radial, fem, indices)
         if decision.decided:

@@ -275,11 +275,10 @@ def _eigen_tridiagonal(system: TridiagonalSystem, count: int):
     coarse for the smallest modes on fine grids; the returned values are
     therefore refined to the Rayleigh quotient of the ``stein`` inverse-
     iteration eigenvector, which is variationally accurate to second
-    order in the vector error.
+    order in the vector error.  ``count`` is at most the grid's active
+    nodes: ``solve`` checks that of every grid up front.
     """
     d, e, scale = _standard_form(system)
-    if count > d.size:
-        raise ValueError(f"{count} eigenpairs asked of {d.size} active nodes")
     try:
         vals, vecs = eigh_tridiagonal(
             d, e, select="i", select_range=(0, count - 1), lapack_driver="stebz")

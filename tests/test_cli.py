@@ -605,6 +605,20 @@ print(sorted(m for m in ("scipy.optimize", "scipy.interpolate", "scipy.special")
     assert out == ["[0, 0, 0]", "[]"]
 
 
+@pytest.mark.parametrize("module,unloaded", [("spaceform", "scipy"),
+                                             ("slsolver", "scipy.sparse")])
+def test_a_module_loads_only_the_layers_below_it(module, unloaded, tmp_path):
+    # a fresh interpreter: the package root re-exports nothing, so it
+    # imports no other layer
+    src = str(Path(cli.__file__).resolve().parents[1])
+    script = f"import sys, spaceform_spectra.{module}; print({unloaded!r} in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", script], env=env, cwd=tmp_path, check=True,
+                         capture_output=True, text=True, timeout=300).stdout
+    assert out == "False\n"
+
+
 class TestMomentsCommand:
     def test_symmetric_family_passes(self, capsys):
         code, out, _ = run(["moments", "--random-family", "s=4 count=2 amplitude=0.06",
@@ -613,6 +627,25 @@ class TestMomentsCommand:
         assert code == 0
         assert "FAIL" not in out
         assert out.count("checks pass") == 2
+
+    @pytest.mark.parametrize("family", ["s=2 count=2", "s=central count=2"])
+    def test_half_turn_and_central_families_pass_the_central_checks(self, family, tmp_path,
+                                                                    capsys):
+        # on planar domains the half-turn is the central symmetry: both owe
+        # the odd moments, of g = 1 and of the Gaussian, along each axis
+        report = tmp_path / "m.json"
+        code, _, _ = run(["moments", "--random-family", family, "--check", "orthogonality",
+                          "--json", str(report)], capsys)
+        assert code == 0
+        names = [f"central:g={g} {moment}" for g in ("1", "gauss")
+                 for i, j in ((1, 2), (2, 1))
+                 for moment in (f"X{i}*X{j}^0", f"X{i}*X{j}^2", f"X{i}^1", f"X{i}^3",
+                                f"X{i}^5")]
+        domains = json.loads(report.read_text())["domains"]
+        assert len(domains) == 6   # every form, two domains each
+        for domain in domains:
+            assert [c["name"] for c in domain["checks"]] == names
+            assert all(c["relative"] <= c["tolerance"] for c in domain["checks"])
 
     def test_rayleigh_checks(self, tmp_path, capsys):
         spec = DomainSpec.exact_annulus("euclidean", 2, 0.8, 1.6)
@@ -896,6 +929,24 @@ class TestExitMapping:
         assert code == 0 and len(out.strip().splitlines()) == 3
 
     @pytest.mark.parametrize("command", ["verify", "moments"])
+    def test_negative_seed_of_a_family_exit_2_naming_it(self, command, capsys):
+        code, out, err = run([command, "--random-family", "s=4 count=1", "--seed", "-1"],
+                             capsys)
+        assert code == 2 and out == ""
+        assert err == "error: --seed must be >= 0 with --random-family, got -1\n"
+
+    @pytest.mark.parametrize("command,flags,exit_code", [
+        ("verify", ["--levels", "1", "--m", "4"], 4),   # one level cannot PASS
+        ("moments", ["--check", "orthogonality"], 0)])
+    def test_spec_records_any_seed(self, command, flags, exit_code, tmp_path, capsys):
+        path = write_spec(tmp_path, dm.random_family(2026, "euclidean", count=1)[0])
+        report = tmp_path / "report.json"
+        code, _, _ = run([command, "--spec", str(path), "--seed", "-1", *flags,
+                          "--json", str(report)], capsys)
+        assert code == exit_code
+        assert json.loads(report.read_text())["seed"] == -1
+
+    @pytest.mark.parametrize("command", ["verify", "moments"])
     @pytest.mark.parametrize("form", ["hyperbolic", "euclidean"])
     def test_spec_beside_a_form_exit_2(self, command, form, tmp_path, capsys):
         # the file's own form wins, so --form would be dropped unsaid, even
@@ -912,7 +963,7 @@ class TestExitMapping:
 
     @pytest.mark.parametrize("fault", ["residual", "constant_mode"])
     def test_fem_gate_exit_3(self, fault, monkeypatch, capsys):
-        # the real solve path up to _solve_level's gates, with the sector
+        # the real solve path up to eigensolve's gates, with the sector
         # solves made to break one of them
         sector_eigs = fem2d._sector_eigs
 

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 from pathlib import Path
@@ -312,6 +313,31 @@ class TestRayleighBound:
                               SolverConfig(max_j=1))[0]
         quotient = dm.rayleigh_gk(grid, pair)
         assert quotient <= pair.eigenvalue * (1 + 1e-10)
+
+    @pytest.mark.parametrize("pair_change,problem_change,message", [
+        ({}, {"k": 0}, "need the (k, 1) Neumann pair with k >= 1"),
+        ({"j": 2}, {}, "need the (k, 1) Neumann pair with k >= 1"),
+        ({}, {"bc": "dirichlet"}, "need the (k, 1) Neumann pair with k >= 1"),
+        ({}, {"form": "hyperbolic"}, "pair and domain live on different spaces"),
+        ({}, {"n": 3}, "pair and domain live on different spaces"),
+    ], ids=["mode-0", "second-pair", "dirichlet", "other-form", "other-dimension"])
+    def test_pair_of_another_problem_refused(self, shell_grid, pair_change, problem_change,
+                                             message):
+        r1, r2 = dm.matched_annulus(shell_grid)
+        pair = slsolver.solve(SLProblem("spherical", 2, 1, r1, r2), SolverConfig(max_j=1))[0]
+        bad = dataclasses.replace(pair, **pair_change,
+                                  problem=dataclasses.replace(pair.problem, **problem_change))
+        with pytest.raises(ValueError) as info:
+            dm.rayleigh_gk(shell_grid, bad)
+        assert type(info.value) is ValueError and str(info.value) == message
+
+    def test_hole_free_domain_refuses_a_shell(self, shell_grid):
+        r1, r2 = dm.matched_annulus(shell_grid)
+        pair = slsolver.solve(SLProblem("spherical", 2, 1, r1, r2), SolverConfig(max_j=1))[0]
+        ball = QuadratureGrid.for_spec(DomainSpec.exact_annulus("spherical", 2, 0.0, 1.1))
+        with pytest.raises(VolumeMismatchError,
+                           match="^hole-free domain needs an r1 = 0 comparison ball$"):
+            dm.rayleigh_gk(ball, pair)
 
     def test_volume_mismatch_rejected(self, shell_grid):
         bad = slsolver.solve(SLProblem("spherical", 2, 1, 0.35, 1.05),

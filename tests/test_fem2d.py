@@ -293,7 +293,7 @@ class TestEigensolve:
         system = assemble(generate_mesh(ANNULUS, 0))
         assert system.n_unknowns == 13 * 48
         res = eigensolve(system, m=4)
-        assert res.extrapolated is None
+        assert FemEigenResult.from_levels([res]).extrapolated is None
         mu11 = slsolver.solve(SLProblem("euclidean", 2, 1, 1.0, 2.0),
                               SolverConfig(max_j=1))[0].eigenvalue
         assert res.eigenvalues[1] == pytest.approx(mu11, rel=2e-2)
@@ -419,7 +419,7 @@ class TestVerifyTheorem:
 def solved(monkeypatch):
     """Levels meshed and levels eigensolved while the test runs."""
     record = {"meshed": [], "solved": []}
-    generate, solve_level = fem2d.generate_mesh, fem2d._solve_level
+    generate, solve = fem2d.generate_mesh, fem2d.eigensolve
 
     def meshing(spec, level):
         record["meshed"].append(level)
@@ -427,10 +427,10 @@ def solved(monkeypatch):
 
     def solving(system, m):
         record["solved"].append(system.mesh.level)
-        return solve_level(system, m)
+        return solve(system, m)
 
     monkeypatch.setattr(fem2d, "generate_mesh", meshing)
-    monkeypatch.setattr(fem2d, "_solve_level", solving)
+    monkeypatch.setattr(fem2d, "eigensolve", solving)
     return record
 
 
@@ -622,7 +622,7 @@ class TestSymmetrySectors:
         factored = eigensolve(system)
         monkeypatch.setattr(fem2d, "DIRECT_MAX_UNKNOWNS", 0)
         iterated = eigensolve(system)
-        assert iterated.max_residual <= 1e-10
+        assert iterated.residual <= 1e-10
         ref = np.array(factored.eigenvalues)
         got = np.array(iterated.eigenvalues)
         assert np.max(np.abs(got - ref) / np.maximum(np.abs(ref), 1.0)) <= 1e-10
@@ -727,7 +727,7 @@ class TestSymmetrySectors:
             tracemalloc.stop()
         assert factorized == []
         assert peak < 2 * full
-        assert result.max_residual <= 1e-10
+        assert result.residual <= 1e-10
 
     @pytest.mark.parametrize("spec", [ORDER4_DISK, HALF_TURN_SHELL],
                              ids=["order4-hole-free", "half-turn"])
@@ -761,7 +761,7 @@ class TestSymmetrySectors:
 
 
 def full_count_solve(system, m):
-    """``_solve_level`` with every sector asked for all of the lowest m it
+    """``eigensolve`` with every sector asked for all of the lowest m it
     can hold: m for a real phase, ceil(m / 2) for a complex one, which
     stands for its conjugate too."""
     sector_eigs = fem2d._sector_eigs
@@ -772,7 +772,7 @@ def full_count_solve(system, m):
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(fem2d, "_sector_eigs", full)
-        return fem2d._solve_level(system, m)
+        return fem2d.eigensolve(system, m)
 
 
 class TestSolveLevelGates:
@@ -784,9 +784,18 @@ class TestSolveLevelGates:
                                                       residual))
         if fails:
             with pytest.raises(FemConvergenceError, match="eigen residual 2.000e-09"):
-                fem2d._solve_level(system, 4)
+                fem2d.eigensolve(system, 4)
         else:
-            assert fem2d._solve_level(system, 4).residual == residual
+            assert fem2d.eigensolve(system, 4).residual == residual
+
+    @pytest.mark.parametrize("m", [0, 1])
+    def test_fewer_than_two_eigenvalues_refused(self, system, m, monkeypatch):
+        calls = []
+        monkeypatch.setattr(fem2d, "_sector_eigs", lambda *args: calls.append(args))
+        with pytest.raises(ValueError) as info:
+            fem2d.eigensolve(system, m)
+        assert str(info.value) == "ask for at least two eigenvalues"
+        assert calls == []
 
     def test_nonzero_constant_mode(self, system, monkeypatch):
         sector_eigs = fem2d._sector_eigs
@@ -797,7 +806,7 @@ class TestSolveLevelGates:
 
         monkeypatch.setattr(fem2d, "_sector_eigs", shifted)
         with pytest.raises(FemConvergenceError, match="constant mode came out at 1.000e-03"):
-            fem2d._solve_level(system, 4)
+            fem2d.eigensolve(system, 4)
 
 
 class TestSectorCounts:
@@ -806,7 +815,7 @@ class TestSectorCounts:
                              ids=["order4-shell", "order4-hole-free", "half-turn"])
     def test_short_counts_give_the_full_count_values(self, spec, level):
         system = assemble(generate_mesh(spec, level))
-        got = np.array(fem2d._solve_level(system, 8).eigenvalues)
+        got = np.array(fem2d.eigensolve(system, 8).eigenvalues)
         ref = np.array(full_count_solve(system, 8).eigenvalues)
         scale = np.maximum(np.abs(ref), 1.0)   # absolute for the constant mode
         assert np.max(np.abs(got - ref) / scale) <= 1e-12
@@ -824,7 +833,7 @@ class TestSectorCounts:
             return (np.sort(vals)[:1], residual) if calls == [(0, 3)] else (vals, residual)
 
         monkeypatch.setattr(fem2d, "_sector_eigs", truncated)
-        got = fem2d._solve_level(system, 8)
+        got = fem2d.eigensolve(system, 8)
         assert calls == [(0, 3), (1, 3), (2, 3), (0, 8)]
         monkeypatch.undo()
         ref = np.array(full_count_solve(system, 8).eigenvalues)

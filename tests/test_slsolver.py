@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import warnings
@@ -199,6 +200,18 @@ class TestClimbFromBaseGrid:
         config = SolverConfig(max_j=8)
         assert_matches_bisection(problem, solve(problem, config), config)
 
+    @pytest.mark.xfail(strict=True, reason="the Rayleigh quotient's row sums cancel "
+                       "terms of size w/h, which swamp mu_11 on a thin shell")
+    @pytest.mark.parametrize("r2", [0.501, 0.5001])
+    def test_lowest_mode_one_value_of_a_thin_euclidean_shell(self, r2):
+        # the constant's Rayleigh quotient rho bounds mu_11 above by min-max
+        # and meets it as the shell thins; mu_11 comes out 4.73e-4 low on
+        # [0.5, 0.501] and 15.6 % high on [0.5, 0.5001], with no warning
+        r1 = 0.5
+        rho = math.log(r2 / r1) / ((r2**2 - r1**2) / 2)
+        mu = solve(SLProblem("euclidean", 2, 1, r1, r2), SolverConfig())[0].eigenvalue
+        assert abs(mu - rho) <= 1e-9 * rho
+
     def test_wrong_index_falls_back_to_bisection(self, monkeypatch):
         # a climbed vector with the wrong sign-change count is not published
         def alternating(d, e, shift, y, steps, delta):
@@ -378,6 +391,21 @@ class TestLowestPair:
         ball = SLProblem("euclidean", 2, 1, 0.0, 1.0)
         with pytest.raises(ValueError):
             locate_b(solve(ball, fast_config())[0])
+
+    # mu = k(k+n-2)/sin_m(b)^2 = 1/sin_m(b)^2 has no root b in the interval
+    @pytest.mark.parametrize("form,r1,r2,mu,message", [
+        ("spherical", 0.3, 1.2, 0.5, "sin^2(b) = 2 > 1: eigenvalue too small"),
+        ("euclidean", 1.0, 2.0, 4.0, "b=0.5 escaped (1.0, 2.0); mu=4 is inconsistent "
+                                     "with the interior characterization"),
+        ("euclidean", 1.0, 2.0, 0.16, "b=2.5 escaped (1.0, 2.0); mu=0.16 is inconsistent "
+                                      "with the interior characterization"),
+    ], ids=["sphere-above-one", "below-r1", "above-r2"])
+    def test_locate_b_refuses_an_eigenvalue_with_no_interior_radius(self, form, r1, r2,
+                                                                    mu, message):
+        pair = solve(SLProblem(form, 2, 1, r1, r2), fast_config())[0]
+        with pytest.raises(sl.NoRootError) as info:
+            locate_b(dataclasses.replace(pair, eigenvalue=mu))
+        assert str(info.value) == message
 
     @pytest.mark.parametrize("form,n,r1,r2", CONFIGS)
     def test_strictly_increasing_on_the_annulus(self, form, n, r1, r2):

@@ -321,6 +321,22 @@ class TestCertifyLemmas:
         assert all(verdicts.values())
         assert not report.passed
 
+    # the lowest mode-1 value moved where 1/sin_m(b)^2 = mu has no interior root
+    @pytest.mark.parametrize("form,r1,r2,mu", [
+        (SpaceForm.SPHERICAL, 0.5, 1.2, 0.5), (SpaceForm.EUCLIDEAN, 0.5, 1.5, 0.4)],
+        ids=["sphere-above-one", "above-r2"])
+    def test_pair_with_no_interior_radius_fails_its_check(self, form, r1, r2, mu):
+        shell = assemble(form, 2, r1, r2, 5, 4, SolverConfig(grid_points=256))
+        first, *rest = shell.neumann_pairs[1]
+        moved = replace(shell, neumann_pairs={**shell.neumann_pairs,
+                                              1: (replace(first, eigenvalue=mu), *rest)})
+        with pytest.raises(spectrum.slsolver.NoRootError):
+            spectrum.locate_b(moved.neumann_pairs[1][0])
+        report = certify_lemmas(moved)
+        checks = {c.name: c for c in report.checks}
+        assert checks["lowest_pair_interior_radius"].passed is False
+        assert not report.passed
+
     def test_one_unlocatable_mode_fails_only_the_interior_radius(self, monkeypatch):
         # the lowest pair of mode 2 still counts for the other two checks
         shell = assemble(SpaceForm.EUCLIDEAN, 2, 0.5, 1.5, 5, 4,

@@ -529,15 +529,28 @@ def matched_annulus(grid: QuadratureGrid) -> tuple[float, float]:
     return r1, r2
 
 
+def _uniform_piece(x: np.ndarray, r):
+    """Index of the piece of the uniform knots x that holds r, the last
+    knot and beyond in the last piece: ``searchsorted(x, r, side="right")
+    - 1`` clipped to 0..x.size - 2, found by arithmetic.  Rounding puts
+    floor((r - x[0]) / h) at most one piece off, so one step each way
+    corrects it."""
+    last = x.size - 2
+    i = np.clip(np.floor((r - x[0]) * (last + 1) / (x[-1] - x[0])).astype(int), 0, last)
+    i = i - (x[i] > r)
+    i = i + (x[i + 1] <= r)
+    return np.clip(i, 0, last)
+
+
 def _cubic_spline(x: np.ndarray, y: np.ndarray, inner_clamped: bool):
-    """Evaluator of the C2 cubic spline through (x, y), x increasing with
-    at least four nodes: it returns the value and first derivative at r.
+    """Evaluator of the C2 cubic spline through (x, y), x uniform with at
+    least four nodes: it returns the value and first derivative at r.
 
     The node slopes solve scipy ``CubicSpline``'s tridiagonal system, with
     slope zero at x[-1] and, at x[0], slope zero (``inner_clamped``) or
     not-a-knot; each piece is then the cubic Hermite polynomial of its two
-    nodes, evaluated by Horner's rule on the interval one ``searchsorted``
-    finds for both (the last node belongs to the last piece).
+    nodes, evaluated by Horner's rule on the piece ``_uniform_piece``
+    finds for both.
     """
     dx = np.diff(x)
     slope = np.diff(y) / dx
@@ -557,7 +570,7 @@ def _cubic_spline(x: np.ndarray, y: np.ndarray, inner_clamped: bool):
     c3, c2, c1, c0 = t / dx, (slope - s[:-1]) / dx - t, s[:-1], y[:-1]
 
     def evaluate(r):
-        i = np.clip(np.searchsorted(x, r, side="right") - 1, 0, dx.size - 1)
+        i = _uniform_piece(x, r)
         h = r - x[i]
         return (((c3[i] * h + c2[i]) * h + c1[i]) * h + c0[i],
                 (3 * c3[i] * h + 2 * c2[i]) * h + c1[i])

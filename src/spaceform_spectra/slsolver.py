@@ -12,23 +12,27 @@ weight w = sin_m^{n-1} and potential V = k(k+n-2)/sin_m^2.
 Discretization is a flux-form central difference on a uniform grid:
 half-node weights carry the fluxes, the mass is the trapezoid rule, and
 the resulting symmetric tridiagonal pencil is reduced to standard form
-by the diagonal mass, a Jacobi matrix (negative off-diagonals).  Only a
-coarse base grid is solved by Sturm-sequence bisection (LAPACK stebz),
-so the index j is unambiguous, with eigenvectors from stein, and it
-alone holds a probe pair past the requested ones.  The pairs then climb
-to grid N and, for Richardson, 2N: each vector is interpolated linearly
-onto the next grid and refined by fixed-shift inverse iteration (LAPACK
-gtsv; Parlett, The Symmetric Eigenvalue Problem, 1980, ch. 4), shifted
-by its value on the previous grid.  Each step's solve also gives the
-Rayleigh quotient of its vector and the residual, so on grid N under
-Richardson a pair stops once the Kato-Temple bound puts its value at
-rounding; the finest grid's vectors are published and take fixed steps.
+by the diagonal mass, a Jacobi matrix (negative off-diagonals).  Each
+pair starts from a small Legendre-Galerkin solve (one dense LAPACK sygvd
+of degree 24, or 3 per pair), which also gives a probe pair past the
+requested ones; its eigenfunctions, sampled on grid N, are refined by
+fixed-shift inverse iteration (LAPACK gtsv; Parlett, The Symmetric
+Eigenvalue Problem, 1980, ch. 4) shifted by their Galerkin values, and
+for Richardson climb on to 2N, interpolated linearly and shifted by
+their grid-N values.  A grid N with fewer than 32 cells per start pair
+is too coarse for that start and is bisected instead (Sturm sequences,
+LAPACK stebz, with eigenvectors from stein).  Each step's solve also
+gives the Rayleigh quotient of its vector and the residual: on grid N
+under Richardson a pair stops once the Kato-Temple bound puts its value
+at rounding, and on the finest grid, whose vectors are published, once
+the Davis-Kahan bound puts its vector within 1e-10 of the eigenvector.
 The j-th eigenvector of a Jacobi matrix has exactly j - 1 sign changes
 (Gantmacher and Krein, Oscillation Matrices and Kernels, 1950), so that
 count certifies each climbed index; a grid whose count fails is bisected
 instead.  Every value is the Rayleigh quotient of its vector, summed in
-flux form.  Optional Richardson extrapolation across grids N and 2N
-removes the leading O(h^2) error term.
+flux form, so the Galerkin values only start the climb.  Optional
+Richardson extrapolation across grids N and 2N removes the leading
+O(h^2) error term.
 
 At r1 = 0 there is no inner boundary: mode k = 0 gets a natural zero-flux
 condition with an exact control-volume mass for the origin cell, while
@@ -41,10 +45,12 @@ from __future__ import annotations
 import warnings
 from dataclasses import asdict, dataclass, fields
 from enum import Enum
+from functools import lru_cache
 
 import numpy as np
+from numpy.polynomial.legendre import legder, legvander
 from scipy.linalg import LinAlgError, eigh_tridiagonal
-from scipy.linalg.lapack import dgtsv
+from scipy.linalg.lapack import dgtsv, dsygvd
 
 from .spaceform import GeometryError, HEMISPHERE_RADIUS, SpaceForm, _as_form, _gl_rule, sin_m
 
@@ -131,9 +137,13 @@ class SolverConfig:
     """Grid size, Richardson switch and pair count of a radial solve.
 
     These defaults are the pipeline's only radial settings.  There is no
-    tolerance: bisection runs at LAPACK's own (about eps * ||T||), inverse
-    iteration on grid N stops at rounding (``_inverse_iteration``), and the
-    accuracy of the published values comes from the Rayleigh refinement.
+    tolerance: inverse iteration on grid N stops once its value is at
+    rounding and on the finest grid once its vector is within 1e-10
+    (``_inverse_iteration``), bisection runs at LAPACK's own (about
+    eps * ||T||), and the accuracy of the published values comes from the
+    Rayleigh refinement.  ``grid_points`` also picks the start: at least
+    32 cells per start pair (``max_j + 1``) start from Galerkin pairs,
+    fewer bisect grid N.
     """
 
     grid_points: int = 2048
@@ -161,8 +171,8 @@ class TridiagonalSystem:
     active_stop: int          # exclusive
 
     def embed(self, u_active: np.ndarray) -> np.ndarray:
-        """Pad an active-node vector with the eliminated boundary zeros."""
-        full = np.zeros(self.grid.size)
+        """Pad active-node vectors (or columns) with the eliminated boundary zeros."""
+        full = np.zeros((self.grid.size, *u_active.shape[1:]))
         full[self.active_start:self.active_stop] = u_active
         return full
 
@@ -269,14 +279,15 @@ def _standard_form(system: TridiagonalSystem):
 def _eigen_tridiagonal(system: TridiagonalSystem, count: int):
     """Lowest ``count`` eigenpairs of the pencil via Sturm bisection.
 
-    ``solve`` bisects only its base grid, and a finer grid whose climbed
-    vectors fail the oscillation count.  ``stebz`` pins the indices at
-    LAPACK's own tolerance, about eps * |Gershgorin bound|, which is too
-    coarse for the smallest modes on fine grids; the returned values are
-    therefore refined to the Rayleigh quotient of the ``stein`` inverse-
-    iteration eigenvector, which is variationally accurate to second
-    order in the vector error.  ``count`` is at most the grid's active
-    nodes: ``solve`` checks that of every grid up front.
+    ``solve`` bisects only a grid N too coarse for its Galerkin start
+    pairs, and a grid whose climbed vectors fail the oscillation count.
+    ``stebz`` pins the indices at LAPACK's own tolerance, about
+    eps * |Gershgorin bound|, which is too coarse for the smallest modes
+    on fine grids; the returned values are therefore refined to the
+    Rayleigh quotient of the ``stein`` inverse-iteration eigenvector,
+    which is variationally accurate to second order in the vector error.
+    ``count`` is at most the grid's active nodes: ``solve`` checks that of
+    every grid up front.
     """
     d, e, scale = _standard_form(system)
     try:
@@ -314,16 +325,20 @@ def _rayleigh_residual(shift: float, y: np.ndarray, z: np.ndarray,
 
 
 def _inverse_iteration(d: np.ndarray, e: np.ndarray, shift: float,
-                       y: np.ndarray, steps: int, delta: float) -> np.ndarray:
+                       y: np.ndarray, steps: int, delta: float,
+                       vector: bool = False) -> np.ndarray:
     """At most ``steps`` fixed-shift inverse-iteration steps from y on the
     Jacobi matrix A = (d, e) shifted by ``shift``, each solved by LAPACK
     ``gtsv``.
 
-    Given a gap ``delta`` > 0 between the wanted eigenvalue and the rest
-    of the spectrum, the loop stops after the first step whose Rayleigh
-    quotient rho and residual r (``_rayleigh_residual``) put the
-    Kato-Temple bound r^2 / delta on the error of rho at rounding,
-    r^2 / delta <= eps (|rho| + delta); ``delta`` = 0 takes every step.
+    ``delta`` bounds the gap between the wanted eigenvalue and the rest
+    of the spectrum from below.  The loop stops after the first step
+    whose Rayleigh quotient rho and residual r (``_rayleigh_residual``)
+    certify the result:
+      * by default its value: the Kato-Temple bound r^2 / delta on the
+        error of rho is at rounding, r^2 / delta <= eps (|rho| + delta);
+      * with ``vector``, the vector itself: the Davis-Kahan bound r / delta
+        on the sine of its angle to the eigenvector is at most 1e-10.
     An exactly zero pivot means the shift is an eigenvalue to working
     precision, so the current vector is kept.
     """
@@ -334,41 +349,107 @@ def _inverse_iteration(d: np.ndarray, e: np.ndarray, shift: float,
             break
         norm = float(np.linalg.norm(x))
         z = x[:, 0] / norm
-        if delta > 0.0:
-            rho, r = _rayleigh_residual(shift, y, z, norm)
-            if r * r <= _EPS * delta * (abs(rho) + delta):
-                return z
+        rho, r = _rayleigh_residual(shift, y, z, norm)
+        if (r <= 1e-10 * delta if vector
+                else r * r <= _EPS * delta * (abs(rho) + delta)):
+            return z
         y = z
     return y
 
 
-def _climb(coarse: TridiagonalSystem, values: np.ndarray, u: np.ndarray,
-           fine: TridiagonalSystem, steps: int, deltas: np.ndarray):
-    """Eigenpairs on ``fine`` from the pairs (values, u) of ``coarse``.
+def _climb(system: TridiagonalSystem, values: np.ndarray, starts: np.ndarray,
+           steps: int, deltas: np.ndarray, vector: bool):
+    """Eigenpairs of ``system`` from start values and start vectors (the
+    columns of ``starts``, on its active nodes).
 
-    Each coarse vector is interpolated linearly onto ``fine`` and takes at
-    most ``steps`` inverse-iteration steps shifted by its coarse value,
-    stopping early once its Rayleigh quotient is certified against the
-    gap in ``deltas`` (``_inverse_iteration``).  The j-th eigenvector of a
+    Each start vector takes at most ``steps`` inverse-iteration steps
+    shifted by its start value, stopping early once its Rayleigh quotient
+    (or, with ``vector``, the vector itself) is certified against the gap
+    in ``deltas`` (``_inverse_iteration``).  The j-th eigenvector of a
     Jacobi matrix with negative off-diagonals has exactly j - 1 sign
     changes (discrete Sturm oscillation), so that count certifies every
-    index; if one fails, ``fine`` is bisected instead.
+    index; if one fails, ``system`` is bisected instead.
     """
-    d, e, scale = _standard_form(fine)
-    # fine active node = coarse node i plus the fraction frac of a cell
-    t = (fine.grid[fine.active_start:fine.active_stop] - coarse.grid[0]) / coarse.h
-    i = np.minimum(t.astype(int), coarse.grid.size - 2)
-    frac = t - i
+    d, e, scale = _standard_form(system)
     # one row per vector: the loop touches grid-sized arrays only
     rows = np.empty((values.size, d.size))
     for j, row in enumerate(rows):
-        full = coarse.embed(u[:, j])
-        lo = full[i]
-        start = (lo + (full[i + 1] - lo) * frac) / scale
-        row[:] = _inverse_iteration(d, e, values[j], start, steps, deltas[j]) * scale
+        row[:] = _inverse_iteration(d, e, values[j], starts[:, j] / scale, steps,
+                                    deltas[j], vector) * scale
         if _sign_changes(row) != j:
-            return _eigen_tridiagonal(fine, values.size)
-    return _pencil_rayleigh(fine, rows.T), rows.T
+            return _eigen_tridiagonal(system, values.size)
+    return _pencil_rayleigh(system, rows.T), rows.T
+
+
+def _midpoints(coarse: TridiagonalSystem, u: np.ndarray,
+               fine: TridiagonalSystem) -> np.ndarray:
+    """Columns u on the active nodes of ``coarse``, interpolated linearly
+    onto the active nodes of ``fine``, the grid of twice its cells: the
+    coarse nodes are copied and each new node is the mean of its two."""
+    full = coarse.embed(u)
+    refined = np.empty((fine.grid.size, u.shape[1]))
+    refined[::2] = full
+    refined[1::2] = 0.5 * (full[:-1] + full[1:])
+    return refined[fine.active_start:fine.active_stop]
+
+
+_SPECTRAL_DEGREE = 24   # least Legendre degree of the start pairs; 3 per pair above 8
+
+
+@lru_cache(maxsize=8)
+def _legendre_tables(degree: int, cells: int):
+    """P_0..P_degree and their derivatives at the degree + 8 Gauss-Legendre
+    nodes, and P_0..P_degree at the cells + 1 nodes of a uniform grid, all
+    on [-1, 1], with the two sets of nodes."""
+    x, weights = _gl_rule(degree + 8)
+    gauss = legvander(x, degree)
+    slopes = gauss[:, :degree] @ legder(np.eye(degree + 1))
+    nodes = np.linspace(-1.0, 1.0, cells + 1)
+    tables = (gauss, slopes, nodes, legvander(nodes, degree))
+    for table in tables:   # shared by every caller
+        table.setflags(write=False)
+    return (x, weights, *tables)
+
+
+def _spectral_pairs(system: TridiagonalSystem, count: int):
+    """Lowest ``count`` eigenvalues of a Legendre-Galerkin discretization
+    of ``system.problem``, with the eigenfunctions sampled at the active
+    nodes of ``system``.
+
+    The basis is P_0..P_D on [r1, r2], D = max(24, 3 count), times (1 + x)
+    where ``system`` eliminates the inner node and (1 - x) where it
+    eliminates the outer one.  K = int w u'v' + w V u v and M = int w u v
+    are summed by the (D + 8)-point Gauss-Legendre rule.  K grows like
+    D^4, so the one dense solve (LAPACK sygvd) is shift-inverted,
+    M c = theta (K + M) c with mu = 1/theta - 1, which keeps the low
+    values to rounding (Shen, SIAM J. Sci. Comput. 15, 1994).
+    """
+    problem = system.problem
+    cells = system.grid.size - 1
+    degree = max(_SPECTRAL_DEGREE, 3 * count)
+    x, weights, gauss, slopes, nodes, table = _legendre_tables(degree, cells)
+    inner, outer = system.active_start, cells + 1 - system.active_stop
+
+    def factor(t):
+        return (1.0 + t) ** inner * (1.0 - t) ** outer
+
+    half = 0.5 * (problem.r2 - problem.r1)
+    sm = sin_m(problem.form, problem.r1 + half * (x + 1.0))
+    measure = weights * half * sm ** (problem.n - 1)      # w dr at the Gauss nodes
+    f = factor(x)
+    df = inner * (1.0 - x) ** outer - outer * (1.0 + x) ** inner
+    basis = f[:, None] * gauss
+    derivative = (df[:, None] * gauss + f[:, None] * slopes) / half   # d/dr
+    mass = (basis.T * measure) @ basis
+    stiffness = ((derivative.T * measure) @ derivative
+                 + (basis.T * (measure * problem.angular_eigenvalue / sm**2)) @ basis)
+    theta, coef, info = dsygvd(mass, stiffness + mass)
+    if info:  # pragma: no cover - K + M is positive definite
+        raise ConvergenceError(f"Galerkin eigensolve failed: sygvd info={info}")
+    # the largest theta are the lowest mu
+    theta, coef = theta[::-1][:count], coef[:, ::-1][:, :count]
+    active = slice(system.active_start, system.active_stop)
+    return 1.0 / theta - 1.0, factor(nodes[active])[:, None] * (table[active] @ coef)
 
 
 @dataclass(frozen=True)
@@ -414,24 +495,28 @@ def _finalize_vector(system: TridiagonalSystem, u_active: np.ndarray) -> np.ndar
 def solve(problem: SLProblem, config: SolverConfig | None = None) -> list[SLEigenpair]:
     """First ``config.max_j`` eigenpairs of the radial problem, in order.
 
-    Only a base grid of min(N, max(N // 8, 32 * probe)) cells is bisected
-    (``_eigen_tridiagonal``), for ``max_j`` pairs and a probe, pair
-    ``max_j + 1``; the requested pairs then climb to grid N and, with
-    ``config.richardson``, to 2N (``_climb``: interpolation, then inverse
-    iteration, each index certified by its sign-change count, the grid
-    bisected if one fails).  On grid N under Richardson a pair stops once
-    its step's own residual certifies its value to rounding, after at
-    most 3 steps; its gap delta is half the distance from its base-grid
-    value to the nearest base-grid neighbour, the probe's for the last
-    pair.  The finest grid's vectors are published, so they take fixed
-    steps: 2 on 2N, 3 on N without Richardson.  Each grid's values are
-    the Rayleigh quotients of its vectors.  With Richardson the values
-    from grids N and 2N are combined as (4 mu_2N - mu_N)/3, so
-    ``eigenvalue - eigenvalue_grid`` is the Richardson correction
-    (mu_2N - mu_N)/3, and the eigenvectors are reported on the finer
-    grid.  A gap below ``DEGENERACY_GAP`` between adjacent finest-grid
-    values, or between the base-grid values of the last pair and the
-    probe, trips a NearDegeneracyWarning, because the continuum
+    The start pairs, ``max_j`` of them and a probe, pair ``max_j + 1``,
+    come from ``_spectral_pairs`` (Legendre-Galerkin) when N >= 32 *
+    probe, the resolution a grid needs for them; the requested pairs then
+    climb on grid N and, with ``config.richardson``, on to 2N (``_climb``:
+    inverse iteration from the Galerkin samples on N and from the
+    interpolated grid-N vectors on 2N, each index certified by its
+    sign-change count, the grid bisected if one fails).  A coarser grid N
+    is bisected (``_eigen_tridiagonal``) for the pairs and the probe, and
+    only 2N is climbed.  Each pair's gap delta is half the distance from
+    its start value to the nearest start value, the probe's for the last
+    pair.  On grid N under Richardson a pair stops once its step's own
+    residual r certifies its value to rounding (Kato-Temple), after at
+    most 3 steps.  The finest grid's vectors are published, so there a
+    pair stops once r <= 1e-10 delta certifies the vector (Davis-Kahan),
+    after at most 2 steps on 2N or 3 on N without Richardson.  Each
+    grid's values are the Rayleigh quotients of its vectors.  With
+    Richardson the values from grids N and 2N are combined as
+    (4 mu_2N - mu_N)/3, so ``eigenvalue - eigenvalue_grid`` is the
+    Richardson correction (mu_2N - mu_N)/3, and the eigenvectors are
+    reported on the finer grid.  A gap below ``DEGENERACY_GAP`` between
+    adjacent finest-grid values, or between the start values of the last
+    pair and the probe, trips a NearDegeneracyWarning, because the continuum
     eigenvalues are simple and a near-tie indicates discretization
     trouble.  The first j pairs agree, to rounding, whatever
     ``max_j >= j`` was requested.  Grid N must hold ``max_j`` pairs and
@@ -440,37 +525,39 @@ def solve(problem: SLProblem, config: SolverConfig | None = None) -> list[SLEige
     """
     config = config or SolverConfig()
     want = config.max_j
-    probe = want + 1  # one more on the base grid for the simplicity gap check
+    probe = want + 1  # one more start pair for the simplicity gap check
     N = config.grid_points
     ladder = [(N, want), (2 * N, probe)] if config.richardson else [(N, probe)]
-    base = min(N, max(N // 8, 32 * probe))
-    if base < N:
-        ladder.insert(0, (base, probe))
-
     systems = [discretize(problem, cells) for cells, _ in ladder]
     for system, (_, need) in zip(systems, ladder):
         if need > system.diag.size:
             raise ValueError(f"{need} eigenpairs asked of {system.diag.size} active nodes")
 
-    # the first grid is bisected, the probe with it when the grid holds one
-    vals, vecs = _eigen_tridiagonal(systems[0], min(probe, systems[0].diag.size))
+    first = systems[0]
+    if N >= 32 * probe:
+        # Galerkin start pairs, sampled on grid N: every grid is climbed
+        vals, vecs = _spectral_pairs(first, probe)
+        grid_vals, rungs = [], systems
+    else:
+        # grid N is too coarse for them: it is bisected, the probe with it
+        # when the grid holds one
+        vals, vecs = _eigen_tridiagonal(first, min(probe, first.diag.size))
+        grid_vals, rungs = [vals], systems[1:]
     gaps = np.diff(vals)
     probe_gaps = gaps[want - 1:]
     # half the distance from each wanted pair to its nearest neighbour
     deltas = 0.5 * np.minimum(np.append(np.inf, gaps), np.append(gaps, np.inf))[:want]
-    solved = [(systems[0], vals, vecs)]
-    for system, (cells, _) in zip(systems[1:], ladder[1:]):
-        coarse, coarse_vals, coarse_vecs = solved[-1]
-        # the finest grid's vectors are published: fixed steps, no stop
-        stop = np.zeros(want) if system is systems[-1] else deltas
-        vals, vecs = _climb(coarse, coarse_vals[:want], coarse_vecs[:, :want], system,
-                            3 if cells == N else 2, stop)
-        solved.append((system, vals, vecs))
+    for system in rungs:
+        starts = vecs[:, :want] if system is first else _midpoints(first, vecs[:, :want], system)
+        # the finest grid's vectors are published: they stop once certified
+        vals, vecs = _climb(system, vals[:want], starts, 3 if system is first else 2,
+                            deltas, vector=system is systems[-1])
+        grid_vals.append(vals)
 
-    fine, vals_fine, vecs_fine = solved[-1]
+    fine, vals_fine, vecs_fine = systems[-1], vals, vecs
     published = vals_fine[:want].copy()
     if config.richardson:
-        published += (published - solved[-2][1][:want]) / 3.0
+        published += (published - grid_vals[0][:want]) / 3.0
 
     gaps = np.append(np.diff(vals_fine[:want]), probe_gaps)
     if np.any(gaps <= DEGENERACY_GAP):

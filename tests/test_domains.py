@@ -464,3 +464,14 @@ class TestScipyFreeNumerics:
         for ours, theirs, tol in ((value, ref(r), 1e-15),
                                   (derivative, ref(r, 1), 1e-14)):
             assert np.max(np.abs(ours - theirs)) <= tol * np.max(np.abs(theirs))
+
+    @pytest.mark.parametrize("r1,r2,cells", [(0.0, 1.3, 4096), (0.4, 1.3, 2048),
+                                             (0.5, 0.501, 64)])
+    def test_uniform_piece_is_the_searchsorted_piece(self, r1, r2, cells):
+        x = slsolver.discretize(SLProblem("euclidean", 2, 1, r1, r2), cells).grid
+        r = np.concatenate([x, np.nextafter(x, -np.inf), np.nextafter(x, np.inf),
+                            0.5 * (x[:-1] + x[1:]),
+                            np.random.default_rng(cells).uniform(r1, r2, 1000),
+                            [r1 - 1.0, r2 + 1.0]])
+        expected = np.clip(np.searchsorted(x, r, side="right") - 1, 0, cells - 1)
+        assert np.array_equal(dm._uniform_piece(x, r), expected)

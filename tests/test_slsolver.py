@@ -63,8 +63,8 @@ class TestProblemValidation:
         (True, 63, True), (True, 64, False), (False, 62, True), (False, 63, False)])
     def test_pair_counts_grids_n_and_2n_hold(self, richardson, max_j, solves):
         # Dirichlet, 64 cells: 63 active nodes on grid N, 127 on 2N.  N holds
-        # max_j pairs with Richardson and max_j + 1 without; the base grid
-        # in front of N must not refuse a count those grids accept.
+        # max_j pairs with Richardson and max_j + 1 without; bisecting N,
+        # too coarse for the start pairs, must not refuse a count they accept.
         config = SolverConfig(grid_points=64, richardson=richardson, max_j=max_j)
         problem = SLProblem("euclidean", 2, 0, 1.0, 2.0, "dirichlet")
         if solves:
@@ -174,11 +174,10 @@ def assert_matches_bisection(problem, pairs, config):
         assert p.sign_changes() == p.j - 1
 
 
-class TestClimbFromBaseGrid:
-    # solve bisects only a base grid and climbs to N and 2N by inverse
-    # iteration; its pairs must be those of bisection on N and 2N
-    # the thin shell [0.3, 0.4], the balls and the modes k >= 12 take a
-    # second inverse-iteration step on grid N, the balls also the cap
+class TestClimbFromStartPairs:
+    # solve starts each pair on grid N from its Galerkin start pair and
+    # climbs to 2N by inverse iteration, bisecting nothing; its pairs must
+    # be those of bisection on N and 2N
     @pytest.mark.parametrize("form", list(SpaceForm))
     @pytest.mark.parametrize("n", [2, 3])
     def test_agrees_with_full_grid_bisection(self, form, n):
@@ -214,15 +213,24 @@ class TestClimbFromBaseGrid:
 
     def test_wrong_index_falls_back_to_bisection(self, monkeypatch):
         # a climbed vector with the wrong sign-change count is not published
-        def alternating(d, e, shift, y, steps, delta):
+        def alternating(d, e, shift, y, *stop):
             return np.where(np.arange(d.size) % 2 == 0, 1.0, -1.0)
 
+        started = []
+        real_spectral = sl._spectral_pairs
+
+        def spectral(system, count):
+            started.append(count)
+            return real_spectral(system, count)
+
         monkeypatch.setattr(sl, "_inverse_iteration", alternating)
+        monkeypatch.setattr(sl, "_spectral_pairs", spectral)
         problem = SLProblem("hyperbolic", 3, 2, 0.5, 1.5)
         config = SolverConfig(max_j=4)
         published, _ = bisection_reference(problem, config)
         assert [p.eigenvalue for p in solve(problem, config)] == pytest.approx(
             published, rel=1e-12)
+        assert started == [5]
 
     def test_exactly_singular_shift_keeps_the_vector(self):
         # the path-graph Laplacian: shift 0 is an eigenvalue and gtsv meets
@@ -230,7 +238,39 @@ class TestClimbFromBaseGrid:
         d, e = np.array([1.0, 2.0, 1.0]), np.array([-1.0, -1.0])
         start = np.array([0.3, 0.5, 0.7])
         for delta in (0.0, 0.5):
-            assert np.array_equal(sl._inverse_iteration(d, e, 0.0, start, 3, delta), start)
+            for vector in (False, True):
+                assert np.array_equal(
+                    sl._inverse_iteration(d, e, 0.0, start, 3, delta, vector), start)
+
+    def test_vector_stop_certifies_the_angle(self, monkeypatch):
+        # a start within 1e-6 of the second eigenvector, shifted within
+        # 1e-6 delta of its eigenvalue: one step brings the residual r
+        # under 1e-10 delta, and by Davis-Kahan the angle to the eigenvector
+        # is at most r / gap <= r / delta, since the true gap is at least delta
+        d, e, _ = sl._standard_form(discretize(SLProblem("spherical", 3, 2, 0.4, 1.3), 64))
+        A = np.diag(d) + np.diag(e, 1) + np.diag(e, -1)
+        values, vectors = np.linalg.eigh(A)
+        delta = 0.5 * min(values[2] - values[1], values[1] - values[0])
+        start = vectors[:, 1] + 1e-6 * np.random.default_rng(1).standard_normal(d.size)
+        solves = []
+        real_gtsv = sl.dgtsv
+
+        def counting_gtsv(*args):
+            solves.append(None)
+            return real_gtsv(*args)
+
+        monkeypatch.setattr(sl, "dgtsv", counting_gtsv)
+        z = sl._inverse_iteration(d, e, values[1] + 1e-6 * delta, start, 3, delta, True)
+        assert len(solves) == 1
+        sine = np.linalg.norm(z - (z @ vectors[:, 1]) * vectors[:, 1])
+        assert sine <= 1e-10
+        # from a random start the first step leaves about 1e-6 of the rest
+        # of the spectrum, which the stop must not take for a certificate
+        solves.clear()
+        far = np.random.default_rng(2).standard_normal(d.size)
+        z = sl._inverse_iteration(d, e, values[1] + 1e-6 * delta, far, 3, delta, True)
+        assert len(solves) == 2
+        assert np.linalg.norm(z - (z @ vectors[:, 1]) * vectors[:, 1]) <= 1e-10
 
     def test_residual_from_the_solve_alone(self):
         # rho and |A z - rho z| of one inverse-iteration step, read off the
@@ -251,6 +291,22 @@ class TestClimbFromBaseGrid:
         problem = SLProblem("spherical", 3, 0, 0.4997528345195214, 1.3607004791547166)
         config = SolverConfig(max_j=8)
         assert_matches_bisection(problem, solve(problem, config), config)
+
+
+class TestSpectralPairs:
+    # the Galerkin start pairs alone, against closed forms
+    @pytest.mark.parametrize("problem,value", [
+        (SLProblem("spherical", 2, 1, 0.0, math.pi / 2), 2.0),   # u = sin r
+        (SLProblem("euclidean", 2, 1, 0.0, 1.0), oracles.first_bessel_derivative_zero(1) ** 2),
+        (SLProblem("euclidean", 2, 0, 0.0, 1.0, "dirichlet"), oracles.first_bessel_zero(0) ** 2),
+        # u = sin(pi (r - 0.5)) / r: both ends eliminated
+        (SLProblem("euclidean", 3, 0, 0.5, 1.5, "dirichlet"), math.pi ** 2),
+    ])
+    def test_lowest_value_and_start_vectors(self, problem, value):
+        values, starts = sl._spectral_pairs(discretize(problem, 2048), 4)
+        assert values[0] == pytest.approx(value, rel=1e-10)
+        assert np.all(np.diff(values) > 0)
+        assert [sl._sign_changes(u) for u in starts.T] == [0, 1, 2, 3]
 
 
 class TestNearDegeneracy:

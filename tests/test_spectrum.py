@@ -192,21 +192,50 @@ class TestPairsSolved:
 
 class TestRadialCost:
     def test_gtsv_solves_of_one_certified_shell(self, monkeypatch):
-        # a deterministic cost guard: each climbed pair stops on grid N once
-        # its residual certifies its value (at most 3 steps) and takes 2 on
-        # grid 2N; the probe is not climbed.  Fixed steps, 3 on N and 2 on
-        # 2N for every pair and the probe, made 335 solves here.
-        calls = []
+        # a deterministic cost guard: each pair starts on grid N from its
+        # Galerkin start pair and stops once its residual certifies its
+        # value (at most 3 steps), then on grid 2N once the residual
+        # certifies its vector (at most 2); nothing is bisected.  Fixed
+        # steps, 3 on N and 2 on 2N for every pair and the probe, made 335
+        # solves here, and climbing from a bisected base grid 175.
+        calls, bisected = [], []
         real_gtsv = spectrum.slsolver.dgtsv
+        real_bisect = spectrum.slsolver._eigen_tridiagonal
 
         def counting_gtsv(*args):
             calls.append(None)
             return real_gtsv(*args)
 
+        def counting_bisect(*args):
+            bisected.append(None)
+            return real_bisect(*args)
+
         monkeypatch.setattr(spectrum.slsolver, "dgtsv", counting_gtsv)
+        monkeypatch.setattr(spectrum.slsolver, "_eigen_tridiagonal", counting_bisect)
         shell = assemble(SpaceForm.HYPERBOLIC, 3, 0.5, 1.5, 8, 8)
         assert certify_lemmas(shell).passed
-        assert len(calls) == 175
+        assert len(calls) == 106
+        assert bisected == []
+
+    def test_a_grid_too_coarse_for_the_start_pairs_is_bisected(self, monkeypatch):
+        # 64 cells are fewer than 32 per start pair for max_j = 8 (9 with
+        # the probe): grid N is bisected once and the Galerkin solve skipped
+        bisected = []
+        real_bisect = spectrum.slsolver._eigen_tridiagonal
+
+        def counting_bisect(system, count):
+            bisected.append((system.grid.size - 1, count))
+            return real_bisect(system, count)
+
+        def no_spectral(*args):
+            raise AssertionError("Galerkin start pairs on an under-resolved grid")
+
+        monkeypatch.setattr(spectrum.slsolver, "_eigen_tridiagonal", counting_bisect)
+        monkeypatch.setattr(spectrum.slsolver, "_spectral_pairs", no_spectral)
+        pairs = solve(SLProblem("hyperbolic", 3, 2, 0.5, 1.5),
+                      SolverConfig(grid_points=64, max_j=8))
+        assert bisected == [(64, 9)]
+        assert [p.sign_changes() for p in pairs] == list(range(8))
 
 
 class TestSerialization:

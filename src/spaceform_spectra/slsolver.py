@@ -15,17 +15,17 @@ the resulting symmetric tridiagonal pencil is reduced to standard form
 by the diagonal mass, a Jacobi matrix (negative off-diagonals).  Each
 pair starts from a small Legendre-Galerkin solve (one dense LAPACK sygvd
 of degree 24, or 3 per pair), which also gives a probe pair past the
-requested ones; its eigenfunctions, sampled on grid N, are refined by
-fixed-shift inverse iteration (LAPACK gtsv; Parlett, The Symmetric
-Eigenvalue Problem, 1980, ch. 4) shifted by their Galerkin values, and
-for Richardson climb on to 2N, interpolated linearly and shifted by
-their grid-N values.  A grid N with fewer than 32 cells per start pair
-is too coarse for that start and is bisected instead (Sturm sequences,
-LAPACK stebz, with eigenvectors from stein).  Each step's solve also
-gives the Rayleigh quotient of its vector and the residual: on grid N
-under Richardson a pair stops once the Kato-Temple bound puts its value
-at rounding, and on the finest grid, whose vectors are published, once
-the Davis-Kahan bound puts its vector within 1e-10 of the eigenvector.
+requested ones.  Each grid, N and for Richardson 2N, starts by one rule
+of its own: with at least 32 cells per start pair, the Galerkin
+eigenfunctions sampled on its own nodes are refined by fixed-shift
+inverse iteration (LAPACK gtsv; Parlett, The Symmetric Eigenvalue
+Problem, 1980, ch. 4) shifted by their Galerkin values; a coarser grid
+is bisected instead (Sturm sequences, LAPACK stebz, with eigenvectors
+from stein).  Each step's solve also gives the Rayleigh quotient of its
+vector and the residual: on grid N under Richardson a pair stops once
+the Kato-Temple bound puts its value at rounding, and on the finest
+grid, whose vectors are published, once the Davis-Kahan bound puts its
+vector within 1e-10 of the eigenvector.
 The j-th eigenvector of a Jacobi matrix has exactly j - 1 sign changes
 (Gantmacher and Krein, Oscillation Matrices and Kernels, 1950), so that
 count certifies each climbed index; a grid whose count fails is bisected
@@ -141,9 +141,9 @@ class SolverConfig:
     rounding and on the finest grid once its vector is within 1e-10
     (``_inverse_iteration``), bisection runs at LAPACK's own (about
     eps * ||T||), and the accuracy of the published values comes from the
-    Rayleigh refinement.  ``grid_points`` also picks the start: at least
-    32 cells per start pair (``max_j + 1``) start from Galerkin pairs,
-    fewer bisect grid N.
+    Rayleigh refinement.  ``grid_points`` also picks each grid's start: a
+    grid (N, or 2N under Richardson) with at least 32 cells per start pair
+    (``max_j + 1``) starts from Galerkin pairs, a coarser one is bisected.
     """
 
     grid_points: int = 2048
@@ -171,8 +171,8 @@ class TridiagonalSystem:
     active_stop: int          # exclusive
 
     def embed(self, u_active: np.ndarray) -> np.ndarray:
-        """Pad active-node vectors (or columns) with the eliminated boundary zeros."""
-        full = np.zeros((self.grid.size, *u_active.shape[1:]))
+        """Pad an active-node vector with the eliminated boundary zeros."""
+        full = np.zeros(self.grid.size)
         full[self.active_start:self.active_stop] = u_active
         return full
 
@@ -279,7 +279,7 @@ def _standard_form(system: TridiagonalSystem):
 def _eigen_tridiagonal(system: TridiagonalSystem, count: int):
     """Lowest ``count`` eigenpairs of the pencil via Sturm bisection.
 
-    ``solve`` bisects only a grid N too coarse for its Galerkin start
+    ``solve`` bisects only a grid too coarse for the Galerkin start
     pairs, and a grid whose climbed vectors fail the oscillation count.
     ``stebz`` pins the indices at LAPACK's own tolerance, about
     eps * |Gershgorin bound|, which is too coarse for the smallest modes
@@ -381,18 +381,6 @@ def _climb(system: TridiagonalSystem, values: np.ndarray, starts: np.ndarray,
     return _pencil_rayleigh(system, rows.T), rows.T
 
 
-def _midpoints(coarse: TridiagonalSystem, u: np.ndarray,
-               fine: TridiagonalSystem) -> np.ndarray:
-    """Columns u on the active nodes of ``coarse``, interpolated linearly
-    onto the active nodes of ``fine``, the grid of twice its cells: the
-    coarse nodes are copied and each new node is the mean of its two."""
-    full = coarse.embed(u)
-    refined = np.empty((fine.grid.size, u.shape[1]))
-    refined[::2] = full
-    refined[1::2] = 0.5 * (full[:-1] + full[1:])
-    return refined[fine.active_start:fine.active_stop]
-
-
 _SPECTRAL_DEGREE = 24   # least Legendre degree of the start pairs; 3 per pair above 8
 
 
@@ -411,10 +399,11 @@ def _legendre_tables(degree: int, cells: int):
     return (x, weights, *tables)
 
 
-def _spectral_pairs(system: TridiagonalSystem, count: int):
+def _spectral_pairs(system: TridiagonalSystem, count: int, sampled: int):
     """Lowest ``count`` eigenvalues of a Legendre-Galerkin discretization
-    of ``system.problem``, with the eigenfunctions sampled at the active
-    nodes of ``system``.
+    of ``system.problem``, with the lowest ``sampled`` eigenfunctions
+    sampled at every node of ``system``'s grid (zero at the eliminated
+    ones), as columns.
 
     The basis is P_0..P_D on [r1, r2], D = max(24, 3 count), times (1 + x)
     where ``system`` eliminates the inner node and (1 - x) where it
@@ -422,7 +411,9 @@ def _spectral_pairs(system: TridiagonalSystem, count: int):
     are summed by the (D + 8)-point Gauss-Legendre rule.  K grows like
     D^4, so the one dense solve (LAPACK sygvd) is shift-inverted,
     M c = theta (K + M) c with mu = 1/theta - 1, which keeps the low
-    values to rounding (Shen, SIAM J. Sci. Comput. 15, 1994).
+    values to rounding (Shen, SIAM J. Sci. Comput. 15, 1994).  The
+    Legendre table at the grid's nodes is cached: at the pipeline's 2N =
+    4096 cells and D = 24 it holds 4097 x 25 doubles, about 0.8 MB.
     """
     problem = system.problem
     cells = system.grid.size - 1
@@ -447,9 +438,8 @@ def _spectral_pairs(system: TridiagonalSystem, count: int):
     if info:  # pragma: no cover - K + M is positive definite
         raise ConvergenceError(f"Galerkin eigensolve failed: sygvd info={info}")
     # the largest theta are the lowest mu
-    theta, coef = theta[::-1][:count], coef[:, ::-1][:, :count]
-    active = slice(system.active_start, system.active_stop)
-    return 1.0 / theta - 1.0, factor(nodes[active])[:, None] * (table[active] @ coef)
+    theta, coef = theta[::-1][:count], coef[:, ::-1][:, :sampled]
+    return 1.0 / theta - 1.0, factor(nodes)[:, None] * (table @ coef)
 
 
 @dataclass(frozen=True)
@@ -495,33 +485,34 @@ def _finalize_vector(system: TridiagonalSystem, u_active: np.ndarray) -> np.ndar
 def solve(problem: SLProblem, config: SolverConfig | None = None) -> list[SLEigenpair]:
     """First ``config.max_j`` eigenpairs of the radial problem, in order.
 
-    The start pairs, ``max_j`` of them and a probe, pair ``max_j + 1``,
-    come from ``_spectral_pairs`` (Legendre-Galerkin) when N >= 32 *
-    probe, the resolution a grid needs for them; the requested pairs then
-    climb on grid N and, with ``config.richardson``, on to 2N (``_climb``:
-    inverse iteration from the Galerkin samples on N and from the
-    interpolated grid-N vectors on 2N, each index certified by its
-    sign-change count, the grid bisected if one fails).  A coarser grid N
-    is bisected (``_eigen_tridiagonal``) for the pairs and the probe, and
-    only 2N is climbed.  Each pair's gap delta is half the distance from
-    its start value to the nearest start value, the probe's for the last
-    pair.  On grid N under Richardson a pair stops once its step's own
-    residual r certifies its value to rounding (Kato-Temple), after at
-    most 3 steps.  The finest grid's vectors are published, so there a
-    pair stops once r <= 1e-10 delta certifies the vector (Davis-Kahan),
-    after at most 2 steps on 2N or 3 on N without Richardson.  Each
-    grid's values are the Rayleigh quotients of its vectors.  With
-    Richardson the values from grids N and 2N are combined as
-    (4 mu_2N - mu_N)/3, so ``eigenvalue - eigenvalue_grid`` is the
+    Each grid, N and with ``config.richardson`` 2N, applies one start
+    rule to itself.  A grid with at least 32 cells per start pair (``max_j``
+    of them and a probe, pair ``max_j + 1``) is climbed (``_climb``) from
+    the Legendre-Galerkin pairs (``_spectral_pairs``): inverse iteration
+    shifted by their values from their eigenfunctions sampled on its own
+    nodes, each index certified by its sign-change count, the grid
+    bisected if one fails.  The Galerkin solve is made once, sampled on
+    the finest grid that climbs; grid N's nodes are the even nodes of 2N.
+    A coarser grid is bisected (``_eigen_tridiagonal``), for the pairs
+    and the probe when it holds one.  Each pair's gap delta is half the
+    distance from its Galerkin value to the nearest one, the probe's for
+    the last pair.  On grid N under Richardson a pair stops once its
+    step's own residual r certifies its value to rounding (Kato-Temple),
+    after at most 3 steps.  The finest grid's vectors are published, so
+    there a pair stops once r <= 1e-10 delta certifies the vector
+    (Davis-Kahan), after at most 2 steps on 2N or 3 on N without
+    Richardson.  Each grid's values are the Rayleigh quotients of its
+    vectors.  With Richardson the values from grids N and 2N are combined
+    as (4 mu_2N - mu_N)/3, so ``eigenvalue - eigenvalue_grid`` is the
     Richardson correction (mu_2N - mu_N)/3, and the eigenvectors are
     reported on the finer grid.  A gap below ``DEGENERACY_GAP`` between
-    adjacent finest-grid values, or between the start values of the last
-    pair and the probe, trips a NearDegeneracyWarning, because the continuum
-    eigenvalues are simple and a near-tie indicates discretization
-    trouble.  The first j pairs agree, to rounding, whatever
-    ``max_j >= j`` was requested.  Grid N must hold ``max_j`` pairs and
-    the finest grid one more; asking for more pairs than a grid has
-    active nodes is a ValueError.
+    adjacent finest-grid values, or between the last pair and the probe
+    (their Galerkin values when the finest grid climbs), trips a
+    NearDegeneracyWarning, because the continuum eigenvalues are simple
+    and a near-tie indicates discretization trouble.  The first j pairs
+    agree, to rounding, whatever ``max_j >= j`` was requested.  Grid N
+    must hold ``max_j`` pairs and the finest grid one more; asking for
+    more pairs than a grid has active nodes is a ValueError.
     """
     config = config or SolverConfig()
     want = config.max_j
@@ -533,33 +524,33 @@ def solve(problem: SLProblem, config: SolverConfig | None = None) -> list[SLEige
         if need > system.diag.size:
             raise ValueError(f"{need} eigenpairs asked of {system.diag.size} active nodes")
 
-    first = systems[0]
-    if N >= 32 * probe:
-        # Galerkin start pairs, sampled on grid N: every grid is climbed
-        vals, vecs = _spectral_pairs(first, probe)
-        grid_vals, rungs = [], systems
-    else:
-        # grid N is too coarse for them: it is bisected, the probe with it
-        # when the grid holds one
-        vals, vecs = _eigen_tridiagonal(first, min(probe, first.diag.size))
-        grid_vals, rungs = [vals], systems[1:]
-    gaps = np.diff(vals)
-    probe_gaps = gaps[want - 1:]
-    # half the distance from each wanted pair to its nearest neighbour
-    deltas = 0.5 * np.minimum(np.append(np.inf, gaps), np.append(gaps, np.inf))[:want]
-    for system in rungs:
-        starts = vecs[:, :want] if system is first else _midpoints(first, vecs[:, :want], system)
-        # the finest grid's vectors are published: they stop once certified
-        vals, vecs = _climb(system, vals[:want], starts, 3 if system is first else 2,
-                            deltas, vector=system is systems[-1])
+    fine, fine_cells = systems[-1], ladder[-1][0]
+    probe_gaps = []
+    if fine_cells >= 32 * probe:
+        start_vals, samples = _spectral_pairs(fine, probe, want)
+        gaps = np.diff(start_vals)
+        probe_gaps = gaps[want - 1:]
+        # half the distance from each wanted pair to its nearest neighbour
+        deltas = 0.5 * np.minimum(np.append(np.inf, gaps), np.append(gaps, np.inf))[:want]
+    grid_vals = []
+    for system, (cells, _) in zip(systems, ladder):
+        if cells >= 32 * probe:
+            # the Galerkin samples at this grid's nodes, every (fine_cells / cells)-th
+            own = samples[::fine_cells // cells][system.active_start:system.active_stop]
+            # the finest grid's vectors are published: they stop once certified
+            vals, vecs = _climb(system, start_vals[:want], own, 3 if system is systems[0] else 2,
+                                deltas, vector=system is fine)
+        else:
+            vals, vecs = _eigen_tridiagonal(system, min(probe, system.diag.size))
         grid_vals.append(vals)
 
-    fine, vals_fine, vecs_fine = systems[-1], vals, vecs
+    vals_fine, vecs_fine = vals, vecs
     published = vals_fine[:want].copy()
     if config.richardson:
         published += (published - grid_vals[0][:want]) / 3.0
 
-    gaps = np.append(np.diff(vals_fine[:want]), probe_gaps)
+    # a bisected finest grid holds the probe among its values
+    gaps = np.append(np.diff(vals_fine), probe_gaps)
     if np.any(gaps <= DEGENERACY_GAP):
         j_bad = int(np.argmin(gaps)) + 1
         warnings.warn(

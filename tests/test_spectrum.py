@@ -192,12 +192,12 @@ class TestPairsSolved:
 
 class TestRadialCost:
     def test_gtsv_solves_of_one_certified_shell(self, monkeypatch):
-        # a deterministic cost guard: each pair starts on grid N from its
-        # Galerkin start pair and stops once its residual certifies its
-        # value (at most 3 steps), then on grid 2N once the residual
-        # certifies its vector (at most 2); nothing is bisected.  Fixed
-        # steps, 3 on N and 2 on 2N for every pair and the probe, made 335
-        # solves here, and climbing from a bisected base grid 175.
+        # a deterministic cost guard: each pair starts on grids N and 2N
+        # from its Galerkin start pair and stops once its residual
+        # certifies its value on N (at most 3 steps) and its vector on 2N
+        # (at most 2); nothing is bisected.  Fixed steps, 3 on N and 2 on
+        # 2N for every pair and the probe, made 335 solves here, and
+        # climbing from a bisected base grid 175.
         calls, bisected = [], []
         real_gtsv = spectrum.slsolver.dgtsv
         real_bisect = spectrum.slsolver._eigen_tridiagonal
@@ -217,24 +217,40 @@ class TestRadialCost:
         assert len(calls) == 106
         assert bisected == []
 
-    def test_a_grid_too_coarse_for_the_start_pairs_is_bisected(self, monkeypatch):
-        # 64 cells are fewer than 32 per start pair for max_j = 8 (9 with
-        # the probe): grid N is bisected once and the Galerkin solve skipped
-        bisected = []
-        real_bisect = spectrum.slsolver._eigen_tridiagonal
+    @pytest.mark.parametrize("grid,bisections,spectral,climbed", [
+        # 64 and 128 cells are both fewer than 32 per start pair for
+        # max_j = 8 (9 with the probe): each grid is bisected once and the
+        # Galerkin solve skipped
+        (64, [(64, 9), (128, 9)], [], []),
+        # 256 cells are too few and 512 enough: grid N is bisected and 2N
+        # climbs from the one Galerkin solve, sampled on its own nodes
+        (256, [(256, 9)], [(512, 9)], [512]),
+    ])
+    def test_a_grid_too_coarse_for_the_start_pairs_is_bisected(
+            self, monkeypatch, grid, bisections, spectral, climbed):
+        calls = {"bisect": [], "spectral": [], "climb": []}
+        slsolver = spectrum.slsolver
+        real_bisect, real_spectral, real_climb = (
+            slsolver._eigen_tridiagonal, slsolver._spectral_pairs, slsolver._climb)
 
         def counting_bisect(system, count):
-            bisected.append((system.grid.size - 1, count))
+            calls["bisect"].append((system.grid.size - 1, count))
             return real_bisect(system, count)
 
-        def no_spectral(*args):
-            raise AssertionError("Galerkin start pairs on an under-resolved grid")
+        def counting_spectral(system, count, sampled):
+            calls["spectral"].append((system.grid.size - 1, count))
+            return real_spectral(system, count, sampled)
 
-        monkeypatch.setattr(spectrum.slsolver, "_eigen_tridiagonal", counting_bisect)
-        monkeypatch.setattr(spectrum.slsolver, "_spectral_pairs", no_spectral)
+        def counting_climb(system, *args, **kwargs):
+            calls["climb"].append(system.grid.size - 1)
+            return real_climb(system, *args, **kwargs)
+
+        monkeypatch.setattr(slsolver, "_eigen_tridiagonal", counting_bisect)
+        monkeypatch.setattr(slsolver, "_spectral_pairs", counting_spectral)
+        monkeypatch.setattr(slsolver, "_climb", counting_climb)
         pairs = solve(SLProblem("hyperbolic", 3, 2, 0.5, 1.5),
-                      SolverConfig(grid_points=64, max_j=8))
-        assert bisected == [(64, 9)]
+                      SolverConfig(grid_points=grid, max_j=8))
+        assert calls == {"bisect": bisections, "spectral": spectral, "climb": climbed}
         assert [p.sign_changes() for p in pairs] == list(range(8))
 
 

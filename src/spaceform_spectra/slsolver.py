@@ -15,24 +15,22 @@ the resulting symmetric tridiagonal pencil is reduced to standard form
 by the diagonal mass, a Jacobi matrix (negative off-diagonals).  Each
 pair starts from a small Legendre-Galerkin solve (one dense LAPACK sygvd
 of degree 24, or 3 per pair), which also gives a probe pair past the
-requested ones.  Each grid, N and for Richardson 2N, starts by one rule
-of its own: with at least 32 cells per start pair, the Galerkin
-eigenfunctions sampled on its own nodes are refined by fixed-shift
-inverse iteration (LAPACK gtsv; Parlett, The Symmetric Eigenvalue
-Problem, 1980, ch. 4) shifted by their Galerkin values; a coarser grid
-is bisected instead (Sturm sequences, LAPACK stebz, with eigenvectors
-from stein).  Each step's solve also gives the Rayleigh quotient of its
-vector and the residual: on grid N under Richardson a pair stops once
-the Kato-Temple bound puts its value at rounding, and on the finest
-grid, whose vectors are published, once the Davis-Kahan bound puts its
-vector within 1e-10 of the eigenvector.
-The j-th eigenvector of a Jacobi matrix has exactly j - 1 sign changes
-(Gantmacher and Krein, Oscillation Matrices and Kernels, 1950), so that
-count certifies each climbed index; a grid whose count fails is bisected
-instead.  Every value is the Rayleigh quotient of its vector, summed in
-flux form, so the Galerkin values only start the climb.  Optional
-Richardson extrapolation across grids N and 2N removes the leading
-O(h^2) error term.
+requested ones.  Each grid, N and for Richardson 2N, is climbed or
+bisected by one rule.  With at least 32 cells per start pair, the
+Galerkin eigenfunctions sampled on its own nodes take at most 2
+fixed-shift inverse-iteration steps (LAPACK gtsv; Parlett, The
+Symmetric Eigenvalue Problem, 1980, ch. 4) shifted by their Galerkin
+values, each step's solve also giving its vector's residual.  A pair is
+certified once the Davis-Kahan bound puts its vector within 1e-10 of
+the eigenvector, and the j-th eigenvector of a Jacobi matrix has
+exactly j - 1 sign changes (Gantmacher and Krein, Oscillation Matrices
+and Kernels, 1950), so that count certifies its index.  A grid is
+bisected instead (Sturm sequences, LAPACK stebz, with eigenvectors from
+stein) when it is coarser, when the Galerkin solve gives no start
+pairs, or when one of its pairs misses either certificate.  Every value
+is the Rayleigh quotient of its vector, summed in flux form, so the
+Galerkin values only start the climb.  Optional Richardson
+extrapolation across grids N and 2N removes the leading O(h^2) error.
 
 At r1 = 0 there is no inner boundary: mode k = 0 gets a natural zero-flux
 condition with an exact control-volume mass for the origin cell, while
@@ -86,7 +84,6 @@ class NearDegeneracyWarning(UserWarning):
 
 
 DEGENERACY_GAP = 1e-9   # eigenvalue gap that trips NearDegeneracyWarning
-_EPS = float(np.finfo(float).eps)
 
 
 class BoundaryCondition(str, Enum):
@@ -121,6 +118,20 @@ class SLProblem:
             raise ValueError(f"need 0 <= r1 < r2, got [{self.r1}, {self.r2}]")
         if self.form is SpaceForm.SPHERICAL and self.r2 > HEMISPHERE_RADIUS + 1e-12:
             raise GeometryError("spherical problems require r2 <= pi/2")
+        # sin_m grows with r: the extreme weights and the largest potential
+        # sit at the ends.  A term that leaves the doubles is refused here,
+        # before any solve, and not warned of.
+        with np.errstate(all="ignore"):
+            ends = sin_m(self.form, np.array([self.r1, self.r2]))
+            weights = ends ** (self.n - 1)
+            potential = self.angular_eigenvalue / ends[0] ** 2
+        for r, weight in zip((self.r1, self.r2), weights):
+            if r > 0 and not 0 < weight < np.inf:
+                raise ValueError(f"weight sin_m(r)^(n-1) = {weight:g} at r = {r:g} "
+                                 "is not a positive finite double")
+        if self.r1 > 0 and not np.isfinite(potential):
+            raise ValueError(f"potential k(k+n-2)/sin_m(r1)^2 = {potential:g} at "
+                             f"r1 = {self.r1:g} is not a finite double")
 
     @property
     def angular_eigenvalue(self) -> float:
@@ -137,9 +148,8 @@ class SolverConfig:
     """Grid size, Richardson switch and pair count of a radial solve.
 
     These defaults are the pipeline's only radial settings.  There is no
-    tolerance: inverse iteration on grid N stops once its value is at
-    rounding and on the finest grid once its vector is within 1e-10
-    (``_inverse_iteration``), bisection runs at LAPACK's own (about
+    tolerance: inverse iteration stops once its vector is certified within
+    1e-10 (``_inverse_iteration``), bisection runs at LAPACK's own (about
     eps * ||T||), and the accuracy of the published values comes from the
     Rayleigh refinement.  ``grid_points`` also picks each grid's start: a
     grid (N, or 2N under Richardson) with at least 32 cells per start pair
@@ -163,18 +173,11 @@ class TridiagonalSystem:
 
     problem: SLProblem
     grid: np.ndarray          # all N+1 nodes including eliminated ones
-    h: float
     diag: np.ndarray          # stiffness diagonal on active nodes
     offdiag: np.ndarray       # stiffness off-diagonal
     mass: np.ndarray          # diagonal mass on active nodes
     active_start: int
     active_stop: int          # exclusive
-
-    def embed(self, u_active: np.ndarray) -> np.ndarray:
-        """Pad an active-node vector with the eliminated boundary zeros."""
-        full = np.zeros(self.grid.size)
-        full[self.active_start:self.active_stop] = u_active
-        return full
 
 
 def _origin_cell_mass(form: SpaceForm, n: int, h: float) -> float:
@@ -236,7 +239,6 @@ def discretize(problem: SLProblem, cells: int) -> TridiagonalSystem:
     return TridiagonalSystem(
         problem=problem,
         grid=grid,
-        h=h,
         diag=diag[start:stop],
         offdiag=offdiag[start:stop - 1],
         mass=mass[start:stop],
@@ -279,8 +281,8 @@ def _standard_form(system: TridiagonalSystem):
 def _eigen_tridiagonal(system: TridiagonalSystem, count: int):
     """Lowest ``count`` eigenpairs of the pencil via Sturm bisection.
 
-    ``solve`` bisects only a grid too coarse for the Galerkin start
-    pairs, and a grid whose climbed vectors fail the oscillation count.
+    ``solve`` bisects a grid too coarse for the Galerkin start pairs, or
+    with none to start from, or whose climb misses a certificate.
     ``stebz`` pins the indices at LAPACK's own tolerance, about
     eps * |Gershgorin bound|, which is too coarse for the smallest modes
     on fine grids; the returned values are therefore refined to the
@@ -312,72 +314,68 @@ def _sign_changes(v: np.ndarray) -> int:
     return int(np.sum(signs[1:] * signs[:-1] < 0))
 
 
-def _rayleigh_residual(shift: float, y: np.ndarray, z: np.ndarray,
-                       norm: float) -> tuple[float, float]:
-    """Rayleigh quotient rho of z and |A z - rho z|, for z = x / |x|,
+def _rayleigh_residual(y: np.ndarray, z: np.ndarray, norm: float) -> float:
+    """|A z - rho z| for the Rayleigh quotient rho of z = x / |x|, with
     norm = |x| and x = (A - shift)^-1 y, without a product by A.
 
     (A - shift) z = y / |x|, so with c = z.y the quotient is
     rho = shift + c / |x| and the residual A z - rho z = (y - c z) / |x|.
     """
-    c = float(z @ y)
-    return shift + c / norm, float(np.linalg.norm(y - c * z)) / norm
+    return float(np.linalg.norm(y - float(z @ y) * z)) / norm
 
 
 def _inverse_iteration(d: np.ndarray, e: np.ndarray, shift: float,
-                       y: np.ndarray, steps: int, delta: float,
-                       vector: bool = False) -> np.ndarray:
-    """At most ``steps`` fixed-shift inverse-iteration steps from y on the
-    Jacobi matrix A = (d, e) shifted by ``shift``, each solved by LAPACK
-    ``gtsv``.
+                       y: np.ndarray, delta: float) -> np.ndarray | None:
+    """The eigenvector of the Jacobi matrix A = (d, e) nearest ``shift``,
+    from y by at most 2 fixed-shift inverse-iteration steps, each solved by
+    LAPACK ``gtsv``; None if neither step certifies it.
 
     ``delta`` bounds the gap between the wanted eigenvalue and the rest
-    of the spectrum from below.  The loop stops after the first step
-    whose Rayleigh quotient rho and residual r (``_rayleigh_residual``)
-    certify the result:
-      * by default its value: the Kato-Temple bound r^2 / delta on the
-        error of rho is at rounding, r^2 / delta <= eps (|rho| + delta);
-      * with ``vector``, the vector itself: the Davis-Kahan bound r / delta
-        on the sine of its angle to the eigenvector is at most 1e-10.
-    An exactly zero pivot means the shift is an eigenvalue to working
-    precision, so the current vector is kept.
+    of the spectrum from below, so a step whose residual r
+    (``_rayleigh_residual``) meets r <= 1e-10 delta puts its vector within
+    1e-10 of the eigenvector (Davis-Kahan).  A solve that under- or
+    overflows certifies nothing.  An exactly zero pivot means the shift is
+    an eigenvalue to working precision, so the current vector is kept.
     """
     shifted = d - shift
-    for _ in range(steps):
+    for _ in range(2):
         _, _, _, x, info = dgtsv(e, shifted, e, y[:, None])
         if info > 0:
-            break
+            return y
         norm = float(np.linalg.norm(x))
+        if not 0 < norm < np.inf:   # the solve left the doubles: no certificate
+            return None
         z = x[:, 0] / norm
-        rho, r = _rayleigh_residual(shift, y, z, norm)
-        if (r <= 1e-10 * delta if vector
-                else r * r <= _EPS * delta * (abs(rho) + delta)):
+        if _rayleigh_residual(y, z, norm) <= 1e-10 * delta:
             return z
         y = z
-    return y
+    return None
 
 
-def _climb(system: TridiagonalSystem, values: np.ndarray, starts: np.ndarray,
-           steps: int, deltas: np.ndarray, vector: bool):
-    """Eigenpairs of ``system`` from start values and start vectors (the
-    columns of ``starts``, on its active nodes).
+def _climb(system: TridiagonalSystem, values: np.ndarray, starts: np.ndarray):
+    """Eigenpairs of ``system`` by ``_inverse_iteration`` from start values
+    and start vectors (the columns of ``starts``, on its active nodes), or
+    None if one misses a certificate.
 
-    Each start vector takes at most ``steps`` inverse-iteration steps
-    shifted by its start value, stopping early once its Rayleigh quotient
-    (or, with ``vector``, the vector itself) is certified against the gap
-    in ``deltas`` (``_inverse_iteration``).  The j-th eigenvector of a
-    Jacobi matrix with negative off-diagonals has exactly j - 1 sign
-    changes (discrete Sturm oscillation), so that count certifies every
-    index; if one fails, ``system`` is bisected instead.
+    ``values`` ends with the probe's.  Each pair's delta is half the
+    distance from its start value to the nearest other one.  The j-th
+    eigenvector of a Jacobi matrix with negative off-diagonals has exactly
+    j - 1 sign changes (discrete Sturm oscillation), so that count
+    certifies every index.
     """
     d, e, scale = _standard_form(system)
+    gaps = np.diff(values)
+    # half the distance from each pair to its nearest neighbour
+    deltas = 0.5 * np.minimum(np.append(np.inf, gaps[:-1]), gaps)
     # one row per vector: the loop touches grid-sized arrays only
-    rows = np.empty((values.size, d.size))
+    rows = np.empty((starts.shape[1], d.size))
     for j, row in enumerate(rows):
-        row[:] = _inverse_iteration(d, e, values[j], starts[:, j] / scale, steps,
-                                    deltas[j], vector) * scale
+        z = _inverse_iteration(d, e, values[j], starts[:, j] / scale, deltas[j])
+        if z is None:
+            return None
+        row[:] = z * scale
         if _sign_changes(row) != j:
-            return _eigen_tridiagonal(system, values.size)
+            return None
     return _pencil_rayleigh(system, rows.T), rows.T
 
 
@@ -403,7 +401,7 @@ def _spectral_pairs(system: TridiagonalSystem, count: int, sampled: int):
     """Lowest ``count`` eigenvalues of a Legendre-Galerkin discretization
     of ``system.problem``, with the lowest ``sampled`` eigenfunctions
     sampled at every node of ``system``'s grid (zero at the eliminated
-    ones), as columns.
+    ones), as columns; None if the dense solve gives no such pairs.
 
     The basis is P_0..P_D on [r1, r2], D = max(24, 3 count), times (1 + x)
     where ``system`` eliminates the inner node and (1 - x) where it
@@ -411,9 +409,11 @@ def _spectral_pairs(system: TridiagonalSystem, count: int, sampled: int):
     are summed by the (D + 8)-point Gauss-Legendre rule.  K grows like
     D^4, so the one dense solve (LAPACK sygvd) is shift-inverted,
     M c = theta (K + M) c with mu = 1/theta - 1, which keeps the low
-    values to rounding (Shen, SIAM J. Sci. Comput. 15, 1994).  The
-    Legendre table at the grid's nodes is cached: at the pipeline's 2N =
-    4096 cells and D = 24 it holds 4097 x 25 doubles, about 0.8 MB.
+    values to rounding (Shen, SIAM J. Sci. Comput. 15, 1994).  Where the
+    weight spans tens of decades, as on a long hyperbolic interval, sygvd
+    may fail or lose a wanted value (theta <= 0): then there are none.
+    The Legendre table at the grid's nodes is cached: at the pipeline's
+    2N = 4096 cells and D = 24 it holds 4097 x 25 doubles, about 0.8 MB.
     """
     problem = system.problem
     cells = system.grid.size - 1
@@ -435,10 +435,10 @@ def _spectral_pairs(system: TridiagonalSystem, count: int, sampled: int):
     stiffness = ((derivative.T * measure) @ derivative
                  + (basis.T * (measure * problem.angular_eigenvalue / sm**2)) @ basis)
     theta, coef, info = dsygvd(mass, stiffness + mass)
-    if info:  # pragma: no cover - K + M is positive definite
-        raise ConvergenceError(f"Galerkin eigensolve failed: sygvd info={info}")
     # the largest theta are the lowest mu
     theta, coef = theta[::-1][:count], coef[:, ::-1][:, :sampled]
+    if info or not np.all(theta > 0):
+        return None
     return 1.0 / theta - 1.0, factor(nodes)[:, None] * (table @ coef)
 
 
@@ -471,7 +471,10 @@ class SLEigenpair:
 
 
 def _finalize_vector(system: TridiagonalSystem, u_active: np.ndarray) -> np.ndarray:
-    full = system.embed(u_active)
+    """u on every node, zero at the eliminated ones, of unit mass norm and
+    positive at its outermost nonzero sample."""
+    full = np.zeros(system.grid.size)
+    full[system.active_start:system.active_stop] = u_active
     mass_full = np.zeros_like(full)
     mass_full[system.active_start:system.active_stop] = system.mass
     norm2 = float(np.dot(mass_full, full**2))
@@ -485,34 +488,32 @@ def _finalize_vector(system: TridiagonalSystem, u_active: np.ndarray) -> np.ndar
 def solve(problem: SLProblem, config: SolverConfig | None = None) -> list[SLEigenpair]:
     """First ``config.max_j`` eigenpairs of the radial problem, in order.
 
-    Each grid, N and with ``config.richardson`` 2N, applies one start
-    rule to itself.  A grid with at least 32 cells per start pair (``max_j``
-    of them and a probe, pair ``max_j + 1``) is climbed (``_climb``) from
-    the Legendre-Galerkin pairs (``_spectral_pairs``): inverse iteration
-    shifted by their values from their eigenfunctions sampled on its own
-    nodes, each index certified by its sign-change count, the grid
-    bisected if one fails.  The Galerkin solve is made once, sampled on
-    the finest grid that climbs; grid N's nodes are the even nodes of 2N.
-    A coarser grid is bisected (``_eigen_tridiagonal``), for the pairs
-    and the probe when it holds one.  Each pair's gap delta is half the
-    distance from its Galerkin value to the nearest one, the probe's for
-    the last pair.  On grid N under Richardson a pair stops once its
-    step's own residual r certifies its value to rounding (Kato-Temple),
-    after at most 3 steps.  The finest grid's vectors are published, so
-    there a pair stops once r <= 1e-10 delta certifies the vector
-    (Davis-Kahan), after at most 2 steps on 2N or 3 on N without
-    Richardson.  Each grid's values are the Rayleigh quotients of its
-    vectors.  With Richardson the values from grids N and 2N are combined
-    as (4 mu_2N - mu_N)/3, so ``eigenvalue - eigenvalue_grid`` is the
-    Richardson correction (mu_2N - mu_N)/3, and the eigenvectors are
-    reported on the finer grid.  A gap below ``DEGENERACY_GAP`` between
-    adjacent finest-grid values, or between the last pair and the probe
-    (their Galerkin values when the finest grid climbs), trips a
-    NearDegeneracyWarning, because the continuum eigenvalues are simple
-    and a near-tie indicates discretization trouble.  The first j pairs
-    agree, to rounding, whatever ``max_j >= j`` was requested.  Grid N
-    must hold ``max_j`` pairs and the finest grid one more; asking for
-    more pairs than a grid has active nodes is a ValueError.
+    Each grid, N and with ``config.richardson`` 2N, is climbed or
+    bisected by one rule.  When the finest grid has at least 32 cells per
+    start pair (``max_j`` of them and a probe, pair ``max_j + 1``), one
+    Legendre-Galerkin solve (``_spectral_pairs``) gives the start pairs,
+    sampled on its nodes; grid N's nodes are the even nodes of 2N.  A grid
+    with that many cells is climbed (``_climb``): each pair's samples on
+    its own nodes take at most 2 inverse-iteration steps shifted by its
+    Galerkin value, until the residual certifies the vector within 1e-10
+    (Davis-Kahan, against half the distance from its Galerkin value to
+    the nearest one, the probe's for the last pair), and its sign-change
+    count certifies its index.  A grid is bisected instead
+    (``_eigen_tridiagonal``), for the pairs and the probe when it holds
+    one, when it is coarser, when the Galerkin solve gives no start
+    pairs, or when one of its pairs misses a certificate.  Each grid's
+    values are the Rayleigh quotients of its vectors.  With Richardson the
+    values from grids N and 2N are combined as (4 mu_2N - mu_N)/3, so
+    ``eigenvalue - eigenvalue_grid`` is the Richardson correction
+    (mu_2N - mu_N)/3, and the eigenvectors are reported on the finer
+    grid.  A gap below ``DEGENERACY_GAP`` between adjacent finest-grid
+    values, or between the last pair and the probe (their Galerkin values
+    when the finest grid climbs), trips a NearDegeneracyWarning, because
+    the continuum eigenvalues are simple and a near-tie indicates
+    discretization trouble.  The first j pairs agree, to rounding,
+    whatever ``max_j >= j`` was requested.  Grid N must hold ``max_j``
+    pairs and the finest grid one more; asking for more pairs than a grid
+    has active nodes is a ValueError.
     """
     config = config or SolverConfig()
     want = config.max_j
@@ -525,23 +526,16 @@ def solve(problem: SLProblem, config: SolverConfig | None = None) -> list[SLEige
             raise ValueError(f"{need} eigenpairs asked of {system.diag.size} active nodes")
 
     fine, fine_cells = systems[-1], ladder[-1][0]
-    probe_gaps = []
-    if fine_cells >= 32 * probe:
-        start_vals, samples = _spectral_pairs(fine, probe, want)
-        gaps = np.diff(start_vals)
-        probe_gaps = gaps[want - 1:]
-        # half the distance from each wanted pair to its nearest neighbour
-        deltas = 0.5 * np.minimum(np.append(np.inf, gaps), np.append(gaps, np.inf))[:want]
+    start = _spectral_pairs(fine, probe, want) if fine_cells >= 32 * probe else None
     grid_vals = []
     for system, (cells, _) in zip(systems, ladder):
-        if cells >= 32 * probe:
+        climbed = None
+        if start and cells >= 32 * probe:
+            start_vals, samples = start
             # the Galerkin samples at this grid's nodes, every (fine_cells / cells)-th
             own = samples[::fine_cells // cells][system.active_start:system.active_stop]
-            # the finest grid's vectors are published: they stop once certified
-            vals, vecs = _climb(system, start_vals[:want], own, 3 if system is systems[0] else 2,
-                                deltas, vector=system is fine)
-        else:
-            vals, vecs = _eigen_tridiagonal(system, min(probe, system.diag.size))
+            climbed = _climb(system, start_vals, own)
+        vals, vecs = climbed or _eigen_tridiagonal(system, min(probe, system.diag.size))
         grid_vals.append(vals)
 
     vals_fine, vecs_fine = vals, vecs
@@ -549,8 +543,11 @@ def solve(problem: SLProblem, config: SolverConfig | None = None) -> list[SLEige
     if config.richardson:
         published += (published - grid_vals[0][:want]) / 3.0
 
-    # a bisected finest grid holds the probe among its values
-    gaps = np.append(np.diff(vals_fine), probe_gaps)
+    # a bisected finest grid holds the probe among its values; past a
+    # climbed one the last gap is that of the Galerkin values
+    gaps = np.diff(vals_fine)
+    if vals_fine.size == want:
+        gaps = np.append(gaps, np.diff(start[0][want - 1:]))
     if np.any(gaps <= DEGENERACY_GAP):
         j_bad = int(np.argmin(gaps)) + 1
         warnings.warn(

@@ -65,6 +65,23 @@ class TestSlCommand:
         assert err.startswith("error:") and "r2" in err and "must be finite" in err
         assert caught == []
 
+    @pytest.mark.parametrize("flags,term", [
+        (["--form", "euclidean", "--n", "2", "--r1", "1e-300", "--r2", "1"],
+         "potential k(k+n-2)/sin_m(r1)^2 = inf at r1 = 1e-300"),
+        (["--form", "euclidean", "--n", "2", "--r1", "1e-160", "--r2", "1"],
+         "potential k(k+n-2)/sin_m(r1)^2 = inf at r1 = 1e-160"),
+        (["--form", "hyperbolic", "--n", "3", "--r1", "0.5", "--r2", "400"],
+         "weight sin_m(r)^(n-1) = inf at r = 400"),
+    ], ids=["r1-1e-300", "r1-1e-160", "hyperbolic-r2-400"])
+    def test_term_outside_the_doubles_exit_2(self, capsys, flags, term):
+        # refused before any grid is built, naming the term; numpy warns of nothing
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run(["sl", "--k", "1", *flags], capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and term in err
+        assert caught == []
+
     @pytest.mark.parametrize("flags,message", [
         (["--n", "1", "--k", "0"], "dimension n must be >= 2"),
         (["--n", "2", "--k", "-1"], "mode index k must be >= 0"),
@@ -289,6 +306,17 @@ class TestSpectrumCommand:
         assert second[0] == "2" and second[4] == "2"
         third = lines[3].split(",")
         assert third[0] == "4"
+
+    def test_long_hyperbolic_ball_without_start_pairs(self, capsys):
+        # the Galerkin solve finds no start pairs on [0, 30], so every
+        # grid is bisected
+        code, out, err = run(["spectrum", "--form", "hyperbolic", "--n", "2",
+                              "--r1", "0", "--r2", "30", "--count", "1"], capsys)
+        assert code == 0 and err == ""
+        assert out == ("# Neumann shell spectrum, form=hyperbolic, n=2, interval=[0, 30], "
+                       "certified below 2.83710948711e-24\n"
+                       "  i               value    k   j mult\n"
+                       "  1                   0    0   1    1\n")
 
     def test_truncation_exit_3(self, capsys):
         code, _, err = run(["spectrum", "--form", "euclidean", "--n", "2",
@@ -659,6 +687,23 @@ class TestMomentsCommand:
         assert len(checks) == 3
         for c in checks:
             assert abs(c["margin"]) < 1e-7
+
+    @pytest.mark.parametrize("command", ["moments", "verify"])
+    def test_inner_radius_outside_the_doubles_exit_2(self, command, tmp_path, capsys):
+        # the matched shell's r1 = 1e-300 puts its potential past the
+        # doubles: refused before any solve, naming the term
+        data = {"form": "euclidean", "n": 2, "symmetry_order": "order4",
+                "rho_out": {"base": 1.0, "harmonics": [{"m": 4, "a": 0.02, "b": 0.0}]},
+                "rho_in": {"base": 1e-300, "harmonics": []}}
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(data))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run([command, "--spec", str(path)], capsys)
+        assert code == 2 and out == ""
+        assert err == ("error on domain 1: potential k(k+n-2)/sin_m(r1)^2 = inf at "
+                       "r1 = 1e-300 is not a finite double\n")
+        assert caught == []
 
     def test_inner_infimum_once_per_domain(self, capsys, monkeypatch):
         # matched_annulus and the three rayleigh_gk calls of a domain share

@@ -36,6 +36,24 @@ def fast_config(max_j=1, grid=512):
 
 
 class TestProblemValidation:
+    @pytest.mark.parametrize("form,n,k,r1,r2,message", [
+        ("euclidean", 2, 1, 1e-300, 1.0,
+         "potential k(k+n-2)/sin_m(r1)^2 = inf at r1 = 1e-300 is not a finite double"),
+        ("euclidean", 2, 1, 1e-160, 1.0,
+         "potential k(k+n-2)/sin_m(r1)^2 = inf at r1 = 1e-160 is not a finite double"),
+        ("euclidean", 3, 0, 1e-300, 1.0,
+         "weight sin_m(r)^(n-1) = 0 at r = 1e-300 is not a positive finite double"),
+        ("hyperbolic", 3, 1, 0.5, 400.0,
+         "weight sin_m(r)^(n-1) = inf at r = 400 is not a positive finite double"),
+    ], ids=["potential-inf", "potential-denormal", "weight-zero", "weight-inf"])
+    def test_rejects_terms_outside_the_doubles(self, form, n, k, r1, r2, message):
+        # refused with the term named, and with no RuntimeWarning on the way
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError) as info:
+                SLProblem(form, n, k, r1, r2)
+        assert str(info.value) == message
+
     def test_rejects_bad_radii(self):
         with pytest.raises(ValueError):
             SLProblem("euclidean", 2, 0, 1.0, 1.0)
@@ -240,9 +258,12 @@ class TestClimbFromStartPairs:
         d, e = np.array([1.0, 2.0, 1.0]), np.array([-1.0, -1.0])
         start = np.array([0.3, 0.5, 0.7])
         for delta in (0.0, 0.5):
-            for vector in (False, True):
-                assert np.array_equal(
-                    sl._inverse_iteration(d, e, 0.0, start, 3, delta, vector), start)
+            assert np.array_equal(sl._inverse_iteration(d, e, 0.0, start, delta), start)
+
+    def test_a_solve_past_the_doubles_certifies_nothing(self):
+        # the solve's 1e-600 underflows to 0, so its norm certifies no vector
+        d, e = np.full(3, 1e300), np.full(2, -1.0)
+        assert sl._inverse_iteration(d, e, 0.0, np.full(3, 1e-300), 1.0) is None
 
     def test_vector_stop_certifies_the_angle(self, monkeypatch):
         # a start within 1e-6 of the second eigenvector, shifted within
@@ -262,21 +283,22 @@ class TestClimbFromStartPairs:
             return real_gtsv(*args)
 
         monkeypatch.setattr(sl, "dgtsv", counting_gtsv)
-        z = sl._inverse_iteration(d, e, values[1] + 1e-6 * delta, start, 3, delta, True)
+        z = sl._inverse_iteration(d, e, values[1] + 1e-6 * delta, start, delta)
         assert len(solves) == 1
         sine = np.linalg.norm(z - (z @ vectors[:, 1]) * vectors[:, 1])
         assert sine <= 1e-10
         # from a random start the first step leaves about 1e-6 of the rest
-        # of the spectrum, which the stop must not take for a certificate
+        # of the spectrum, which the stop must not take for a certificate;
+        # the second, the last, certifies
         solves.clear()
         far = np.random.default_rng(2).standard_normal(d.size)
-        z = sl._inverse_iteration(d, e, values[1] + 1e-6 * delta, far, 3, delta, True)
+        z = sl._inverse_iteration(d, e, values[1] + 1e-6 * delta, far, delta)
         assert len(solves) == 2
         assert np.linalg.norm(z - (z @ vectors[:, 1]) * vectors[:, 1]) <= 1e-10
 
     def test_residual_from_the_solve_alone(self):
-        # rho and |A z - rho z| of one inverse-iteration step, read off the
-        # solve, against both formed with A itself
+        # |A z - rho z| of one inverse-iteration step, read off the solve,
+        # against the residual formed with A itself
         d, e, _ = sl._standard_form(discretize(SLProblem("spherical", 3, 2, 0.4, 1.3), 64))
         A = np.diag(d) + np.diag(e, 1) + np.diag(e, -1)
         y = np.random.default_rng(0).standard_normal(d.size)
@@ -284,9 +306,17 @@ class TestClimbFromStartPairs:
         x = np.linalg.solve(A - shift * np.eye(d.size), y)
         norm = np.linalg.norm(x)
         z = x / norm
-        rho, r = sl._rayleigh_residual(shift, y, z, norm)
-        assert rho == pytest.approx(z @ A @ z, rel=1e-12)
+        r = sl._rayleigh_residual(y, z, norm)
+        rho = z @ A @ z
         assert r == pytest.approx(np.linalg.norm(A @ z - rho * z), rel=1e-9)
+
+    def test_no_start_pairs_bisects_every_grid(self):
+        # on [0.5, 30] the weight sinh^2 spans 26 decades and sygvd finds
+        # K + M not positive definite: there are no start pairs
+        problem = SLProblem("hyperbolic", 3, 1, 0.5, 30)
+        assert sl._spectral_pairs(discretize(problem, 4096), 2, 1) is None
+        config = SolverConfig()
+        assert_matches_bisection(problem, solve(problem, config), config)
 
     def test_constant_mode_of_a_spherical_shell(self):
         # the seed-5 shell, whose constant mode meets an exactly zero pivot
@@ -307,6 +337,9 @@ class TestCoarseGrids:
         ("euclidean", 2, 0.5, 0.501),
         ("hyperbolic", 0, 0.5, 1.5),
         ("hyperbolic", 2, 0.5, 1.5),
+        # on 512 cells with max_j 8, pair 8 misses its vector certificate
+        # after 2 steps, so that grid is bisected too
+        ("euclidean", 8, 0.4, 1.3),
     ])
     def test_agree_with_full_grid_bisection(self, form, k, r1, r2):
         problem = SLProblem(form, 2, k, r1, r2)

@@ -194,10 +194,10 @@ class TestRadialCost:
     def test_gtsv_solves_of_one_certified_shell(self, monkeypatch):
         # a deterministic cost guard: each pair starts on grids N and 2N
         # from its Galerkin start pair and stops once its residual
-        # certifies its value on N (at most 3 steps) and its vector on 2N
-        # (at most 2); nothing is bisected.  Fixed steps, 3 on N and 2 on
-        # 2N for every pair and the probe, made 335 solves here, and
-        # climbing from a bisected base grid 175.
+        # certifies its vector, after at most 2 steps; nothing is
+        # bisected.  Fixed steps, 3 on N and 2 on 2N for every pair and
+        # the probe, made 335 solves here, and climbing from a bisected
+        # base grid 175.
         calls, bisected = [], []
         real_gtsv = spectrum.slsolver.dgtsv
         real_bisect = spectrum.slsolver._eigen_tridiagonal
@@ -216,6 +216,31 @@ class TestRadialCost:
         assert certify_lemmas(shell).passed
         assert len(calls) == 106
         assert bisected == []
+
+    def test_a_grid_with_an_uncertified_pair_is_bisected(self, monkeypatch):
+        # Euclidean [0.4, 1.3], k = 8, 256 cells, max_j 8: grid N is too
+        # coarse for the start pairs and 2N climbs, but pair 8 misses its
+        # vector certificate after 2 steps, so 2N is bisected too
+        bisected, climbed = [], []
+        slsolver = spectrum.slsolver
+        real_bisect, real_climb = slsolver._eigen_tridiagonal, slsolver._climb
+
+        def counting_bisect(system, count):
+            bisected.append((system.grid.size - 1, count))
+            return real_bisect(system, count)
+
+        def counting_climb(system, *args):
+            result = real_climb(system, *args)
+            climbed.append((system.grid.size - 1, result is not None))
+            return result
+
+        monkeypatch.setattr(slsolver, "_eigen_tridiagonal", counting_bisect)
+        monkeypatch.setattr(slsolver, "_climb", counting_climb)
+        pairs = solve(SLProblem("euclidean", 2, 8, 0.4, 1.3),
+                      SolverConfig(grid_points=256, max_j=8))
+        assert bisected == [(256, 9), (512, 9)]
+        assert climbed == [(512, False)]
+        assert [p.sign_changes() for p in pairs] == list(range(8))
 
     @pytest.mark.parametrize("grid,bisections,spectral,climbed", [
         # 64 and 128 cells are both fewer than 32 per start pair for

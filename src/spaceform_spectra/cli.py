@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import dataclasses
 import itertools
 import json
 import os
@@ -160,20 +159,10 @@ def _place(args, path: str | None) -> str | None:
 # ---------------------------------------------------------------------------
 
 def cmd_sl(args, parser) -> int:
-    if args.problem:
-        _refuse_beside("--problem", args, {
-            "form": None, "n": None, "k": None, "r1": None, "r2": None,
-            "bc": str(SLProblem.bc), "grid_points": SolverConfig.grid_points,
-            "no_richardson": not SolverConfig.richardson})
-        problem, config = slsolver.problem_from_dict(_load_json(args.problem))
-    else:
-        _require(args, parser, ("form", "n", "k", "r1", "r2"))
-        problem = SLProblem(args.form, args.n, args.k,
-                            args.r1, args.r2, args.bc)
-        config = SolverConfig(grid_points=args.grid_points,
-                              richardson=not args.no_richardson)
-    if args.max_j is not None:
-        config = dataclasses.replace(config, max_j=args.max_j)
+    _require(args, parser, ("form", "n", "k", "r1", "r2"))
+    problem = SLProblem(args.form, args.n, args.k, args.r1, args.r2, args.bc)
+    config = SolverConfig(grid_points=args.grid_points, richardson=not args.no_richardson,
+                          max_j=args.max_j)
     pairs = slsolver.solve(problem, config)
 
     print(f"# {problem.bc} radial spectrum, form={problem.form}, n={problem.n}, "
@@ -310,11 +299,11 @@ def cmd_verify(args, parser) -> int:
             verdict = fem2d.verify_theorem(spec, config)
         status = "PASS" if verdict.passed else "FAIL"
         failures += 0 if verdict.passed else 1
+        note = ("  (no error estimate: one level)" if verdict.fem.est_rel_error is None
+                else "  (undecided at cap)" if not verdict.decided else "")
         print(f"[{idx}/{len(specs)}] {verdict.spec_hash} {status}  form={verdict.form} "
               f"sym={verdict.symmetry}  mu2(shell)={_fmt(verdict.mu_annulus)}  "
-              f"min_margin={_fmt(min(verdict.margins))}  tau={_fmt(verdict.tau)}"
-              + ("  (no error estimate: one level)"
-                 if verdict.fem.est_rel_error is None else ""))
+              f"min_margin={_fmt(min(verdict.margins))}  tau={_fmt(verdict.tau)}{note}")
         entry = verdict.to_dict()
         entry["spec"] = dm.spec_to_dict(spec)
         results.append(entry)
@@ -473,10 +462,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sl = sub.add_parser("sl", parents=[shell, common],
                           help="solve one radial eigenproblem")
-    p_sl.add_argument("--problem", help="JSON file with the problem, in place of its flags")
     p_sl.add_argument("--k", type=int)
     p_sl.add_argument("--bc", choices=["neumann", "dirichlet"], default=str(SLProblem.bc))
-    p_sl.add_argument("--max-j", dest="max_j", type=int)
+    p_sl.add_argument("--max-j", dest="max_j", type=int, default=SolverConfig.max_j)
     p_sl.add_argument("--no-richardson", action="store_true",
                       default=not SolverConfig.richardson)
     p_sl.set_defaults(func=cmd_sl)

@@ -640,8 +640,9 @@ class VerifyConfig:
 class TheoremVerdict:
     """Comparison of the domain's low eigenvalues against its matched shell.
 
-    ``margins``, ``tau`` and ``passed`` are the ``decide`` of ``fem`` against
-    ``mu_annulus`` on the ``checked_indices``.
+    ``margins``, ``tau``, ``decided`` and ``passed`` are the ``decide`` of
+    ``fem`` against ``mu_annulus`` on the ``checked_indices``; a verdict
+    not ``decided`` reached the cap undecided.
     """
 
     spec_hash: str
@@ -655,6 +656,7 @@ class TheoremVerdict:
     checked_indices: tuple
     margins: tuple
     tau: float
+    decided: bool
     passed: bool
 
     def to_dict(self) -> dict:
@@ -668,6 +670,7 @@ class TheoremVerdict:
             "checked_indices": list(self.checked_indices),
             "margins": list(self.margins),
             "tau": self.tau,
+            "decided": self.decided,
             "verdict": "PASS" if self.passed else "FAIL",
         }
 
@@ -766,7 +769,7 @@ def verify_theorem(spec: dm.DomainSpec, config: VerifyConfig | None = None) -> T
         spec_hash=spec_hash(spec), form=spec.form, symmetry=spec.symmetry_order,
         r1=r1, r2=r2, volume=vol, mu_annulus=mu_annulus, fem=fem,
         checked_indices=indices, margins=decision.margins, tau=decision.tau,
-        passed=decision.passed)
+        decided=decision.decided, passed=decision.passed)
 
 
 def convergence_table(result: FemEigenResult, label: str = "") -> str:

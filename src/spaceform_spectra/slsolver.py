@@ -28,7 +28,7 @@ and Kernels, 1950), so that count certifies its index.  A grid is
 bisected instead (Sturm sequences, LAPACK stebz, with eigenvectors from
 stein) when it is coarser, when the Galerkin solve gives no start
 pairs, or when one of its pairs misses either certificate.  Every value
-is the Rayleigh quotient of its vector, summed in flux form, so the
+is the Rayleigh quotient of its vector (``_pencil_rayleigh``), so the
 Galerkin values only start the climb.  Optional Richardson
 extrapolation across grids N and 2N removes the leading O(h^2) error.
 
@@ -41,7 +41,7 @@ point is k, so the bounded solution vanishes).
 from __future__ import annotations
 
 import warnings
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass
 from enum import Enum
 from functools import lru_cache
 
@@ -65,7 +65,6 @@ __all__ = [
     "solve",
     "locate_b",
     "read_wire",
-    "problem_from_dict",
     "problem_to_dict",
     "pairs_to_dicts",
 ]
@@ -252,9 +251,11 @@ def _pencil_rayleigh(system: TridiagonalSystem, u: np.ndarray) -> np.ndarray:
 
     u^T K u is summed in flux form, sum(-offdiag * (u_{i+1} - u_i)^2) plus
     sum(row_sum * u_i^2), whose terms are nonnegative (the row sums are the
-    potential and eliminated-boundary terms).  The expanded form
-    diag * u^2 + 2 offdiag * u_i u_{i+1} cancels terms of size 1/h^2 and
-    leaves rounding noise near 1e-10 in the lowest eigenvalues.
+    potential and eliminated-boundary terms).  The row sums are rebuilt
+    here as diag + offdiag + offdiag, which cancels terms of size w/h: every
+    value keeps an error of up to about 1e-9 relative, and the constant
+    mode of a thin shell about 1e-7 (ROADMAP item 13 stores the exact row
+    sums in ``discretize`` instead).
     """
     row_sum = system.diag.copy()
     row_sum[:-1] += system.offdiag
@@ -335,13 +336,19 @@ def _inverse_iteration(d: np.ndarray, e: np.ndarray, shift: float,
     (``_rayleigh_residual``) meets r <= 1e-10 delta puts its vector within
     1e-10 of the eigenvector (Davis-Kahan).  A solve that under- or
     overflows certifies nothing.  An exactly zero pivot means the shift is
-    an eigenvalue to working precision, so the current vector is kept.
+    an eigenvalue to working precision and gives no step, so the current
+    vector is kept if one tridiagonal product shows its residual meets
+    the same bound.
     """
     shifted = d - shift
     for _ in range(2):
         _, _, _, x, info = dgtsv(e, shifted, e, y[:, None])
         if info > 0:
-            return y
+            z = y / np.linalg.norm(y)
+            az = shifted * z        # (A - shift) z, whose residual is that of A z
+            az[:-1] += e * z[1:]
+            az[1:] += e * z[:-1]
+            return y if np.linalg.norm(az - float(z @ az) * z) <= 1e-10 * delta else None
         norm = float(np.linalg.norm(x))
         if not 0 < norm < np.inf:   # the solve left the doubles: no certificate
             return None
@@ -513,19 +520,27 @@ def solve(problem: SLProblem, config: SolverConfig | None = None) -> list[SLEige
     discretization trouble.  The first j pairs agree, to rounding,
     whatever ``max_j >= j`` was requested.  Grid N must hold ``max_j``
     pairs and the finest grid one more; asking for more pairs than a grid
-    has active nodes is a ValueError.
+    has active nodes is a ValueError, and so is a finest grid whose
+    standard form leaves the doubles (its entries grow like 1/h^2).
     """
     config = config or SolverConfig()
     want = config.max_j
     probe = want + 1  # one more start pair for the simplicity gap check
     N = config.grid_points
     ladder = [(N, want), (2 * N, probe)] if config.richardson else [(N, probe)]
-    systems = [discretize(problem, cells) for cells, _ in ladder]
+    # the finest grid's standard form holds the largest entries, of size
+    # 1/h^2; one that leaves the doubles is refused here, before any solve
+    with np.errstate(all="ignore"):
+        systems = [discretize(problem, cells) for cells, _ in ladder]
+        finite = all(np.isfinite(part).all() for part in _standard_form(systems[-1]))
+    fine, fine_cells = systems[-1], ladder[-1][0]
+    if not finite:
+        raise ValueError(f"the pencil of an interval of width {problem.r2 - problem.r1:g} "
+                         f"on {fine_cells} cells is not finite in doubles")
     for system, (_, need) in zip(systems, ladder):
         if need > system.diag.size:
             raise ValueError(f"{need} eigenpairs asked of {system.diag.size} active nodes")
 
-    fine, fine_cells = systems[-1], ladder[-1][0]
     start = _spectral_pairs(fine, probe, want) if fine_cells >= 32 * probe else None
     grid_vals = []
     for system, (cells, _) in zip(systems, ladder):
@@ -607,11 +622,6 @@ def locate_b(pair: SLEigenpair) -> float:
 # Wire formats
 # ---------------------------------------------------------------------------
 
-# JSON kinds of every problem key, and the keys that may be absent
-_PROBLEM_KINDS = {"form": (str,), "n": (int,), "k": (int,), "r1": (int, float),
-               "r2": (int, float), "bc": (str,), "grid_points": (int,),
-               "max_j": (int,), "richardson": (bool,)}
-_PROBLEM_OPTIONAL = ("bc", *(f.name for f in fields(SolverConfig)))
 _JSON_KINDS = {dict: "object", list: "array", type(None): "null"}
 
 
@@ -633,21 +643,6 @@ def read_wire(data, kinds: dict, what: str, optional=()) -> dict:
             names = (_JSON_KINDS.get(t, t.__name__) for t in types)
             raise ValueError(f"{what} key {key}={data[key]!r} must be {' or '.join(names)}")
     return data
-
-
-def problem_from_dict(data) -> tuple[SLProblem, SolverConfig]:
-    """Problem + solver settings from the wire dict, read by ``read_wire``.
-
-    Keys: form, n, k, r1, r2 and the optional bc, grid_points, max_j and
-    richardson; absent solver settings take the ``SolverConfig`` defaults.
-    """
-    read_wire(data, _PROBLEM_KINDS, "problem", _PROBLEM_OPTIONAL)
-    problem = SLProblem(form=data["form"], n=data["n"], k=data["k"],
-                        r1=float(data["r1"]), r2=float(data["r2"]),
-                        bc=data.get("bc", SLProblem.bc))
-    config = SolverConfig(**{f.name: data[f.name] for f in fields(SolverConfig)
-                             if f.name in data})
-    return problem, config
 
 
 def problem_to_dict(problem: SLProblem, config: SolverConfig) -> dict:

@@ -10,6 +10,7 @@ import warnings
 from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from spaceform_spectra import cli, fem2d, slsolver, spectrum
@@ -106,18 +107,6 @@ class TestSlCommand:
         assert code == 2 and out == ""
         assert err.startswith("error:") and "active nodes" in err
 
-    @pytest.mark.parametrize("values", [{"k": 1.7}, {"richardson": "false"},
-                                        {"max_j": 2.9}, {"eig_tol": 1e-12}])
-    def test_problem_file_refuses_what_flags_refuse_exit_2(self, tmp_path, capsys,
-                                                           values):
-        problem = {"form": "euclidean", "n": 2, "k": 1, "r1": 1.0, "r2": 2.0,
-                   "grid_points": 64, **values}
-        path = tmp_path / "problem.json"
-        path.write_text(json.dumps(problem))
-        code, out, err = run(["sl", "--problem", str(path)], capsys)
-        assert code == 2 and out == ""
-        assert err.startswith("error:") and next(iter(values)) in err
-
     def test_config_file_merge_and_override(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"r2": 2.0, "max_j": 2}))
@@ -135,13 +124,19 @@ class TestSlCommand:
 
     @pytest.mark.parametrize("values", [{"max_j": 2.9, "r2": 2.0},
                                         {"k": True, "r2": 2.0},
+                                        {"k": 1.7, "r2": 2.0},
+                                        {"r1": False, "r2": 2.0},
+                                        {"eig_tol": 1e-12, "r2": 2.0},
+                                        {"richardson": False, "r2": 2.0},
                                         {"no_richardson": 1, "r2": 2.0},
                                         {"json": 2, "r2": 2.0}])
     def test_config_value_its_flag_refuses_exit_2(self, tmp_path, capsys, monkeypatch,
                                                   values):
-        # --max-j 2.9 and a boolean --k exit 2 on the command line, so they do
-        # in the file too; a switch takes only true or false, and a path only
-        # a string, so no report is written to a file named 2
+        # --max-j 2.9 and a boolean or fractional --k exit 2 on the command
+        # line, so they do in the file too, and so does a boolean radius; a
+        # key that names no flag, such as richardson (the flag is
+        # no_richardson), exits 2; a switch takes only true or false, and a
+        # path only a string, so no report is written to a file named 2
         monkeypatch.chdir(tmp_path)
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(values))
@@ -168,7 +163,7 @@ class TestSlCommand:
         path.write_text(json.dumps(problem))
         out_json = tmp_path / "pairs.json"
         out_csv = tmp_path / "pairs.csv"
-        code, _, _ = run(["sl", "--problem", str(path), "--json", str(out_json),
+        code, _, _ = run(["sl", "--config", str(path), "--json", str(out_json),
                           "--csv", str(out_csv)], capsys)
         assert code == 0
         blob = json.loads(out_json.read_text())
@@ -176,6 +171,56 @@ class TestSlCommand:
         assert blob["eigenpairs"][0]["eigenvalue"] == pytest.approx(ref, abs=1e-5)
         header = out_csv.read_text().splitlines()[0]
         assert header == "r,u_j1,u_j2"
+
+    def test_config_report_matches_the_flags(self, tmp_path, capsys):
+        # a problem file is a --config file: it writes the bytes its flags write
+        problem = {"form": "hyperbolic", "n": 3, "k": 2, "r1": 0.5, "r2": 1.5,
+                   "bc": "dirichlet", "grid_points": 256, "max_j": 3, "no_richardson": True}
+        path = tmp_path / "problem.json"
+        path.write_text(json.dumps(problem))
+        by_file, by_flags = tmp_path / "file.json", tmp_path / "flags.json"
+        code, out_file, _ = run(["sl", "--config", str(path), "--json", str(by_file)], capsys)
+        assert code == 0
+        code, out_flags, _ = run(["sl", "--form", "hyperbolic", "--n", "3", "--k", "2",
+                                  "--r1", "0.5", "--r2", "1.5", "--bc", "dirichlet",
+                                  "--grid-points", "256", "--max-j", "3", "--no-richardson",
+                                  "--json", str(by_flags)], capsys)
+        assert code == 0 and out_file == out_flags
+        assert by_file.read_bytes() == by_flags.read_bytes()
+
+    def test_flag_beats_the_config_grid(self, tmp_path, capsys):
+        path = tmp_path / "problem.json"
+        path.write_text(json.dumps({"form": "euclidean", "n": 2, "k": 1, "r1": 0.0,
+                                    "r2": 1.0, "grid_points": 512}))
+        report = tmp_path / "pairs.json"
+        code, _, _ = run(["sl", "--config", str(path), "--grid-points", "2048",
+                          "--json", str(report)], capsys)
+        assert code == 0
+        blob = json.loads(report.read_text())
+        assert blob["problem"]["grid_points"] == 2048
+        assert len(blob["eigenpairs"][0]["grid"]) == 2 * 2048 + 1   # grid 2N
+
+    def test_problem_flag_is_gone_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "problem.json"
+        path.write_text(json.dumps({"form": "euclidean", "n": 2, "k": 1, "r1": 0.0,
+                                    "r2": 1.0}))
+        code, out, err = run(["sl", "--problem", str(path)], capsys)
+        assert code == 2 and out == ""
+        assert "--problem" in err
+
+    @pytest.mark.parametrize("n", ["2", "3"])
+    @pytest.mark.parametrize("k", ["0", "1"])
+    def test_pencil_outside_the_doubles_exit_2(self, capsys, k, n):
+        # 1/h^2 of a 1e-160 wide interval overflows: refused before any
+        # solve, naming the width and the grid; numpy warns of nothing
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run(["sl", "--form", "euclidean", "--n", n, "--k", k,
+                                  "--r1", "0", "--r2", "1e-160"], capsys)
+        assert code == 2 and out == ""
+        assert err == ("error: the pencil of an interval of width 1e-160 on 4096 cells "
+                       "is not finite in doubles\n")
+        assert caught == []
 
 
 class TestSpectrumCommand:
@@ -203,6 +248,36 @@ class TestSpectrumCommand:
         code, out, _ = run(["spectrum", "--config", str(cfg)], capsys)
         assert code == 0
         assert "neumann_dirichlet_bridge: PASS" in out
+
+    @pytest.mark.parametrize("form", ["euclidean", "spherical", "hyperbolic"])
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_certify_solve_count_on_benchmark_shells(self, form, n, monkeypatch, capsys):
+        # one shell and one ball per form and n, drawn as the benchmark's
+        # shells are at seed 2026: assemble solves each Neumann mode once
+        # (9 solves) and certify_lemmas adds 5 Dirichlet modes, so a mode-0
+        # double solve or a re-solved mode would show here
+        rng = np.random.default_rng(2026)
+        cases = {}
+        for f in ("euclidean", "spherical", "hyperbolic"):
+            for dim in (2, 3):
+                r1 = float(rng.uniform(0.2, 0.5))
+                shell = (r1, r1 + float(rng.uniform(0.6, 1.0)))
+                cases[f, dim] = [shell, (0.0, float(rng.uniform(0.8, 1.5)))]
+        solved = Counter()
+        real_solve = slsolver.solve
+
+        def counting_solve(problem, config=None):
+            solved[str(problem.bc)] += 1
+            return real_solve(problem, config)
+
+        monkeypatch.setattr(slsolver, "solve", counting_solve)
+        for r1, r2 in cases[form, n]:
+            solved.clear()
+            code, out, _ = run(["spectrum", "--form", form, "--n", str(n), "--r1", repr(r1),
+                                "--r2", repr(r2), "--kmax", "8", "--jmax", "8",
+                                "--certify"], capsys)
+            assert code == 0 and "FAIL" not in out
+            assert solved == {"neumann": 9, "dirichlet": 5}
 
     def test_certify_solves_each_radial_problem_once(self, monkeypatch, capsys):
         calls = {"neumann": 0, "dirichlet": 0}
@@ -508,6 +583,25 @@ class TestVerifyCommand:
         code, out, _ = run(["verify", "--spec", str(path), "--levels", "1"], capsys)
         assert code == 4
         assert "FAIL" in out
+
+    def test_undecided_cap_run_is_marked(self, tmp_path, capsys):
+        # near the disk the margin grows like the amplitude squared: the
+        # holed domain is decided at level 2 (about 21 tau), the hole-free
+        # one reaches the cap at about 0.24 tau and is marked
+        report = tmp_path / "report.json"
+        code, out, _ = run(["verify", "--random-family", "s=4 count=2 amplitude=0.01",
+                            "--form", "euclidean", "--seed", "2026", "--levels", "3",
+                            "--json", str(report)], capsys)
+        assert code == 0
+        domains = json.loads(report.read_text())["domains"]
+        assert [d["spec"].get("rho_in") is not None for d in domains] == [True, False]
+        assert [d["decided"] for d in domains] == [True, False]
+        assert [len(d["fem"]["levels"]) for d in domains] == [3, 4]   # from level 0
+        assert min(domains[0]["margins"]) >= 20 * domains[0]["tau"]
+        assert 0 < min(domains[1]["margins"]) < 0.5 * domains[1]["tau"]
+        lines = out.splitlines()
+        assert not lines[0].endswith("(undecided at cap)")
+        assert lines[1].endswith("  (undecided at cap)")
 
     def test_one_level_without_error_estimate_exit_4(self, tmp_path, capsys):
         # every margin clears the 1e-4 floor, but one level estimates no error
@@ -825,10 +919,9 @@ FLAGS = {
         "--grid-points": ("grid_points", 2048, int, None),
         "--json": ("json", None, None, None),
         "--k": ("k", None, int, None),
-        "--max-j": ("max_j", None, int, None),
+        "--max-j": ("max_j", 1, int, None),
         "--n": ("n", None, int, None),
         "--no-richardson": ("no_richardson", False, None, None),
-        "--problem": ("problem", None, None, None),
         "--r1": ("r1", None, float, None),
         "--r2": ("r2", None, float, None),
     },
@@ -901,14 +994,14 @@ class TestInputRules:
         ("verify", {**README_DOMAIN, "rho_out": [1.2]}, "rho_out"),
         ("verify", {**README_DOMAIN, "rho_in": 0.5}, "rho_in"),
         ("verify", {**README_DOMAIN, "schema_version": 2}, "schema_version"),
-        ("sl", [1, 2], "problem must be a JSON object"),
+        ("sl", [1, 2], "sl config must be a JSON object"),
     ], ids=["misspelled-key", "misspelled-harmonic-key", "empty-profile",
             "harmonics-object", "profile-array", "profile-number", "schema-version",
             "problem-array"])
     def test_breach_exits_2_naming_the_key(self, command, blob, key, tmp_path, capsys):
         path = tmp_path / "input.json"
         path.write_text(json.dumps(blob))
-        flag = "--spec" if command == "verify" else "--problem"
+        flag = "--spec" if command == "verify" else "--config"
         code, out, err = run([command, flag, str(path)], capsys)
         assert code == 2 and out == ""
         assert err.startswith("error: ") and key in err
@@ -950,28 +1043,6 @@ class TestExitMapping:
                              capsys)
         assert code == 2 and out == ""
         assert err.startswith("error:") and "--spec" in err and "--random-family" in err
-
-    @pytest.mark.parametrize("flags,named", [
-        (["--grid-points", "128", "--no-richardson"], ["--grid-points", "--no-richardson"]),
-        (["--form", "euclidean", "--n", "2", "--k", "1", "--r1", "0", "--r2", "1"],
-         ["--form", "--n", "--k", "--r1", "--r2"]),
-        (["--bc", "dirichlet"], ["--bc"]),
-    ], ids=["solver", "problem", "bc"])
-    def test_problem_beside_a_flag_it_would_override_exit_2(self, flags, named, tmp_path,
-                                                             capsys):
-        # the file sets every one of these, so the flag would be dropped unsaid
-        path = tmp_path / "problem.json"
-        path.write_text(json.dumps({"form": "euclidean", "n": 2, "k": 1, "r1": 0.0,
-                                    "r2": 1.0, "grid_points": 512, "max_j": 2}))
-        code, out, err = run(["sl", "--problem", str(path), *flags], capsys)
-        assert code == 2 and out == ""
-        assert err.startswith("error:") and "--problem" in err
-        assert all(flag in err for flag in named)
-        # --max-j, which the file does not fix, and flags left at their
-        # defaults still go beside it
-        code, out, _ = run(["sl", "--problem", str(path), "--max-j", "1",
-                            "--bc", "neumann", "--grid-points", "2048"], capsys)
-        assert code == 0 and len(out.strip().splitlines()) == 3
 
     @pytest.mark.parametrize("command", ["verify", "moments"])
     def test_negative_seed_of_a_family_exit_2_naming_it(self, command, capsys):

@@ -300,7 +300,8 @@ def cmd_verify(args, parser) -> int:
         status = "PASS" if verdict.passed else "FAIL"
         failures += 0 if verdict.passed else 1
         note = ("  (no error estimate: one level)" if verdict.fem.est_rel_error is None
-                else "  (undecided at cap)" if not verdict.decided else "")
+                else "  (undecided at cap)" if not verdict.decided
+                else "  (Ritz bound)" if verdict.decided_by == "ritz_bound" else "")
         print(f"[{idx}/{len(specs)}] {verdict.spec_hash} {status}  form={verdict.form} "
               f"sym={verdict.symmetry}  mu2(shell)={_fmt(verdict.mu_annulus)}  "
               f"min_margin={_fmt(min(verdict.margins))}  tau={_fmt(verdict.tau)}{note}")

@@ -113,6 +113,14 @@ class FourierProfile:
             rho += a * np.cos(m * theta) + b * np.sin(m * theta)
         return rho
 
+    def d_theta(self, theta):
+        """rho'(theta), the derivative of ``at_theta``."""
+        theta = np.asarray(theta, dtype=float)
+        slope = np.zeros_like(theta)
+        for m, a, b in self.harmonics:
+            slope += m * (b * np.cos(m * theta) - a * np.sin(m * theta))
+        return slope
+
     def evaluate(self, omega):
         return self.at_theta(np.arctan2(omega[1], omega[0]))
 

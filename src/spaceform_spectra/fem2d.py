@@ -1,18 +1,19 @@
 """Metric-weighted P1 finite elements for planar symmetric domains.
 
-The mesh is structured in the (r, theta) chart: each angular ray is
-subdivided uniformly between rho_in(theta) and rho_out(theta), quads are
-split into triangles, and theta = 0 is identified with 2 pi.  Because
-the metric dr^2 + sin_m(r)^2 dtheta^2 is diagonal in the chart, assembly
-only needs the scalar weights sin_m(r) (mass, radial stiffness) and
-1/sin_m(r) (angular stiffness), evaluated by the mid-edge three-point
-rule; curved boundaries are resolved exactly along mesh rays and the
-domain symmetry is exact on the vertex set.  Every quad splits the same
-way into two triangles, so assembly computes each triangle type's element
-entries as (n_radial, width) arrays and sums them straight into the
-seven-point stencil of every vertex, with no per-triangle index triples.
-Only the wedge of rays that the domain's rotation symmetry (order 4, 2 or
-1) turns onto the whole mesh is integrated.
+The mesh is structured on the exact map r = rho_in(theta) + t D(theta),
+D = rho_out - rho_in, of the rectangle [0, 1] x [0, 2 pi) onto the domain:
+each angular ray is subdivided uniformly in t, quads are split into
+triangles, and theta = 0 is identified with 2 pi.  P1 functions are linear
+in (t, theta), so the mesh covers the domain exactly, curved boundaries
+included, and the domain symmetry is exact on the vertex set.  The metric
+dr^2 + sin_m(r)^2 dtheta^2 pulls back to a full tensor A and volume
+density J = D sin_m(r) in (t, theta), which assembly integrates by
+Dunavant's 7-point degree-5 rule.  Every quad splits the same way into
+two triangles, so assembly computes each triangle type's element entries
+as (n_radial, width) arrays and sums them straight into the seven-point
+stencil of every vertex, with no per-triangle index triples.  Only the
+wedge of rays that the domain's rotation symmetry (order 4, 2 or 1) turns
+onto the whole mesh is integrated.
 
 Eigenvalues come from Lanczos on the spectral transformation of the
 pencil (K, M) about SHIFT, one symmetry sector at a time: the rotation
@@ -44,7 +45,12 @@ per unknown, would set the run's peak.
 one builder of a refinement history from such levels.
 ``decide`` is the one verdict rule: from a refinement history it
 computes the margins, tau and observed orders of the checked indices, the
-PASS/FAIL, and whether refining further could still change it.
+PASS/FAIL, whether refining further could still change it, and which rule
+decided it.  On a holed domain the mesh covers the domain exactly and
+conforming Galerkin values bound the domain's from above (min-max), so
+from two levels on, finest values clearly below the shell's mu_2 decide a
+PASS by that Rayleigh-Ritz bound; otherwise Richardson extrapolation and
+its observed order decide.
 ``verify_theorem`` solves its levels one at a time and stops at the first
 level below the cap that ``decide`` calls decided.  An observed order
 needs three levels, so a ladder of three or more levels that starts at
@@ -52,10 +58,11 @@ level l >= 1 first solves the probe level l - 1.  A run that reaches the
 cap reports the values a fixed ladder gives, with the probe level in
 front of its history.
 
-Hole-free domains keep the chart away from its r = 0 degeneracy with a
+Hole-free domains keep the map away from the r = 0 degeneracy with a
 small artificial inner circle (natural boundary condition, radius 1e-3);
-shrinking it to 1e-4 moves mu_2 by less than 5e-5 relative at level 2,
-below the 1e-4 floor of the reported tolerance.
+shrinking it to 1e-4 moves mu_2 by less than 6e-5 relative at level 2,
+below the 1e-4 floor of the reported tolerance.  Their mesh leaves that
+disk out, so their values bound nothing and only Richardson decides them.
 """
 
 from __future__ import annotations
@@ -102,6 +109,7 @@ SHIFT = -0.1                 # spectral-transformation shift below the spectrum
 TAU_FLOOR = 1e-4             # smallest verdict tolerance
 STOP_MARGIN = 2.0            # margins beyond this many tau decide a verdict
 ORDER_BAND = (1.5, 2.5)      # observed orders under which Richardson is trusted
+RITZ_ALLOWANCE = 1e-6        # relative quadrature term a Rayleigh-Ritz bound carries
 DIRECT_MAX_UNKNOWNS = 5000   # larger symmetry sectors are inverted by CG, not Cholesky
 CG_RTOL, CG_MAXITER = 1e-12, 200   # stopping rule of those CG solves
 
@@ -148,6 +156,13 @@ class PolarMesh:
         return float(np.mean(gaps)) / self.n_radial
 
 
+def _boundaries(spec: dm.DomainSpec) -> tuple[dm.FourierProfile, dm.FourierProfile]:
+    """rho_in and rho_out of the mesh: a hole-free domain's mesh starts on
+    the circle of radius HOLE_FREE_INNER_RADIUS."""
+    inner = spec.rho_in if spec.has_hole else dm.FourierProfile(HOLE_FREE_INNER_RADIUS)
+    return inner, spec.rho_out
+
+
 def generate_mesh(spec: dm.DomainSpec, level: int) -> PolarMesh:
     """Structured mesh at refinement ``level`` (each level quadruples triangles).
 
@@ -165,11 +180,8 @@ def generate_mesh(spec: dm.DomainSpec, level: int) -> PolarMesh:
     n_angular = LEVEL0_ANGULAR * 2**level
 
     theta = np.linspace(0.0, 2 * math.pi, n_angular, endpoint=False)
-    rho_out = spec.rho_out.at_theta(theta)
-    if spec.has_hole:
-        rho_in = spec.rho_in.at_theta(theta)
-    else:
-        rho_in = np.full_like(theta, HOLE_FREE_INNER_RADIUS)
+    inner, outer = _boundaries(spec)
+    rho_in, rho_out = inner.at_theta(theta), outer.at_theta(theta)
     if np.min(rho_out - rho_in) <= 0:
         raise DegenerateDomainError("boundaries touch or cross")
 
@@ -231,36 +243,67 @@ class FemSystem:
         return self._full(self.mass_sums)
 
 
-# barycentric values at the three edge midpoints
-_MIDEDGE = np.array([[0.5, 0.5, 0.0],
-                     [0.0, 0.5, 0.5],
-                     [0.5, 0.0, 0.5]])
+# Dunavant's 7-point rule, exact to degree 5 (IJNME 21, 1985): barycentric
+# coordinates of the points, one row each, and weights summing to 1
+_SQRT15 = math.sqrt(15.0)
+_DUNAVANT_POINTS = np.array(
+    [[1 / 3, 1 / 3, 1 / 3]]
+    + [np.roll([1 - 2 * p, p, p], k) for p in ((6 - _SQRT15) / 21, (6 + _SQRT15) / 21)
+       for k in range(3)])
+_DUNAVANT_WEIGHTS = np.array([9 / 40] + 3 * [(155 - _SQRT15) / 1200]
+                             + 3 * [(155 + _SQRT15) / 1200])
 
-def _element_entries(form: SpaceForm, r, t) -> tuple[dict, dict]:
+
+def _pullback(form: SpaceForm, inner: dm.FourierProfile, outer: dm.FourierProfile):
+    """Coefficient fields of the weak form on the map r = rho_in + t D.
+
+    With D = rho_out - rho_in, a = dr/dtheta = rho_in' + t D' and
+    s = sin_m(r), the metric dr^2 + s^2 dtheta^2 pulls back to the (t, theta)
+    plane with volume density J = D s and stiffness tensor
+    A = (1 / (D s)) [[a^2 + s^2, -D a], [-D a, D^2]].  Returns
+    ``fields(t, theta) -> (A_tt, A_ttheta, A_thetatheta, J)``.
+    """
+    def fields(t, theta):
+        rho_in, slope_in = inner.at_theta(theta), inner.d_theta(theta)
+        gap = outer.at_theta(theta) - rho_in
+        slope = slope_in + t * (outer.d_theta(theta) - slope_in)
+        s = sin_m(form, rho_in + t * gap)
+        density = gap * s
+        return (slope * slope + s * s) / density, -slope / s, gap / s, density
+    return fields
+
+
+def _element_entries(fields, t, theta) -> tuple[dict, dict]:
     """Element stiffness and mass entries of one triangle in every quad.
 
-    ``r`` and ``t`` hold the chart coordinates of the three vertices, each
-    an (n_radial, n_angular) array or a row broadcasting to one.  Returns
-    two dicts keyed by local vertex pairs (a, b) with a <= b.
+    ``t`` and ``theta`` hold the (t, theta) coordinates of the three
+    vertices, ``t`` as (n_radial, 1) columns and ``theta`` as (1, width)
+    rows.  P1 gradients are constant per triangle;
+    ``K_ab = sum_q w_q grad(phi_a) . A(x_q) grad(phi_b)`` and
+    ``M_ab = sum_q w_q phi_a(x_q) phi_b(x_q) J(x_q)`` run over Dunavant's
+    seven points x_q, all evaluated at once.  Returns two dicts keyed by
+    local vertex pairs (a, b) with a <= b.
     """
-    area = 0.5 * ((r[1] - r[0]) * (t[2] - t[0]) - (t[1] - t[0]) * (r[2] - r[0]))
-    if np.any(area <= 0):
-        raise DegenerateDomainError("degenerate triangle during assembly")
+    area = 0.5 * ((t[1] - t[0]) * (theta[2] - theta[0]) - (theta[1] - theta[0]) * (t[2] - t[0]))
     # constant P1 gradients: grad lambda_a = rot(opposite edge) / (2A)
-    grad_r = [(t[(a + 1) % 3] - t[(a + 2) % 3]) / (2 * area) for a in range(3)]
-    grad_t = [(r[(a + 2) % 3] - r[(a + 1) % 3]) / (2 * area) for a in range(3)]
-    # sin_m at the midpoint of edge q = (q, q + 1), the rows of _MIDEDGE
-    s_mid = [sin_m(form, 0.5 * (r[q] + r[(q + 1) % 3])) for q in range(3)]
-    w_r = (area / 3.0) * (s_mid[0] + s_mid[1] + s_mid[2])
-    w_t = (area / 3.0) * (1.0 / s_mid[0] + 1.0 / s_mid[1] + 1.0 / s_mid[2])
-    stiffness, mass = {}, {}
-    for a in range(3):
-        for b in range(a, 3):
-            stiffness[a, b] = grad_r[a] * grad_r[b] * w_r + grad_t[a] * grad_t[b] * w_t
-            # phi_a phi_b is 1/4 at the midpoints of the edges holding both
-            mass[a, b] = (area / 12.0) * sum(s_mid[q] for q in range(3)
-                                             if _MIDEDGE[q, a] and _MIDEDGE[q, b])
-    return stiffness, mass
+    grad_t = [(theta[(a + 1) % 3] - theta[(a + 2) % 3]) / (2 * area) for a in range(3)]
+    grad_theta = [(t[(a + 2) % 3] - t[(a + 1) % 3]) / (2 * area) for a in range(3)]
+    # (7, n_radial, width) values at the points
+    a_tt, a_ttheta, a_thetatheta, density = fields(
+        np.tensordot(_DUNAVANT_POINTS, np.stack(t), axes=1),
+        np.tensordot(_DUNAVANT_POINTS, np.stack(theta), axes=1))
+    w_tt, w_ttheta, w_thetatheta = (area * np.tensordot(_DUNAVANT_WEIGHTS, field, axes=1)
+                                    for field in (a_tt, a_ttheta, a_thetatheta))
+    pairs = [(a, b) for a in range(3) for b in range(a, 3)]
+    # phi_a phi_b at the points are the products of their barycentric coordinates
+    products = np.array([_DUNAVANT_WEIGHTS * _DUNAVANT_POINTS[:, a] * _DUNAVANT_POINTS[:, b]
+                         for a, b in pairs])
+    mass = area * np.tensordot(products, density, axes=1)
+    stiffness = {(a, b): grad_t[a] * grad_t[b] * w_tt
+                 + (grad_t[a] * grad_theta[b] + grad_theta[a] * grad_t[b]) * w_ttheta
+                 + grad_theta[a] * grad_theta[b] * w_thetatheta
+                 for a, b in pairs}
+    return stiffness, dict(zip(pairs, mass))
 
 
 def _stencil_sums(t1: dict, t2: dict):
@@ -318,12 +361,16 @@ def _stencil_matrix(sums, omega: complex = 1.0) -> sparse.dia_matrix:
 
 
 def assemble(mesh: PolarMesh) -> FemSystem:
-    """Stiffness and mass for the weak form in the chart of ``mesh.spec``.
+    """Stiffness and mass for the weak form of ``mesh.spec`` on its exact map.
 
-    Stiffness integrand: (u_r v_r + sin_m^{-2} u_t v_t) sin_m(r);
-    mass integrand: u v sin_m(r).  P1 gradients are constant per element,
-    so only the two scalar weight integrals vary, both taken by the
-    mid-edge rule.  Neumann conditions are natural: no boundary terms.
+    P1 is linear in (t, theta), where r = rho_in(theta) + t D(theta) maps
+    the rectangle [0, 1] x [0, 2 pi) onto the domain exactly (onto the
+    domain less the disk of radius HOLE_FREE_INNER_RADIUS without a hole);
+    the mesh vertex (i, j) is (t, theta) = (i / n_radial, theta_j).  The
+    stiffness integrand is grad(u) . A grad(v) and the mass integrand
+    u v J in the (t, theta) plane, with A and J from ``_pullback``, both
+    taken by Dunavant's 7-point rule.  Neumann conditions are natural: no
+    boundary terms.
 
     The mesh is structured, so the element entries of each of the two
     triangle types are (n_radial, width) arrays and sum directly into
@@ -332,17 +379,16 @@ def assemble(mesh: PolarMesh) -> FemSystem:
     wedge of the domain's rotation symmetry are integrated; the rest of
     the mesh is its turned copies (see ``FemSystem``).
     """
-    form = mesh.spec.form
     order = dm.fourier_order(mesh.spec.symmetry_order)
     width = mesh.n_angular // order
-    r = mesh.vertices[:, 0].reshape(mesh.n_radial + 1, mesh.n_angular)[:, :width]
+    fields = _pullback(mesh.spec.form, *_boundaries(mesh.spec))
+    t = np.arange(mesh.n_radial + 1)[:, None] / mesh.n_radial
     theta = mesh.vertices[:width, 1]
     # quad corners; the rotation maps ray `width` onto ray 0 at angle 2 pi / order
-    r_a, r_c = r[:-1], r[1:]
-    r_b, r_d = np.roll(r_a, -1, axis=1), np.roll(r_c, -1, axis=1)
-    t_a, t_b = theta, np.append(theta[1:], 2 * math.pi / order)
-    k1, m1 = _element_entries(form, (r_a, r_c, r_d), (t_a, t_a, t_b))  # T1 = [a, c, d]
-    k2, m2 = _element_entries(form, (r_a, r_d, r_b), (t_a, t_b, t_b))  # T2 = [a, d, b]
+    t_a, t_c = t[:-1], t[1:]
+    th_a, th_b = theta[None, :], np.append(theta[1:], 2 * math.pi / order)[None, :]
+    k1, m1 = _element_entries(fields, (t_a, t_c, t_c), (th_a, th_a, th_b))  # T1 = [a, c, d]
+    k2, m2 = _element_entries(fields, (t_a, t_c, t_a), (th_a, th_b, th_b))  # T2 = [a, d, b]
     return FemSystem(mesh=mesh, order=order, stiffness_sums=_stencil_sums(k1, k2),
                      mass_sums=_stencil_sums(m1, m2))
 
@@ -640,8 +686,8 @@ class VerifyConfig:
 class TheoremVerdict:
     """Comparison of the domain's low eigenvalues against its matched shell.
 
-    ``margins``, ``tau``, ``decided`` and ``passed`` are the ``decide`` of
-    ``fem`` against ``mu_annulus`` on the ``checked_indices``; a verdict
+    ``margins``, ``tau``, ``decided_by`` and ``passed`` are the ``decide``
+    of ``fem`` against ``mu_annulus`` on the ``checked_indices``; a verdict
     not ``decided`` reached the cap undecided.
     """
 
@@ -656,8 +702,12 @@ class TheoremVerdict:
     checked_indices: tuple
     margins: tuple
     tau: float
-    decided: bool
+    decided_by: str | None
     passed: bool
+
+    @property
+    def decided(self) -> bool:
+        return self.decided_by is not None
 
     def to_dict(self) -> dict:
         return {
@@ -671,6 +721,7 @@ class TheoremVerdict:
             "margins": list(self.margins),
             "tau": self.tau,
             "decided": self.decided,
+            "decided_by": self.decided_by,
             "verdict": "PASS" if self.passed else "FAIL",
         }
 
@@ -686,19 +737,35 @@ class Decision(NamedTuple):
     margins: tuple
     tau: float
     orders: tuple
-    decided: bool
+    decided_by: str | None   # "ritz_bound" or "richardson"; None while undecided
     passed: bool
 
+    @property
+    def decided(self) -> bool:
+        return self.decided_by is not None
 
-def decide(mu_shell: float, radial: float, fem: FemEigenResult, indices) -> Decision:
+
+def decide(mu_shell: float, radial: float, fem: FemEigenResult, indices, *,
+           ritz: bool) -> Decision:
     """The verdict rule for mu_i(domain) <= mu_shell at the checked ``indices``.
 
     margin_i = (mu_shell - mu_i) / mu_shell on the extrapolated values (the
     finest level's when there is one level), and tau = max(TAU_FLOOR,
     3 * e + radial), e the largest ``fem.est_rel_error`` of a checked index
     (0 for one level) and ``radial`` the shell's relative Richardson
-    correction.  ``passed``: an error estimate exists and every margin is
-    >= -tau.  ``decided``, so refining further cannot change the verdict:
+    correction.
+
+    ``ritz`` says the finest level's values bound the domain's from above,
+    as conforming Galerkin values on a mesh that covers the domain exactly
+    do by min-max (Babuska and Osborn, Eigenvalue Problems, 1991): true of
+    a holed domain, not of a hole-free one, whose mesh leaves out a small
+    disk.  Then, with two or more levels, every checked finest value with
+    mu_i * (1 + RITZ_ALLOWANCE) <= mu_shell * (1 - radial) is a PASS that
+    refining cannot change, decided by "ritz_bound"; RITZ_ALLOWANCE covers
+    the quadrature of the element entries.
+
+    Otherwise the Richardson rule: ``passed`` when an error estimate
+    exists and every margin is >= -tau; ``decided``, by "richardson", when
     every margin is >= STOP_MARGIN * tau or one is <= -STOP_MARGIN * tau,
     and every observed order lies in ORDER_BAND, where the Richardson
     estimate behind tau can be trusted (Roache, Verification and
@@ -709,12 +776,16 @@ def decide(mu_shell: float, radial: float, fem: FemEigenResult, indices) -> Deci
     tau = max(TAU_FLOOR, 3.0 * max(est[i - 1] for i in indices) + radial)
     margins = tuple((mu_shell - best[i - 1]) / mu_shell for i in indices)
     orders = tuple(fem.observed_order[i - 1] if fem.observed_order else None for i in indices)
+    if ritz and len(fem.levels) >= 2 and all(
+            fem.eigenvalues[i - 1] * (1 + RITZ_ALLOWANCE) <= mu_shell * (1 - radial)
+            for i in indices):
+        return Decision(margins, tau, orders, "ritz_bound", True)
     low, high = ORDER_BAND
     decided = (all(order is not None and low <= order <= high for order in orders)
                and (all(margin >= STOP_MARGIN * tau for margin in margins)
                     or any(margin <= -STOP_MARGIN * tau for margin in margins)))
     passed = fem.est_rel_error is not None and all(margin >= -tau for margin in margins)
-    return Decision(margins, tau, orders, decided, passed)
+    return Decision(margins, tau, orders, "richardson" if decided else None, passed)
 
 
 def _ladder(levels: tuple) -> tuple:
@@ -762,14 +833,14 @@ def verify_theorem(spec: dm.DomainSpec, config: VerifyConfig | None = None) -> T
     for level in _ladder(config.levels):
         history.append(eigensolve(assemble(generate_mesh(spec, level)), m=config.m))
         fem = FemEigenResult.from_levels(history)
-        decision = decide(mu_annulus, radial, fem, indices)
+        decision = decide(mu_annulus, radial, fem, indices, ritz=spec.has_hole)
         if decision.decided:
             break
     return TheoremVerdict(
         spec_hash=spec_hash(spec), form=spec.form, symmetry=spec.symmetry_order,
         r1=r1, r2=r2, volume=vol, mu_annulus=mu_annulus, fem=fem,
         checked_indices=indices, margins=decision.margins, tau=decision.tau,
-        decided=decision.decided, passed=decision.passed)
+        decided_by=decision.decided_by, passed=decision.passed)
 
 
 def convergence_table(result: FemEigenResult, label: str = "") -> str:

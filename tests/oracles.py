@@ -217,7 +217,7 @@ def triangle_coords(vertices: np.ndarray, triangles: np.ndarray) -> np.ndarray:
 
 
 def chart_areas(coords: np.ndarray) -> np.ndarray:
-    """Signed (r, theta) areas of (T, 3, 2) triangle coordinates."""
+    """Signed chart areas of (T, 3, 2) triangle coordinates."""
     e1 = coords[:, 1] - coords[:, 0]
     e2 = coords[:, 2] - coords[:, 0]
     return 0.5 * (e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0])
@@ -227,38 +227,91 @@ def _sin_m_array(form: str, r: np.ndarray) -> np.ndarray:
     return {"euclidean": r, "spherical": np.sin(r), "hyperbolic": np.sinh(r)}[str(form)]
 
 
-def element_assembly(vertices: np.ndarray, triangles: np.ndarray, form: str):
-    """(K, M) as CSR matrices, from (T, 3, 3) element matrices summed as COO.
+def conical_gauss_rule(points: int):
+    """(barycentric points (Q, 3), weights (Q,) summing to 1) of the
+    conical Gauss product rule on a triangle: x = u, y = v (1 - u) with
+    ``points`` Gauss-Legendre nodes in u and in v, exact to degree
+    2 * points - 2."""
+    x, w = np.polynomial.legendre.leggauss(points)
+    x, w = 0.5 * (x + 1.0), 0.5 * w
+    u, v = np.repeat(x, points), np.tile(x, points)
+    weights = 2.0 * np.repeat(w, points) * np.tile(w, points) * (1.0 - u)
+    y = v * (1.0 - u)
+    return np.column_stack([1.0 - u - y, u, y]), weights
 
-    ``vertices`` holds (r, theta) rows and ``triangles`` counterclockwise
-    vertex triples; theta is unwrapped per triangle across 2 pi. Stiffness
-    integrand (u_r v_r + sin_m^-2 u_t v_t) sin_m(r), mass integrand
-    u v sin_m(r), both weights by the mid-edge three-point rule.
+
+def split_in_four(rule):
+    """The composite of ``rule`` over the four triangles that the edge
+    midpoints cut a triangle into, as one barycentric rule."""
+    bary, weights = rule
+    corners = np.eye(3)
+    mid = [(corners[a] + corners[b]) / 2 for a, b in ((0, 1), (1, 2), (2, 0))]
+    quarters = [(corners[0], mid[0], mid[2]), (mid[0], corners[1], mid[1]),
+                (mid[2], mid[1], corners[2]), (mid[1], mid[2], mid[0])]
+    points = np.concatenate([bary @ np.array(quarter) for quarter in quarters])
+    return points, np.tile(weights / 4.0, 4)
+
+
+def _fourier(profile, theta):
+    """rho(theta) and rho'(theta) of a (base, harmonics) Fourier profile."""
+    base, harmonics = profile
+    rho, slope = np.full_like(theta, base), np.zeros_like(theta)
+    for m, a, b in harmonics:
+        rho += a * np.cos(m * theta) + b * np.sin(m * theta)
+        slope += m * (b * np.cos(m * theta) - a * np.sin(m * theta))
+    return rho, slope
+
+
+def exact_map_assembly(form: str, inner, outer, n_radial: int, n_angular: int, rule):
+    """(K, M) as CSR matrices of P1 on the (t, theta) grid of the map
+    r = rho_in(theta) + t (rho_out(theta) - rho_in(theta)), from (T, 3, 3)
+    element matrices summed as COO.
+
+    ``inner`` and ``outer`` are (base, harmonics) Fourier profiles and
+    ``rule`` a barycentric (points, weights) rule.  Vertex (i, j) is
+    (t, theta) = (i / n_radial, 2 pi j / n_angular), numbered and split into
+    triangles as ``polar_mesh_connectivity`` does.  At each point the
+    Jacobian F of (t, theta) -> (r, theta) pulls the metric
+    diag(1, sin_m(r)^2) back to g = F^T diag(1, sin_m^2) F, and the weak
+    form integrates grad(u) . sqrt(det g) g^-1 grad(v) and u v sqrt(det g).
     """
     import scipy.sparse as sparse
 
-    coords = triangle_coords(vertices, triangles)
-    r_pts, t_pts = coords[:, :, 0], coords[:, :, 1]
+    triangles, _ = polar_mesh_connectivity(n_radial, n_angular)
+    ring, ray = np.divmod(np.arange((n_radial + 1) * n_angular), n_angular)
+    grid = np.column_stack([ring / n_radial, ray * (2 * math.pi / n_angular)])
+    coords = triangle_coords(grid, triangles)
     areas = chart_areas(coords)
-
-    grads = np.empty_like(coords)  # (T, 3 vertices, 2 components d/dr, d/dtheta)
+    grads = np.empty_like(coords)  # (T, 3 vertices, 2 components d/dt, d/dtheta)
     for a in range(3):
         b, c = (a + 1) % 3, (a + 2) % 3
-        grads[:, a, 0] = (t_pts[:, b] - t_pts[:, c]) / (2 * areas)
-        grads[:, a, 1] = (r_pts[:, c] - r_pts[:, b]) / (2 * areas)
+        grads[:, a, 0] = (coords[:, b, 1] - coords[:, c, 1]) / (2 * areas)
+        grads[:, a, 1] = (coords[:, c, 0] - coords[:, b, 0]) / (2 * areas)
 
-    midedge = np.array([[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.5, 0.0, 0.5]])
-    s_mid = _sin_m_array(form, midedge @ r_pts.T)              # (3 qpts, T)
-    w_r = (areas / 3.0) * np.sum(s_mid, axis=0)
-    w_t = (areas / 3.0) * np.sum(1.0 / s_mid, axis=0)
-    k_elem = (grads[:, :, None, 0] * grads[:, None, :, 0] * w_r[:, None, None]
-              + grads[:, :, None, 1] * grads[:, None, :, 1] * w_t[:, None, None])
-    m_elem = (np.einsum("qa,qb,qt->tab", midedge, midedge, s_mid)
-              * (areas / 3.0)[:, None, None])
+    k_elem = np.zeros((len(triangles), 3, 3))
+    m_elem = np.zeros((len(triangles), 3, 3))
+    for bary, weight in zip(*rule):
+        t, theta = coords[:, :, 0] @ bary, coords[:, :, 1] @ bary
+        rho_in, slope_in = _fourier(inner, theta)
+        rho_out, slope_out = _fourier(outer, theta)
+        r = rho_in + t * (rho_out - rho_in)
+        s = _sin_m_array(form, r)
+        jac = np.zeros((len(t), 2, 2))
+        jac[:, 0, 0] = rho_out - rho_in
+        jac[:, 0, 1] = slope_in + t * (slope_out - slope_in)
+        jac[:, 1, 1] = 1.0
+        chart_metric = np.column_stack([np.ones_like(s), s**2])[:, :, None]
+        metric = np.swapaxes(jac, 1, 2) @ (chart_metric * jac)
+        volume = np.sqrt(np.linalg.det(metric))
+        tensor = volume[:, None, None] * np.linalg.inv(metric)
+        k_elem += weight * (grads @ tensor @ np.swapaxes(grads, 1, 2))
+        m_elem += weight * (bary[None, :, None] * bary[None, None, :]) * volume[:, None, None]
+    k_elem *= areas[:, None, None]
+    m_elem *= areas[:, None, None]
 
     rows = np.repeat(triangles, 3, axis=1).ravel()
     cols = np.tile(triangles, (1, 3)).ravel()
-    n = vertices.shape[0]
+    n = grid.shape[0]
     stiffness = sparse.coo_matrix((k_elem.ravel(), (rows, cols)), shape=(n, n)).tocsr()
     mass = sparse.coo_matrix((m_elem.ravel(), (rows, cols)), shape=(n, n)).tocsr()
     return stiffness, mass

@@ -355,15 +355,37 @@ FAMILY_ARGS = ["verify", "--random-family", "s=4 count=5 amplitude=0.08",
 
 @pytest.fixture(scope="module")
 def theorem_run(tmp_path_factory):
+    """Exit code, report path, seconds and the level of every eigensolve."""
     path = tmp_path_factory.mktemp("verify") / "report_a.json"
-    start = time.perf_counter()
-    code = cli.main(FAMILY_ARGS + ["--json", str(path)])
-    elapsed = time.perf_counter() - start
-    return code, path, elapsed
+    solved, eigensolve = [], fem2d.eigensolve
+
+    def counting(system, m):
+        solved.append(system.mesh.level)
+        return eigensolve(system, m)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(fem2d, "eigensolve", counting)
+        start = time.perf_counter()
+        code = cli.main(FAMILY_ARGS + ["--json", str(path)])
+        elapsed = time.perf_counter() - start
+    return code, path, elapsed, solved
+
+
+def test_acceptance_family_eigensolve_count(theorem_run):
+    # a cost guard that does not vary with the machine: the 9 holed domains
+    # PASS on the Ritz bound after levels 0-1, the 6 hole-free ones on
+    # Richardson after levels 0-2
+    _, path, _, solved = theorem_run
+    assert len(solved) == 9 * 2 + 6 * 3 == 36
+    for domain in json.loads(path.read_text())["domains"]:
+        holed = domain["r1"] > 0
+        assert [entry["level"] for entry in domain["fem"]["levels"]] == (
+            [0, 1] if holed else [0, 1, 2])
+        assert domain["decided_by"] == ("ritz_bound" if holed else "richardson")
 
 
 def test_criterion_09_theorem_end_to_end(theorem_run):
-    code, path, elapsed = theorem_run
+    code, path, elapsed, _ = theorem_run
     report = json.loads(path.read_text())
     domains = report["domains"]
     taus = [d["tau"] for d in domains]
@@ -400,7 +422,7 @@ def test_criterion_09_theorem_end_to_end(theorem_run):
 
 
 def test_criterion_12_determinism(theorem_run, tmp_path):
-    _, first_path, _ = theorem_run
+    _, first_path, _, _ = theorem_run
     second_path = tmp_path / "report_b.json"
     code = cli.main(FAMILY_ARGS + ["--json", str(second_path)])
     identical = first_path.read_bytes() == second_path.read_bytes()

@@ -569,12 +569,14 @@ class TestVerifyCommand:
                           "--form", "hyperbolic", "--seed", "5", "--levels", "3",
                           "--json", str(report)], capsys)
         assert code == 0
-        levels = json.loads(report.read_text())["domains"][0]["fem"]["levels"]
-        # the probe level 0, then levels up to the cap 3 until the verdict is decided
-        assert [entry["level"] for entry in levels] == list(range(len(levels)))
-        assert 3 <= len(levels) <= 4
+        (domain,) = json.loads(report.read_text())["domains"]
+        # the probe level 0, then levels up to the cap 3 until the verdict is
+        # decided: this holed domain's level-1 values bound it below the shell
+        assert domain["spec"]["rho_in"] is not None
+        assert [entry["level"] for entry in domain["fem"]["levels"]] == [0, 1]
+        assert domain["decided_by"] == "ritz_bound"
         assert all(set(entry) == {"level", "n_unknowns", "h", "eigenvalues"}
-                   for entry in levels)
+                   for entry in domain["fem"]["levels"])
 
     def test_uncertifiable_resolution_exit_4(self, tmp_path, capsys):
         # one coarse level cannot bring the equality case within tau
@@ -586,8 +588,8 @@ class TestVerifyCommand:
 
     def test_undecided_cap_run_is_marked(self, tmp_path, capsys):
         # near the disk the margin grows like the amplitude squared: the
-        # holed domain is decided at level 2 (about 21 tau), the hole-free
-        # one reaches the cap at about 0.24 tau and is marked
+        # holed domain is decided by the Ritz bound at level 1 (about 5 tau),
+        # the hole-free one reaches the cap at about 0.24 tau and is marked
         report = tmp_path / "report.json"
         code, out, _ = run(["verify", "--random-family", "s=4 count=2 amplitude=0.01",
                             "--form", "euclidean", "--seed", "2026", "--levels", "3",
@@ -596,11 +598,28 @@ class TestVerifyCommand:
         domains = json.loads(report.read_text())["domains"]
         assert [d["spec"].get("rho_in") is not None for d in domains] == [True, False]
         assert [d["decided"] for d in domains] == [True, False]
-        assert [len(d["fem"]["levels"]) for d in domains] == [3, 4]   # from level 0
-        assert min(domains[0]["margins"]) >= 20 * domains[0]["tau"]
+        assert [d["decided_by"] for d in domains] == ["ritz_bound", None]
+        assert [len(d["fem"]["levels"]) for d in domains] == [2, 4]   # from level 0
+        assert min(domains[0]["margins"]) >= 5 * domains[0]["tau"]
         assert 0 < min(domains[1]["margins"]) < 0.5 * domains[1]["tau"]
         lines = out.splitlines()
-        assert not lines[0].endswith("(undecided at cap)")
+        assert lines[0].endswith("  (Ritz bound)")
+        assert lines[1].endswith("  (undecided at cap)")
+
+    def test_two_levels_decide_a_holed_domain_by_the_bound(self, tmp_path, capsys):
+        # a ladder of two levels has no observed order, so only the bound
+        # decides, and only on the holed domain
+        report = tmp_path / "report.json"
+        code, out, _ = run(["verify", "--random-family", "s=4 count=2 amplitude=0.01",
+                            "--form", "euclidean", "--seed", "2026", "--levels", "2",
+                            "--json", str(report)], capsys)
+        assert code == 0
+        domains = json.loads(report.read_text())["domains"]
+        assert [d["decided_by"] for d in domains] == ["ritz_bound", None]
+        assert [[entry["level"] for entry in d["fem"]["levels"]] for d in domains] == [
+            [1, 2], [1, 2]]
+        lines = out.splitlines()
+        assert lines[0].endswith("  (Ritz bound)")
         assert lines[1].endswith("  (undecided at cap)")
 
     def test_one_level_without_error_estimate_exit_4(self, tmp_path, capsys):
@@ -852,7 +871,7 @@ class TestFlagDefaults:
     """With no flag and no --config, a setting the library has is the library's."""
 
     def test_verify_reads_verify_config(self, tmp_path, capsys):
-        # acceptance domain 1, decided at level 2
+        # acceptance domain 1, decided by the Ritz bound at level 1
         path = write_spec(tmp_path, dm.random_family(2026, "euclidean", count=1)[0])
         report = tmp_path / "report.json"
         code, _, _ = run(["verify", "--spec", str(path), "--json", str(report)], capsys)

@@ -24,7 +24,7 @@ from spaceform_spectra.fem2d import (
     verify_theorem,
 )
 from spaceform_spectra.slsolver import SLProblem, SolverConfig
-from spaceform_spectra.spaceform import SpaceForm, sin_m
+from spaceform_spectra.spaceform import SpaceForm
 
 import oracles
 
@@ -56,6 +56,32 @@ def mesh_triangles(mesh):
 
 def mesh_triangle_coords(mesh):
     return oracles.triangle_coords(mesh.vertices, mesh_triangles(mesh))
+
+
+# Dunavant's 7-point degree-5 rule from its closed form: barycentric points
+# and weights summing to 1
+_R15 = math.sqrt(15.0)
+DUNAVANT = (np.array([[1 / 3, 1 / 3, 1 / 3]]
+                     + [np.roll([1 - 2 * p, p, p], k)
+                        for p in ((6 - _R15) / 21, (6 + _R15) / 21) for k in range(3)]),
+            np.array([9 / 40] + 3 * [(155 - _R15) / 1200] + 3 * [(155 + _R15) / 1200]))
+
+
+def oracle_assembly(mesh, rule):
+    """``oracles.exact_map_assembly`` of the mesh's domain under ``rule``."""
+    spec = mesh.spec
+    inner = ((spec.rho_in.base, spec.rho_in.harmonics) if spec.has_hole
+             else (fem2d.HOLE_FREE_INNER_RADIUS, ()))
+    return oracles.exact_map_assembly(str(spec.form), inner,
+                                      (spec.rho_out.base, spec.rho_out.harmonics),
+                                      mesh.n_radial, mesh.n_angular, rule)
+
+
+# the holed domains of the acceptance family (seed 2026, three forms)
+HOLED_ACCEPTANCE = {f"{form}-{idx}": spec
+                    for form in ("euclidean", "spherical", "hyperbolic")
+                    for idx, spec in enumerate(dm.random_family(2026, form, count=5))
+                    if spec.has_hole}
 
 
 class TestMeshGeneration:
@@ -120,16 +146,15 @@ class TestAssembly:
         ones = np.ones(system.n_unknowns)
         assert np.max(np.abs(system.stiffness @ ones)) < 1e-12
 
-    def test_mass_row_sums_accumulate_quadrature_volume(self, system):
-        # partition of unity: sum_ij M_ij equals the element-quadrature volume
-        coords = mesh_triangle_coords(system.mesh)
-        areas = oracles.chart_areas(coords)
-        r_mid = fem2d._MIDEDGE @ coords[:, :, 0].T
-        quad_volume = float(np.sum(areas / 3.0 * np.sum(sin_m(system.mesh.spec.form, r_mid), axis=0)))
-        assert float(system.mass.sum()) == pytest.approx(quad_volume, rel=1e-12)
-        # and the quadrature volume itself approximates the true volume
-        true_volume = 3 * math.pi
-        assert quad_volume == pytest.approx(true_volume, rel=1e-3)
+    @pytest.mark.parametrize("level", [0, 1, 2])
+    @pytest.mark.parametrize("spec", [ANNULUS, *HOLED_ACCEPTANCE.values()],
+                             ids=["annulus", *HOLED_ACCEPTANCE])
+    def test_mass_row_sums_accumulate_quadrature_volume(self, spec, level):
+        # partition of unity: sum_ij M_ij integrates the density D s over the
+        # (t, theta) rectangle, the domain's volume on its exact map
+        mass = assemble(generate_mesh(spec, level)).mass
+        volume = dm.volume(dm.QuadratureGrid.for_spec(spec))
+        assert float(mass.sum()) == pytest.approx(volume, rel=1e-12)
 
     def test_mass_is_symmetric_positive(self, system):
         diff = system.mass - system.mass.T
@@ -140,51 +165,19 @@ class TestAssembly:
             v = rng.normal(size=system.n_unknowns)
             assert v @ (system.mass @ v) > 0
 
-    def test_entries_match_independent_element_integration(self):
-        # rebuild the whole system with plain loops: P1 gradients from a
-        # barycentric solve, sin_m written out here, and both weight
-        # integrals by the mid-edge rule
-        sin = {"euclidean": lambda r: r, "spherical": math.sin, "hyperbolic": math.sinh}
-        for spec in (ANNULUS,
-                     DomainSpec.exact_annulus("spherical", 2, 0.5, 1.2),
-                     DomainSpec.exact_annulus("hyperbolic", 2, 0.5, 1.5),
-                     DomainSpec.exact_annulus("spherical", 2, 0.0, 1.0)):  # hole-free
-            mesh = generate_mesh(spec, 0)
-            system = assemble(mesh)
-            triangles = mesh_triangles(mesh)
-            coords = oracles.triangle_coords(mesh.vertices, triangles)
-            n = mesh.n_vertices
-            k_ref = np.zeros((n, n))
-            m_ref = np.zeros((n, n))
-            for tri, pts in zip(triangles, coords):
-                mat = np.column_stack([pts[:, 0], pts[:, 1], np.ones(3)])
-                grads = np.linalg.solve(mat, np.eye(3))[:2]  # rows: d/dr, d/dtheta
-                area = 0.5 * abs(np.linalg.det(mat))
-                s_mid = [sin[str(spec.form)](float(r)) for r in fem2d._MIDEDGE @ pts[:, 0]]
-                w_r = area / 3.0 * sum(s_mid)
-                w_t = area / 3.0 * sum(1.0 / s for s in s_mid)
-                for a in range(3):
-                    for b in range(3):
-                        k_ref[tri[a], tri[b]] += (grads[0, a] * grads[0, b] * w_r
-                                                  + grads[1, a] * grads[1, b] * w_t)
-                        m_ref[tri[a], tri[b]] += area / 3.0 * sum(
-                            fem2d._MIDEDGE[q, a] * fem2d._MIDEDGE[q, b] * s_mid[q]
-                            for q in range(3))
-            k_dense = system.stiffness.toarray()
-            m_dense = system.mass.toarray()
-            assert np.max(np.abs(k_dense - k_ref)) <= 1e-10 * np.max(np.abs(k_ref)), spec.form
-            assert np.max(np.abs(m_dense - m_ref)) <= 1e-12 * np.max(np.abs(m_ref)), spec.form
-
     @pytest.mark.parametrize("form", ["euclidean", "spherical", "hyperbolic"])
     @pytest.mark.parametrize("hole", [True, False], ids=["shell", "hole-free"])
     def test_stencil_matches_element_assembly(self, form, hole):
+        # the oracle sums one element matrix per triangle of the whole mesh,
+        # pulling the metric back through the Jacobian of the map at each
+        # point of the same rule
         spec = DomainSpec(form, 2, SymmetryOrder.ORDER4,
                           FourierProfile(1.2, ((4, 0.06, -0.04),)),
                           FourierProfile(0.5, ((4, 0.02, 0.02),)) if hole else None)
         for level in range(4):
             mesh = generate_mesh(spec, level)
             system = assemble(mesh)
-            reference = oracles.element_assembly(mesh.vertices, mesh_triangles(mesh), form)
+            reference = oracle_assembly(mesh, DUNAVANT)
             for matrix, ref in zip((system.stiffness, system.mass), reference):
                 assert np.array_equal(matrix.indptr, ref.indptr)
                 assert np.array_equal(matrix.indices, ref.indices)
@@ -435,12 +428,26 @@ def solved(monkeypatch):
 
 
 class TestStopRule:
-    def test_clear_pass_stops_at_level_two(self, solved):
+    def test_clear_pass_stops_at_level_one(self, solved):
+        # a holed mesh covers the domain exactly, so its level-1 values bound
+        # the domain's from above and lie clearly below the shell's mu_2
         verdict = verify_theorem(ORDER4_SHELL)
+        assert solved["meshed"] == [0, 1]
+        assert solved["solved"] == [0, 1]
+        assert [entry["level"] for entry in verdict.fem.to_dict()["levels"]] == [0, 1]
+        assert verdict.passed and verdict.decided
+        assert verdict.decided_by == verdict.to_dict()["decided_by"] == "ritz_bound"
+        assert all(verdict.fem.eigenvalues[i - 1] * (1 + fem2d.RITZ_ALLOWANCE)
+                   < verdict.mu_annulus for i in verdict.checked_indices)
+
+    def test_clear_hole_free_pass_stops_at_level_two(self, solved):
+        # a hole-free mesh leaves out a small disk, so only Richardson decides
+        verdict = verify_theorem(ORDER4_DISK)
         assert solved["meshed"] == [0, 1, 2]
         assert solved["solved"] == [0, 1, 2]
         assert [entry["level"] for entry in verdict.fem.to_dict()["levels"]] == [0, 1, 2]
-        assert verdict.passed
+        assert verdict.passed and verdict.decided
+        assert verdict.decided_by == "richardson"
         assert min(verdict.margins) >= fem2d.STOP_MARGIN * verdict.tau
         low, high = fem2d.ORDER_BAND
         assert all(low <= verdict.fem.observed_order[i - 1] <= high
@@ -489,16 +496,18 @@ class TestStopRule:
         tau = 3 * 2.0**-12
         indices = tuple(range(2, 2 + len(margins)))
         fem = synthetic_history(tuple(m * tau for m in margins), orders, est=2.0**-12)
-        decision = decide(1.0, 0.0, fem, indices)
+        decision = decide(1.0, 0.0, fem, indices, ritz=False)
         assert decision.tau == tau
         assert decision.orders == orders
         assert decision.decided is decided
+        assert decision.decided_by == ("richardson" if decided else None)
         assert decision.passed is all(m >= -1 for m in margins)
 
     @pytest.mark.parametrize("radial", [0.0, 5e-4])
     def test_one_level_never_passes(self, radial):
+        # not even on the Ritz bound, which the values would clear
         fem = synthetic_history((0.5, 0.5), (None, None), est=None)
-        decision = decide(1.0, radial, fem, (2, 3))
+        decision = decide(1.0, radial, fem, (2, 3), ritz=True)
         assert decision.margins == (0.5, 0.5)
         assert decision.tau == max(fem2d.TAU_FLOOR, radial)
         assert decision.orders == (None, None)
@@ -510,15 +519,41 @@ class TestStopRule:
                              ids=["richardson-sets-tau", "floor-sets-tau"])
     def test_tau_is_three_richardson_corrections_plus_radial(self, est, radial, tau):
         fem = synthetic_history((0.5, 0.5), (2.0, 2.0), est=est)
-        assert decide(1.0, radial, fem, (2, 3)).tau == tau
+        assert decide(1.0, radial, fem, (2, 3), ritz=False).tau == tau
 
     def test_a_margin_of_exactly_minus_tau_passes(self):
         tau = 3 * 2.0**-12
         fem = synthetic_history((-tau,), (2.0,), est=2.0**-12)
-        decision = decide(1.0, 0.0, fem, (2,))
+        decision = decide(1.0, 0.0, fem, (2,), ritz=False)
         assert decision.margins == (-tau,)
         assert decision.passed is True
         assert decision.decided is False
+
+    @pytest.mark.parametrize("ritz, finest, radial, decided_by", [
+        (True, (0.9, 0.95), 0.0, "ritz_bound"),
+        (False, (0.9, 0.95), 0.0, None),
+        # mu_3 (1 + RITZ_ALLOWANCE) just above the shell's mu_2
+        (True, (0.9, 1.0 - 0.5e-6), 0.0, None),
+        (True, (0.9, 1.0 - 2e-6), 0.0, "ritz_bound"),
+        # the shell's own error takes its share first
+        (True, (0.9, 0.9995), 1e-3, None),
+        (True, (0.9, 0.9985), 1e-3, "ritz_bound"),
+    ])
+    def test_ritz_bound_decides_a_pass(self, ritz, finest, radial, decided_by):
+        # two levels give no observed order, so Richardson cannot decide
+        fem = FemEigenResult.from_levels([level_solve(0, (0.0, 1.1, 1.2)),
+                                          level_solve(1, (0.0, *finest))])
+        decision = decide(1.0, radial, fem, (2, 3), ritz=ritz)
+        assert decision.decided_by == decided_by
+        assert decision.decided is (decided_by is not None)
+        assert decision.margins == tuple(1.0 - e for e in fem.extrapolated[1:3])
+        if decided_by:
+            assert decision.passed is True
+
+
+def level_solve(level, eigenvalues):
+    return fem2d.LevelSolve(n_unknowns=0, h=0.0, eigenvalues=eigenvalues, level=level,
+                            residual=0.0)
 
 
 def synthetic_history(margins, orders, est):
@@ -529,8 +564,7 @@ def synthetic_history(margins, orders, est):
     """
     values = (0.0, *(1.0 - margin for margin in margins))
     if est is None:
-        return FemEigenResult(levels=(), eigenvalues=values, extrapolated=None,
-                              est_rel_error=None, observed_order=None, max_residual=0.0)
+        return FemEigenResult.from_levels([level_solve(1, values)])
     return FemEigenResult(levels=(), eigenvalues=values, extrapolated=values,
                           est_rel_error=(est,) * len(values),
                           observed_order=(None, *orders), max_residual=0.0)
@@ -547,7 +581,8 @@ HALF_TURN_NEGATIVES = {
     for amplitude in (0.1, 0.2)
     for hole in (FourierProfile(0.45), None)
 }
-# mu_3's observed order over levels 0-2 is 3.2, outside ORDER_BAND
+# mu_3's observed order over levels 0-2 was 3.2, outside ORDER_BAND, on the
+# (r, theta) chart's polygonal boundary
 OUT_OF_BAND = "hyperbolic-A0.2-holed"
 
 
@@ -566,52 +601,93 @@ def half_turn_histories():
     return histories
 
 
-def ladder_decisions(history, indices):
+def ladder_decisions(history, indices, name):
     """``decide`` after each level of the ladder 0, 1, 2, as verify_theorem
-    calls it."""
+    calls it on the domain ``name``."""
     mu_shell, radial, levels = history
-    return [decide(mu_shell, radial, FemEigenResult.from_levels(levels[:k]), indices)
+    ritz = HALF_TURN_NEGATIVES[name].has_hole
+    return [decide(mu_shell, radial, FemEigenResult.from_levels(levels[:k]), indices, ritz=ritz)
             for k in range(1, len(levels) + 1)]
 
 
 class TestTrueNegatives:
-    @pytest.mark.parametrize("name", [n for n in HALF_TURN_NEGATIVES if n != OUT_OF_BAND])
+    @pytest.mark.parametrize("name", list(HALF_TURN_NEGATIVES))
     def test_mu3_against_the_shell_is_decided_and_fails(self, half_turn_histories, name):
-        *below_cap, cap = ladder_decisions(half_turn_histories[name], (2, 3))
+        *below_cap, cap = ladder_decisions(half_turn_histories[name], (2, 3), name)
         assert not any(decision.decided for decision in below_cap)
         assert cap.decided is True
+        assert cap.decided_by == "richardson"
         assert cap.passed is False
         assert cap.margins[1] <= -fem2d.STOP_MARGIN * cap.tau
 
     @pytest.mark.parametrize("name", list(HALF_TURN_NEGATIVES))
     def test_mu2_against_the_shell_passes(self, half_turn_histories, name):
-        cap = ladder_decisions(half_turn_histories[name], (2,))[-1]
+        decisions = ladder_decisions(half_turn_histories[name], (2,), name)
+        # the bound decides a holed domain once it has two levels
+        assert [d.decided_by for d in decisions] == (
+            [None, "ritz_bound", "ritz_bound"] if HALF_TURN_NEGATIVES[name].has_hole
+            else [None, None, "richardson"])
+        cap = decisions[-1]
         assert cap.decided is True
         assert cap.passed is True
         assert cap.margins[0] >= fem2d.STOP_MARGIN * cap.tau
 
-    def test_verify_theorem_reaches_the_same_decision(self, half_turn_histories):
-        name = "euclidean-A0.1-holed"
+    @pytest.mark.parametrize("name", ["euclidean-A0.1-holed", "euclidean-A0.1-hole-free"])
+    def test_verify_theorem_reaches_the_same_decision(self, half_turn_histories, name):
+        # the holed domain stops at level 1 on the bound, the hole-free one
+        # at level 2 on Richardson
         verdict = verify_theorem(HALF_TURN_NEGATIVES[name], VerifyConfig(levels=(0, 1, 2), m=4))
-        cap = ladder_decisions(half_turn_histories[name], (2,))[-1]
-        assert verdict.fem.levels == half_turn_histories[name][2]
-        assert (verdict.margins, verdict.tau, verdict.passed) == (
-            cap.margins, cap.tau, cap.passed)
+        decisions = ladder_decisions(half_turn_histories[name], (2,), name)
+        stop = next(k for k, decision in enumerate(decisions) if decision.decided)
+        assert stop == (1 if HALF_TURN_NEGATIVES[name].has_hole else 2)
+        assert verdict.fem.levels == half_turn_histories[name][2][:stop + 1]
+        assert (verdict.margins, verdict.tau, verdict.decided_by, verdict.passed) == (
+            decisions[stop].margins, decisions[stop].tau, decisions[stop].decided_by,
+            decisions[stop].passed)
 
-    def test_an_order_outside_the_band_leaves_a_negative_undecided(self, half_turn_histories):
+    def test_the_out_of_band_order_was_the_charts_and_the_negative_is_decided(
+            self, half_turn_histories):
         """mu_3 of the holed hyperbolic domain with A = 0.2 is about 36 %
-        above the shell's mu_2, but its observed order over levels 0-2 is
-        3.2, outside ORDER_BAND, so the margin is not trusted: a level-2 cap
-        ends the run undecided and the domain FAILs (a level-3 cap FAILs
-        too, at order 2.6).  ROADMAP item 4, tau from the observed order,
-        must turn this case into a decided FAIL."""
-        cap = ladder_decisions(half_turn_histories[OUT_OF_BAND], (2, 3))[-1]
-        low, high = fem2d.ORDER_BAND
-        assert low <= cap.orders[0] <= high
-        assert not low <= cap.orders[1] <= high
+        above the shell's mu_2.  On the (r, theta) chart, whose boundary is
+        straight between rays, its observed order over levels 0-2 read 3.2,
+        outside ORDER_BAND, and a level-2 cap left it undecided.  On the
+        exact map the order is 2.0 and ``decide`` FAILs it, decided."""
+        cap = ladder_decisions(half_turn_histories[OUT_OF_BAND], (2, 3), OUT_OF_BAND)[-1]
+        assert all(1.95 <= order <= 2.05 for order in cap.orders)
         assert cap.margins[1] <= -fem2d.STOP_MARGIN * cap.tau
-        assert cap.decided is False
+        assert cap.decided is True
+        assert cap.decided_by == "richardson"
         assert cap.passed is False
+
+
+HOLED = {**HOLED_ACCEPTANCE,
+         **{name: spec for name, spec in HALF_TURN_NEGATIVES.items() if spec.has_hole}}
+
+
+class TestRitzBound:
+    """What a PASS by the Rayleigh-Ritz bound rests on: the mesh of a holed
+    domain covers it exactly and the levels are nested, so by min-max every
+    level's values lie above the domain's and do not rise under refinement,
+    up to the quadrature of the element entries, which RITZ_ALLOWANCE
+    covers."""
+
+    @pytest.mark.parametrize("name", list(HOLED))
+    def test_levels_do_not_rise(self, name):
+        values = np.array([eigensolve(assemble(generate_mesh(HOLED[name], level)), 8).eigenvalues
+                           for level in range(4)])
+        assert np.all(np.diff(values[:, 1:], axis=0) <= 0)
+
+    @pytest.mark.parametrize("level", [0, 1])
+    @pytest.mark.parametrize("name", list(HOLED_ACCEPTANCE))
+    def test_a_finer_quadrature_moves_the_values_by_a_tenth_of_the_allowance(self, name, level):
+        # each triangle split in four, each quarter under a 16-point conical
+        # Gauss rule of degree 6: the same P1 space, integrated to about 1e-13
+        mesh = generate_mesh(HOLED_ACCEPTANCE[name], level)
+        got = np.array(eigensolve(assemble(mesh), 8).eigenvalues)
+        stiffness, mass = oracle_assembly(mesh, oracles.split_in_four(oracles.conical_gauss_rule(4)))
+        ref = np.sort(sparse_linalg.eigsh(stiffness, k=8, M=mass, sigma=fem2d.SHIFT,
+                                          which="LM", return_eigenvectors=False))
+        assert np.max(np.abs(got[1:] - ref[1:]) / ref[1:]) <= fem2d.RITZ_ALLOWANCE / 10
 
 
 class TestSymmetrySectors:

@@ -49,8 +49,9 @@ PASS/FAIL, whether refining further could still change it, and which rule
 decided it.  On a holed domain the mesh covers the domain exactly and
 conforming Galerkin values bound the domain's from above (min-max), so
 from two levels on, finest values clearly below the shell's mu_2 decide a
-PASS by that Rayleigh-Ritz bound; otherwise Richardson extrapolation and
-its observed order decide.
+PASS by that Rayleigh-Ritz bound, where ``quadrature_term`` puts the
+quadrature error of the finest mesh within RITZ_ALLOWANCE; otherwise
+Richardson extrapolation and its observed order decide.
 ``verify_theorem`` solves its levels one at a time and stops at the first
 level below the cap that ``decide`` calls decided.  An observed order
 needs three levels, so a ladder of three or more levels that starts at
@@ -99,6 +100,7 @@ __all__ = [
     "solve_domain",
     "verify_theorem",
     "decide",
+    "quadrature_term",
 ]
 
 HOLE_FREE_INNER_RADIUS = 1e-3
@@ -109,7 +111,7 @@ SHIFT = -0.1                 # spectral-transformation shift below the spectrum
 TAU_FLOOR = 1e-4             # smallest verdict tolerance
 STOP_MARGIN = 2.0            # margins beyond this many tau decide a verdict
 ORDER_BAND = (1.5, 2.5)      # observed orders under which Richardson is trusted
-RITZ_ALLOWANCE = 1e-6        # relative quadrature term a Rayleigh-Ritz bound carries
+RITZ_ALLOWANCE = 1e-5        # relative quadrature term a Rayleigh-Ritz bound carries
 DIRECT_MAX_UNKNOWNS = 5000   # larger symmetry sectors are inverted by CG, not Cholesky
 CG_RTOL, CG_MAXITER = 1e-12, 200   # stopping rule of those CG solves
 
@@ -273,37 +275,50 @@ def _pullback(form: SpaceForm, inner: dm.FourierProfile, outer: dm.FourierProfil
     return fields
 
 
-def _element_entries(fields, t, theta) -> tuple[dict, dict]:
-    """Element stiffness and mass entries of one triangle in every quad.
+_PAIRS = [(a, b) for a in range(3) for b in range(a, 3)]
+
+
+def _element_integrals(fields, t, theta, points=_DUNAVANT_POINTS, weights=_DUNAVANT_WEIGHTS):
+    """Area, integral of A and mass entries of one triangle in every quad.
 
     ``t`` and ``theta`` hold the (t, theta) coordinates of the three
     vertices, ``t`` as (n_radial, 1) columns and ``theta`` as (1, width)
-    rows.  P1 gradients are constant per triangle;
-    ``K_ab = sum_q w_q grad(phi_a) . A(x_q) grad(phi_b)`` and
-    ``M_ab = sum_q w_q phi_a(x_q) phi_b(x_q) J(x_q)`` run over Dunavant's
-    seven points x_q, all evaluated at once.  Returns two dicts keyed by
-    local vertex pairs (a, b) with a <= b.
+    rows; ``points`` are barycentric (Q, 3) and ``weights`` (Q,) sum to 1,
+    or (R, Q) for R rules on the same points, which adds an axis of length
+    R after the first to the integrals.  Every point is evaluated at once.  Returns
+    the areas, the (tt, ttheta, thetatheta) entries of the integral of A
+    over each triangle and ``M_ab = integral of phi_a phi_b J`` for the
+    local vertex pairs a <= b of ``_PAIRS``, each stacked along the first
+    axis.
     """
     area = 0.5 * ((t[1] - t[0]) * (theta[2] - theta[0]) - (theta[1] - theta[0]) * (t[2] - t[0]))
+    # (Q, n_radial, width) values
+    a_tt, a_ttheta, a_thetatheta, density = fields(
+        np.tensordot(points, np.stack(t), axes=1), np.tensordot(points, np.stack(theta), axes=1))
+    tensor = np.array([area * np.tensordot(weights, field, axes=1)
+                       for field in (a_tt, a_ttheta, a_thetatheta)])
+    # phi_a phi_b at the points are the products of their barycentric coordinates
+    products = np.array([weights * points[:, a] * points[:, b] for a, b in _PAIRS])
+    return area, tensor, area * np.tensordot(products, density, axes=1)
+
+
+def _element_entries(fields, t, theta) -> tuple[dict, dict]:
+    """Element stiffness and mass entries of one triangle in every quad.
+
+    P1 gradients are constant per triangle, so
+    ``K_ab = grad(phi_a) . (integral of A) grad(phi_b)``; both integrals
+    are Dunavant's (``_element_integrals``).  Returns two dicts keyed by
+    local vertex pairs (a, b) with a <= b.
+    """
+    area, (w_tt, w_ttheta, w_thetatheta), mass = _element_integrals(fields, t, theta)
     # constant P1 gradients: grad lambda_a = rot(opposite edge) / (2A)
     grad_t = [(theta[(a + 1) % 3] - theta[(a + 2) % 3]) / (2 * area) for a in range(3)]
     grad_theta = [(t[(a + 2) % 3] - t[(a + 1) % 3]) / (2 * area) for a in range(3)]
-    # (7, n_radial, width) values at the points
-    a_tt, a_ttheta, a_thetatheta, density = fields(
-        np.tensordot(_DUNAVANT_POINTS, np.stack(t), axes=1),
-        np.tensordot(_DUNAVANT_POINTS, np.stack(theta), axes=1))
-    w_tt, w_ttheta, w_thetatheta = (area * np.tensordot(_DUNAVANT_WEIGHTS, field, axes=1)
-                                    for field in (a_tt, a_ttheta, a_thetatheta))
-    pairs = [(a, b) for a in range(3) for b in range(a, 3)]
-    # phi_a phi_b at the points are the products of their barycentric coordinates
-    products = np.array([_DUNAVANT_WEIGHTS * _DUNAVANT_POINTS[:, a] * _DUNAVANT_POINTS[:, b]
-                         for a, b in pairs])
-    mass = area * np.tensordot(products, density, axes=1)
     stiffness = {(a, b): grad_t[a] * grad_t[b] * w_tt
                  + (grad_t[a] * grad_theta[b] + grad_theta[a] * grad_t[b]) * w_ttheta
                  + grad_theta[a] * grad_theta[b] * w_thetatheta
-                 for a, b in pairs}
-    return stiffness, dict(zip(pairs, mass))
+                 for a, b in _PAIRS}
+    return stiffness, dict(zip(_PAIRS, mass))
 
 
 def _stencil_sums(t1: dict, t2: dict):
@@ -379,6 +394,17 @@ def assemble(mesh: PolarMesh) -> FemSystem:
     wedge of the domain's rotation symmetry are integrated; the rest of
     the mesh is its turned copies (see ``FemSystem``).
     """
+    order, fields, (t1, t2) = _wedge_triangles(mesh)
+    k1, m1 = _element_entries(fields, *t1)
+    k2, m2 = _element_entries(fields, *t2)
+    return FemSystem(mesh=mesh, order=order, stiffness_sums=_stencil_sums(k1, k2),
+                     mass_sums=_stencil_sums(m1, m2))
+
+
+def _wedge_triangles(mesh: PolarMesh):
+    """The symmetry order, the ``_pullback`` fields and the (t, theta)
+    vertex coordinates of the triangles T1 = [a, c, d] and T2 = [a, d, b]
+    of every quad of the wedge, as ``_element_entries`` takes them."""
     order = dm.fourier_order(mesh.spec.symmetry_order)
     width = mesh.n_angular // order
     fields = _pullback(mesh.spec.form, *_boundaries(mesh.spec))
@@ -387,10 +413,84 @@ def assemble(mesh: PolarMesh) -> FemSystem:
     # quad corners; the rotation maps ray `width` onto ray 0 at angle 2 pi / order
     t_a, t_c = t[:-1], t[1:]
     th_a, th_b = theta[None, :], np.append(theta[1:], 2 * math.pi / order)[None, :]
-    k1, m1 = _element_entries(fields, (t_a, t_c, t_c), (th_a, th_a, th_b))  # T1 = [a, c, d]
-    k2, m2 = _element_entries(fields, (t_a, t_c, t_a), (th_a, th_b, th_b))  # T2 = [a, d, b]
-    return FemSystem(mesh=mesh, order=order, stiffness_sums=_stencil_sums(k1, k2),
-                     mass_sums=_stencil_sums(m1, m2))
+    return order, fields, (((t_a, t_c, t_c), (th_a, th_a, th_b)),
+                           ((t_a, t_c, t_a), (th_a, th_b, th_b)))
+
+
+def _symmetric(entries, size: int) -> np.ndarray:
+    """(size, size, ...) symmetric matrices from their entries a <= b, in
+    row order, along the first axis of ``entries``."""
+    index = {pair: k for k, pair in enumerate((a, b) for a in range(size) for b in range(a, size))}
+    return np.array([[entries[index[min(a, b), max(a, b)]] for b in range(size)]
+                     for a in range(size)])
+
+
+def _relative_spread(x, dx) -> float:
+    """Largest sqrt(trace((X^-1 dX)^2)) over symmetric positive definite
+    X = ``x`` and symmetric dX = ``dx``, (k, k, ...) arrays of k = 2 or 3:
+    the root sum of squares of the eigenvalues of the pencil (dX, X), so
+    |v . dX v| <= spread * v . X v for every v.  X^-1 = adj(X) / det(X)
+    by cofactors, elementwise over the trailing axes."""
+    if len(x) == 2:
+        adjugate = np.array([[x[1, 1], -x[0, 1]], [-x[1, 0], x[0, 0]]])
+    else:
+        adjugate = np.array([[x[(i + 1) % 3, (j + 1) % 3] * x[(i + 2) % 3, (j + 2) % 3]
+                              - x[(i + 1) % 3, (j + 2) % 3] * x[(i + 2) % 3, (j + 1) % 3]
+                              for i in range(3)] for j in range(3)])
+    det = np.einsum("i...,i...->...", x[0], adjugate[:, 0])
+    ratio = np.einsum("ij...,jk...->ik...", adjugate, dx) / det
+    return float(np.sqrt(np.max(np.einsum("ij...,ji...->...", ratio, ratio))))
+
+
+# the barycentric points of Dunavant's rule on a triangle and on the four
+# triangles its edge midpoints cut it into, with the weights of the rule
+# (row 0) and of its difference to the rule on the quarters (row 1)
+_CORNERS = np.eye(3)
+_MIDPOINTS = [(_CORNERS[a] + _CORNERS[b]) / 2 for a, b in ((0, 1), (1, 2), (2, 0))]
+_SPLIT_POINTS = np.concatenate([_DUNAVANT_POINTS] + [
+    _DUNAVANT_POINTS @ np.array(quarter)
+    for quarter in ((_CORNERS[0], _MIDPOINTS[0], _MIDPOINTS[2]),
+                    (_MIDPOINTS[0], _CORNERS[1], _MIDPOINTS[1]),
+                    (_MIDPOINTS[2], _MIDPOINTS[1], _CORNERS[2]),
+                    (_MIDPOINTS[1], _MIDPOINTS[2], _MIDPOINTS[0]))])
+_SPLIT_WEIGHTS = np.array([np.concatenate([_DUNAVANT_WEIGHTS, np.zeros(28)]),
+                           np.concatenate([-_DUNAVANT_WEIGHTS, np.tile(_DUNAVANT_WEIGHTS / 4, 4)])])
+SPLIT_BLOCK = 1 << 16   # point values per array that ``quadrature_term`` evaluates at once
+
+
+def quadrature_term(mesh: PolarMesh) -> float:
+    """Estimated relative quadrature error of the eigenvalues of ``assemble(mesh)``.
+
+    Each triangle's integrals of A and of phi_a phi_b J are taken again,
+    by the same rule on the four triangles its edge midpoints cut it into;
+    the difference estimates the error of the assembled ones (the finer
+    rule's own error is a sixteenth of it or less once the integrands are
+    resolved).  eps_K and eps_M bound the differences of the element
+    matrices relative to the element matrices themselves, element by
+    element (``_relative_spread``; P1 gradients are constant per
+    triangle, so for the stiffness the integral of A stands in for the
+    element matrix), and so bound those of the global K and M.  By
+    min-max, every eigenvalue of the pencil with the finer integrals then
+    lies within a factor (1 + eps_K) / (1 - eps_M) of the assembled one;
+    the result is that factor less 1.  Where the integrands are not
+    resolved, as A_thetatheta = D / s across the first ring of a hole
+    much narrower than the ring, the term is large.  Blocks of rings keep
+    the arrays at SPLIT_BLOCK values.
+    """
+    _, fields, triangles = _wedge_triangles(mesh)
+    width = mesh.n_angular // dm.fourier_order(mesh.spec.symmetry_order)
+    rows = max(1, SPLIT_BLOCK // (len(_SPLIT_POINTS) * width))
+    eps_k = eps_m = 0.0
+    for t, theta in triangles:
+        for start in range(0, mesh.n_radial, rows):
+            block = tuple(column[start:start + rows] for column in t)
+            _, tensor, mass = _element_integrals(fields, block, theta,
+                                                 _SPLIT_POINTS, _SPLIT_WEIGHTS)
+            # (k, k, rule, rings, rays): the rule's matrices and their differences
+            tensor, mass = _symmetric(tensor, 2), _symmetric(mass, 3)
+            eps_k = max(eps_k, _relative_spread(tensor[:, :, 0], tensor[:, :, 1]))
+            eps_m = max(eps_m, _relative_spread(mass[:, :, 0], mass[:, :, 1]))
+    return (1 + eps_k) / (1 - eps_m) - 1
 
 
 class LevelSolve(NamedTuple):
@@ -755,14 +855,15 @@ def decide(mu_shell: float, radial: float, fem: FemEigenResult, indices, *,
     (0 for one level) and ``radial`` the shell's relative Richardson
     correction.
 
-    ``ritz`` says the finest level's values bound the domain's from above,
-    as conforming Galerkin values on a mesh that covers the domain exactly
-    do by min-max (Babuska and Osborn, Eigenvalue Problems, 1991): true of
-    a holed domain, not of a hole-free one, whose mesh leaves out a small
-    disk.  Then, with two or more levels, every checked finest value with
+    ``ritz`` says the finest level's values bound the domain's from above
+    up to RITZ_ALLOWANCE, as conforming Galerkin values on a mesh that
+    covers the domain exactly do by min-max (Babuska and Osborn, Eigenvalue
+    Problems, 1991) once the quadrature of the element entries moves them
+    by less than that (``quadrature_term``): possible for a holed domain,
+    not for a hole-free one, whose mesh leaves out a small disk.  Then,
+    with two or more levels, every checked finest value with
     mu_i * (1 + RITZ_ALLOWANCE) <= mu_shell * (1 - radial) is a PASS that
-    refining cannot change, decided by "ritz_bound"; RITZ_ALLOWANCE covers
-    the quadrature of the element entries.
+    refining cannot change, decided by "ritz_bound".
 
     Otherwise the Richardson rule: ``passed`` when an error estimate
     exists and every margin is >= -tau; ``decided``, by "richardson", when
@@ -810,7 +911,10 @@ def verify_theorem(spec: dm.DomainSpec, config: VerifyConfig | None = None) -> T
     each level below the cap the run stops if ``decide`` calls the history
     so far decided.  A ladder of three or more levels starting at l >= 1
     first solves level l - 1, so the stop test can already read an
-    observed order once level l + 1 is solved.
+    observed order once level l + 1 is solved.  The Ritz bound is offered
+    to ``decide`` for a holed domain, and a PASS it decides stands only
+    if the finest mesh's ``quadrature_term`` is within RITZ_ALLOWANCE;
+    otherwise the Richardson rule decides that level.
     """
     config = config or VerifyConfig()
     if spec.n != 2:
@@ -831,9 +935,13 @@ def verify_theorem(spec: dm.DomainSpec, config: VerifyConfig | None = None) -> T
 
     history = []
     for level in _ladder(config.levels):
-        history.append(eigensolve(assemble(generate_mesh(spec, level)), m=config.m))
+        mesh = generate_mesh(spec, level)
+        history.append(eigensolve(assemble(mesh), m=config.m))
         fem = FemEigenResult.from_levels(history)
         decision = decide(mu_annulus, radial, fem, indices, ritz=spec.has_hole)
+        if decision.decided_by == "ritz_bound" and quadrature_term(mesh) > RITZ_ALLOWANCE:
+            # the allowance does not cover this mesh's quadrature error
+            decision = decide(mu_annulus, radial, fem, indices, ritz=False)
         if decision.decided:
             break
     return TheoremVerdict(

@@ -285,11 +285,11 @@ def _element_integrals(fields, t, theta, points=_DUNAVANT_POINTS, weights=_DUNAV
     vertices, ``t`` as (n_radial, 1) columns and ``theta`` as (1, width)
     rows; ``points`` are barycentric (Q, 3) and ``weights`` (Q,) sum to 1,
     or (R, Q) for R rules on the same points, which adds an axis of length
-    R after the first to the integrals.  Every point is evaluated at once.  Returns
-    the areas, the (tt, ttheta, thetatheta) entries of the integral of A
-    over each triangle and ``M_ab = integral of phi_a phi_b J`` for the
-    local vertex pairs a <= b of ``_PAIRS``, each stacked along the first
-    axis.
+    R after the first to the integrals.  Every point is evaluated at once.
+    Returns the areas, the (tt, ttheta, thetatheta) entries of the
+    integral of A over each triangle and ``M_ab = integral of phi_a phi_b
+    J`` for the local vertex pairs a <= b of ``_PAIRS``, each stacked
+    along the first axis.
     """
     area = 0.5 * ((t[1] - t[0]) * (theta[2] - theta[0]) - (theta[1] - theta[0]) * (t[2] - t[0]))
     # (Q, n_radial, width) values
@@ -454,7 +454,8 @@ _SPLIT_POINTS = np.concatenate([_DUNAVANT_POINTS] + [
                     (_MIDPOINTS[2], _MIDPOINTS[1], _CORNERS[2]),
                     (_MIDPOINTS[1], _MIDPOINTS[2], _MIDPOINTS[0]))])
 _SPLIT_WEIGHTS = np.array([np.concatenate([_DUNAVANT_WEIGHTS, np.zeros(28)]),
-                           np.concatenate([-_DUNAVANT_WEIGHTS, np.tile(_DUNAVANT_WEIGHTS / 4, 4)])])
+                           np.concatenate([-_DUNAVANT_WEIGHTS,
+                                           np.tile(_DUNAVANT_WEIGHTS / 4, 4)])])
 SPLIT_BLOCK = 1 << 16   # point values per array that ``quadrature_term`` evaluates at once
 
 
@@ -477,9 +478,8 @@ def quadrature_term(mesh: PolarMesh) -> float:
     much narrower than the ring, the term is large.  Blocks of rings keep
     the arrays at SPLIT_BLOCK values.
     """
-    _, fields, triangles = _wedge_triangles(mesh)
-    width = mesh.n_angular // dm.fourier_order(mesh.spec.symmetry_order)
-    rows = max(1, SPLIT_BLOCK // (len(_SPLIT_POINTS) * width))
+    order, fields, triangles = _wedge_triangles(mesh)
+    rows = max(1, SPLIT_BLOCK // (len(_SPLIT_POINTS) * mesh.n_angular // order))
     eps_k = eps_m = 0.0
     for t, theta in triangles:
         for start in range(0, mesh.n_radial, rows):
